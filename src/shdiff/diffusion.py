@@ -13,7 +13,6 @@ maps to t = K - k + 1.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,21 +203,19 @@ def _validate(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
 
 
 def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
-                 schedule: NoiseSchedule, master_seed: int,
-                 workers: int = 1) -> ExecutionResult:
+                 schedule: NoiseSchedule, master_seed: int) -> ExecutionResult:
     """Run the shared-step plan; each (node, step) is evaluated exactly once.
 
     Fresh states draw initial noise from the stream keyed (seed, node); step
     noise comes from (seed, node, k).  Keys depend only on canonical node
-    ids, so output is byte-identical regardless of worker count.
+    ids, so output does not depend on the order nodes are evaluated in.
     """
     _validate(plan, tree, world, schedule)
     m = world.data_dimension
     calls = 0
     prev: dict[int, np.ndarray] = {}
-    last: dict[int, np.ndarray] = {}
 
-    def advance(node: int, k: int, src: int | str) -> tuple[int, np.ndarray]:
+    def advance(node: int, k: int, src: int | str) -> np.ndarray:
         if src == FRESH:
             x_in = stream(master_seed, TAG_INIT, node).standard_normal(m)
         else:
@@ -226,25 +223,17 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         noise = None
         if schedule.variant == ANCESTRAL:
             noise = stream(master_seed, TAG_STEP, node, k)
-        x_out = denoise_step(x_in, k, tree.nodes[node].embedding, schedule, world, noise)
-        return node, x_out
+        return denoise_step(x_in, k, tree.nodes[node].embedding, schedule, world, noise)
 
     for step in plan.steps:
-        work = sorted(step.active)
-        if workers > 1 and len(work) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda n: advance(n, step.k, step.inherit[n]), work))
-        else:
-            results = [advance(n, step.k, step.inherit[n]) for n in work]
-        calls += len(results)
         # Only step k-1 states can be inherited, so the frontier is all we keep.
-        prev = dict(results)
-        last = prev
+        prev = {n: advance(n, step.k, step.inherit[n]) for n in sorted(step.active)}
+        calls += len(prev)
     outputs = {}
     for pid, nodes in plan.assignment.items():
         outputs[pid] = GenerationOutput(
             prompt_id=pid,
-            sample=last[nodes[-1]],
+            sample=prev[nodes[-1]],
             trace=tuple((node, k + 1) for k, node in enumerate(nodes)),
             seed=master_seed,
         )

@@ -75,21 +75,39 @@ class PromptSet:
         return PromptSet(self.ids, self.prompts, emb.astype(np.float32))
 
 
+def unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Float64 copy of a (rows, d) matrix with every row scaled to unit L2 norm.
+
+    Each row's norm is a reduction over that row alone, so a vector gets the
+    same unit form whichever matrix it is normalized in.
+    """
+    arr = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise DataError("cosine distance undefined for zero-norm vector")
+    return arr / norms
+
+
+def unit_distances(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1 - cos(u, r) in [0, 2] for each row r, all inputs already unit-norm.
+
+    For unit vectors 1 - cos == |a - b|^2 / 2.  This form is exact at the
+    endpoints: identical inputs give 0 and antipodal unit inputs give 2,
+    with no catastrophic cancellation near 0.
+    """
+    diff = rows - u
+    return np.minimum(2.0, np.sum(diff * diff, axis=1) / 2.0)
+
+
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2]; raises on zero-norm or mismatched inputs."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise UsageError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine distance undefined for zero-norm vector")
-    # For unit vectors 1 - cos == |a - b|^2 / 2.  This form is exact at the
-    # endpoints: identical inputs give 0 and antipodal unit inputs give 2,
-    # with no catastrophic cancellation near 0.
-    diff = a / na - b / nb
-    return min(2.0, float(np.dot(diff, diff)) / 2.0)
+    # Both sides go through one normalization call, so d(a, b) == d(b, a).
+    units = unit_rows(np.stack([a, b]))
+    return float(unit_distances(units[0], units[1:])[0])
 
 
 def mean_embedding(members: list[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -155,17 +155,13 @@ def compile_plan(
 def savings_report(plan: SharePlan) -> dict:
     """Pure summary of a compiled plan."""
     per_step = [len(s.active) for s in plan.steps]
-    depth_used = 0
-    # Depth proxy: longest inherit chain is bounded by tree depth; report the
-    # largest number of distinct nodes any prompt visits.
-    for nodes in plan.assignment.values():
-        depth_used = max(depth_used, len(set(nodes)))
+    distinct_nodes = max(len(set(nodes)) for nodes in plan.assignment.values())
     return {
         "per_step_active_counts": per_step,
         "total": plan.total_evaluations,
         "baseline": plan.baseline_evaluations,
         "savings_fraction": plan.savings_fraction,
-        "max_tree_depth_used": depth_used,
+        "max_distinct_nodes_per_prompt": distinct_nodes,
     }
 
 
@@ -190,32 +186,3 @@ def plan_to_json(plan: SharePlan) -> str:
         "savings_fraction": plan.savings_fraction,
     }
     return json.dumps(doc, indent=1)
-
-
-def plan_from_json(text: str) -> SharePlan:
-    try:
-        doc = json.loads(text)
-        steps = tuple(
-            PlanStep(
-                k=int(s["k"]),
-                active=frozenset(int(n) for n in s["active"]),
-                inherit={
-                    int(n): (src if src == FRESH else int(src))
-                    for n, src in s["inherit"].items()
-                },
-            )
-            for s in doc["steps"]
-        )
-        assignment = {rec["id"]: tuple(rec["nodes"]) for rec in doc["assignment"]}
-        return SharePlan(
-            K=int(doc["K"]),
-            tau=float(doc["tau"]),
-            phi_variant=doc["phi_variant"],
-            steps=steps,
-            assignment=assignment,
-            total_evaluations=int(doc["total_evaluations"]),
-            baseline_evaluations=int(doc["baseline_evaluations"]),
-            savings_fraction=float(doc["savings_fraction"]),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-        raise DataError(f"malformed plan JSON: {e}") from e

@@ -1,21 +1,23 @@
 """Agglomerative embedding tree with heterogeneity scores.
 
 Clusters are merged greedily by cosine distance between cluster mean
-embeddings.  ``build_tree`` is the heap-based production path;
-``reference_build_tree`` recomputes the full distance matrix every round and
-serves as the O(N^3) oracle.  Both derive cluster sums from member leaves in
-sorted-id order, so their merge decisions are bitwise identical.
+embeddings (centroid linkage).  ``build_tree`` keeps one matrix of distances
+between live clusters and updates one row per merge;
+``reference_build_tree`` recomputes every cluster mean and pair distance
+each round and serves as the brute-force oracle.  Both take means from
+``embeddings.mean_embedding`` over member rows in sorted-id order and
+distances from the one cosine kernel in ``embeddings``; the tests require
+their trees to be ``structurally_equal``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import PromptSet
+from .embeddings import PromptSet, cosine_distance, mean_embedding, unit_distances, unit_rows
 from .errors import DataError, UsageError
 from .rng import TAG_RANDENC, stream
 
@@ -74,27 +76,12 @@ def path_to_root(tree: EmbeddingTree, prompt_id: str) -> list[int]:
 
 
 def _cluster_mean(prompts: PromptSet, members: list[int]) -> np.ndarray:
-    """Float64 mean of leaf embeddings, accumulated in sorted-id order.
+    """Mean of the member rows taken in sorted-id order.
 
-    One summation path everywhere keeps the heap build and the reference
-    build bitwise identical.  Clusters whose members are all bitwise equal
-    return the member vector exactly, so duplicated prompt sets get
-    exactly-zero merge distances.
+    One summation order everywhere keeps every builder's means, and so their
+    merge decisions, bitwise identical.
     """
-    order = sorted(members, key=lambda i: prompts.ids[i])
-    rows = prompts.embeddings[order].astype(np.float64)
-    if np.all(rows == rows[0]):
-        return rows[0].copy()
-    return np.sum(rows, axis=0) / rows.shape[0]
-
-
-def _pair_distance(mean_a: np.ndarray, mean_b: np.ndarray) -> float:
-    na = np.linalg.norm(mean_a)
-    nb = np.linalg.norm(mean_b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("zero-norm cluster mean; cosine distance undefined")
-    diff = mean_a / na - mean_b / nb
-    return min(2.0, float(np.dot(diff, diff)) / 2.0)
+    return mean_embedding(prompts.embeddings[sorted(members, key=prompts.ids.__getitem__)])
 
 
 def _tie_key(min_a: str, min_b: str) -> tuple[str, str]:
@@ -105,10 +92,12 @@ def _tie_key(min_a: str, min_b: str) -> tuple[str, str]:
 
 def _finalize(
     prompts: PromptSet,
-    merges: list[tuple[int, int, float]],
+    merges: list[tuple[int, int, float, np.ndarray]],
 ) -> EmbeddingTree:
-    """Assemble nodes from leaf order plus a merge sequence, then clamp scores."""
-    n = len(prompts)
+    """Assemble nodes from leaf order plus a merge sequence, then clamp scores.
+
+    Each merge is (child a, child b, distance, mean embedding of the union).
+    """
     nodes: list[TreeNode] = []
     for i, pid in enumerate(prompts.ids):
         nodes.append(
@@ -122,12 +111,8 @@ def _finalize(
                 score=0.0,
             )
         )
-    member_idx: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for a, b, dist in merges:
+    for a, b, dist, emb in merges:
         nid = len(nodes)
-        idx = member_idx[a] + member_idx[b]
-        member_idx[nid] = idx
-        emb = _cluster_mean(prompts, idx)
         nodes.append(
             TreeNode(
                 node_id=nid,
@@ -169,36 +154,40 @@ def _finalize(
 def build_tree(prompts: PromptSet) -> EmbeddingTree:
     """Agglomerative clustering over cosine distance of cluster means.
 
-    Heap with lazy deletion: O(N^2 log N) in the number of prompts.
+    Holds one N x N float64 matrix of distances between live clusters, so
+    memory is O(N^2).  Each of the N - 1 merges computes the new cluster's
+    mean and one O(N d) row of distances, then scans the whole matrix for
+    the next pair: O(N^3) time in numpy scans plus O(N^2 d) arithmetic.
+    Children are listed with the cluster holding the smaller id first.
     """
     n = len(prompts)
-    means = {i: _cluster_mean(prompts, [i]) for i in range(n)}
-    minid = {i: prompts.ids[i] for i in range(n)}
-    member_idx = {i: [i] for i in range(n)}
-    alive = set(range(n))
-    heap: list[tuple[float, tuple[str, str], int, int]] = []
-    for ai in range(n):
-        for bi in range(ai + 1, n):
-            d = _pair_distance(means[ai], means[bi])
-            heapq.heappush(heap, (d, _tie_key(minid[ai], minid[bi]), ai, bi))
-    merges: list[tuple[int, int, float]] = []
-    next_id = n
-    while len(alive) > 1:
-        d, _, a, b = heapq.heappop(heap)
-        if a not in alive or b not in alive:
-            continue
-        alive.discard(a)
-        alive.discard(b)
-        nid = next_id
-        next_id += 1
-        merges.append((a, b, d))
-        member_idx[nid] = member_idx[a] + member_idx[b]
-        means[nid] = _cluster_mean(prompts, member_idx[nid])
-        minid[nid] = min(minid[a], minid[b])
-        for other in alive:
-            dn = _pair_distance(means[nid], means[other])
-            heapq.heappush(heap, (dn, _tie_key(minid[nid], minid[other]), nid, other))
-        alive.add(nid)
+    # Slot s holds the cluster whose smallest member id is the s-th smallest
+    # id, and a merge keeps the lower slot.  The first minimum of the
+    # symmetric matrix in row-major order is then the pair with the smallest
+    # (min member id, max member id) among those at the minimal distance.
+    order = sorted(range(n), key=prompts.ids.__getitem__)
+    node_of = list(order)
+    members = [[i] for i in order]
+    units = unit_rows(prompts.embeddings[order])
+    dist = np.empty((n, n))
+    for s in range(n):
+        dist[s] = unit_distances(units[s], units)
+    np.fill_diagonal(dist, np.inf)
+    live = np.ones(n, dtype=bool)
+    merges: list[tuple[int, int, float, np.ndarray]] = []
+    for nid in range(n, 2 * n - 1):
+        i, j = divmod(int(np.argmin(dist)), n)
+        members[i] += members[j]
+        mean = _cluster_mean(prompts, members[i])
+        merges.append((node_of[i], node_of[j], float(dist[i, j]), mean))
+        node_of[i] = nid
+        live[j] = False
+        dist[j, :] = dist[:, j] = np.inf
+        if nid < 2 * n - 2:  # the root is never compared, so its mean may be zero
+            units[i] = unit_rows(mean[None])[0]
+            row = np.where(live, unit_distances(units[i], units), np.inf)
+            row[i] = np.inf
+            dist[i, :] = dist[:, i] = row
     return _finalize(prompts, merges)
 
 
@@ -219,13 +208,13 @@ def reference_build_tree(prompts: PromptSet) -> EmbeddingTree:
                 a, b = alive[x], alive[y]
                 ma = _cluster_mean(prompts, member_idx[a])
                 mb = _cluster_mean(prompts, member_idx[b])
-                d = _pair_distance(ma, mb)
+                d = cosine_distance(ma, mb)
                 cand = (d, _tie_key(minid[a], minid[b]), a, b)
                 if best is None or cand < best:
                     best = cand
         d, _, a, b = best
-        merges.append((a, b, d))
         member_idx[next_id] = member_idx[a] + member_idx[b]
+        merges.append((a, b, d, _cluster_mean(prompts, member_idx[next_id])))
         minid[next_id] = min(minid[a], minid[b])
         alive = [c for c in alive if c not in (a, b)] + [next_id]
         next_id += 1

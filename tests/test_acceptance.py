@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import manual_tree
-from test_diffusion import mc_epsilon_regression
+from test_diffusion import mc_epsilon_regression, replay_trace
 
 from shdiff.diffusion import (
     ANCESTRAL,
@@ -100,7 +100,7 @@ def test_03_fast_tree_builder_matches_cubic_reference():
         if structurally_equal(build_tree(ps), reference_build_tree(ps)):
             agree += 1
     check(
-        "heap-based tree builder structurally matches the O(N^3) reference",
+        "distance-matrix tree builder structurally matches the O(N^3) reference",
         agree == trials,
         f"{agree}/{trials} random prompt sets",
     )
@@ -270,22 +270,21 @@ def test_10_denoiser_call_count_equals_planned_evaluations():
     )
 
 
-def test_11_output_is_identical_across_worker_counts():
+def test_11_shared_execution_equals_per_prompt_trace_replay():
     ps = generate_synthetic(8, 8, 16, 0.1, seed=0)
     tree = build_tree(ps)
     world = ToyWorld(np.eye(16), 0.8)
-    sch = make_schedule(30, ANCESTRAL, CURVE_COSINE)
     plan = compile_plan(tree, ScheduleParams(K=30, tau=1.0))
-    base = execute_plan(plan, tree, world, sch, master_seed=5, workers=1)
     ok = True
-    for workers in (2, 8):
-        alt = execute_plan(plan, tree, world, sch, master_seed=5, workers=workers)
+    for variant in (DETERMINISTIC, ANCESTRAL):
+        sch = make_schedule(30, variant, CURVE_COSINE)
+        result = execute_plan(plan, tree, world, sch, master_seed=5)
         ok = ok and all(
-            np.array_equal(base.outputs[pid].sample, alt.outputs[pid].sample)
-            for pid in ps.ids
+            np.array_equal(out.sample, replay_trace(out, tree, world, sch))
+            for out in result.outputs.values()
         )
     check(
-        "execution output is byte-identical with 1, 2, and 8 worker threads",
+        "every shared-execution sample is bit-identical to a lone replay of its own trace",
         ok,
-        "stochastic variant, N=64, K=30",
+        f"both samplers, N=64, K=30, {plan.total_evaluations} shared evaluations",
     )

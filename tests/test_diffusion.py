@@ -19,7 +19,7 @@ from shdiff.diffusion import (
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
 from shdiff.planner import ScheduleParams, compile_plan
-from shdiff.rng import TAG_INIT, stream
+from shdiff.rng import TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
 
 
@@ -184,6 +184,21 @@ class TestDenoiseStep:
         assert np.all(np.abs(var - s ** 2) < 0.15 * s ** 2)
 
 
+def replay_trace(output, tree, world, schedule):
+    """Independent oracle: rerun one prompt's own trace with no sharing.
+
+    Starts from the first traced node's initial noise and applies one
+    denoising step per traced (node, k), drawing ancestral noise from the
+    (seed, node, k) stream, exactly as a lone run along that trace would.
+    """
+    seed = output.seed
+    x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(world.data_dimension)
+    for node, k in output.trace:
+        noise = stream(seed, TAG_STEP, node, k) if schedule.variant == ANCESTRAL else None
+        x = denoise_step(x, k, tree.nodes[node].embedding, schedule, world, noise)
+    return x
+
+
 def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
               std=0.8, tau=1.0, variant=DETERMINISTIC):
     ps = generate_synthetic(clusters, per_cluster, d, jitter, seed=seed)
@@ -250,13 +265,13 @@ class TestExecutePlan:
             assert len(out.trace) == 12
             assert np.all(np.isfinite(out.sample))
 
-    def test_workers_do_not_change_output(self):
-        ps, tree, world, sch, plan = toy_setup(variant=ANCESTRAL)
-        base = execute_plan(plan, tree, world, sch, master_seed=4, workers=1)
-        for workers in (2, 8):
-            alt = execute_plan(plan, tree, world, sch, master_seed=4, workers=workers)
+    def test_samples_equal_per_prompt_trace_replay(self):
+        for variant in (DETERMINISTIC, ANCESTRAL):
+            ps, tree, world, sch, plan = toy_setup(variant=variant)
+            res = execute_plan(plan, tree, world, sch, master_seed=4)
             for pid in ps.ids:
-                assert np.array_equal(base.outputs[pid].sample, alt.outputs[pid].sample)
+                out = res.outputs[pid]
+                assert np.array_equal(out.sample, replay_trace(out, tree, world, sch))
 
     def test_repeat_runs_identical(self):
         ps, tree, world, sch, plan = toy_setup(variant=ANCESTRAL)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from shdiff.planner import (
     ScheduleParams,
     compile_plan,
     phi,
-    plan_from_json,
     plan_to_json,
     savings_report,
     select_node,
@@ -215,7 +216,24 @@ class TestReportAndJson:
         plan = compile_plan(build_tree(ps), ScheduleParams(K=10, tau=0.0))
         assert savings_report(plan)["savings_fraction"] == 0.0
 
-    def test_json_roundtrip(self, pair_tree):
+    def test_distinct_nodes_per_prompt(self, chain_tree):
+        # Prompt b visits root, inner node and leaf: three nodes, although
+        # the tree is only two edges deep.
+        plan = compile_plan(chain_tree, ScheduleParams(K=10, tau=1.0))
+        assert savings_report(plan)["max_distinct_nodes_per_prompt"] == 3
+        assert chain_tree.depth() == 2
+        plan = compile_plan(chain_tree, ScheduleParams(K=10, tau=0.0))
+        assert savings_report(plan)["max_distinct_nodes_per_prompt"] == 1
+
+    def test_plan_to_json_fields(self, pair_tree):
         plan = compile_plan(pair_tree, ScheduleParams(K=8, tau=1.0))
-        back = plan_from_json(plan_to_json(plan))
-        assert back == plan
+        doc = json.loads(plan_to_json(plan))
+        assert doc["K"] == 8 and doc["tau"] == 1.0 and doc["phi_variant"] == "main"
+        assert {rec["id"]: tuple(rec["nodes"]) for rec in doc["assignment"]} == plan.assignment
+        assert [s["k"] for s in doc["steps"]] == [s.k for s in plan.steps]
+        assert [frozenset(s["active"]) for s in doc["steps"]] == [s.active for s in plan.steps]
+        inherit = [{int(n): src for n, src in s["inherit"].items()} for s in doc["steps"]]
+        assert inherit == [s.inherit for s in plan.steps]
+        assert doc["total_evaluations"] == plan.total_evaluations == 12
+        assert doc["baseline_evaluations"] == plan.baseline_evaluations == 16
+        assert doc["savings_fraction"] == plan.savings_fraction == 0.25

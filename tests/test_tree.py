@@ -50,6 +50,13 @@ class TestBuildTree:
             assert t.nodes[child].score <= root.score
         assert structurally_equal(t, reference_build_tree(prompt_set(vecs)))
 
+    def test_zero_norm_root_mean_allowed(self):
+        # The root's mean is never compared with anything, so antipodal
+        # prompts still build.
+        t = build_tree(prompt_set([[1.0, 0.0], [-1.0, 0.0]]))
+        assert t.c_max == 2.0
+        assert not np.any(t.nodes[t.root].embedding)
+
     def test_duplicated_set_all_zero(self):
         t = build_tree(prompt_set([[0.3, 0.4, 0.5]] * 6))
         assert t.c_max == 0.0
@@ -108,6 +115,19 @@ class TestReference:
         t = reference_build_tree(prompt_set(vecs))
         first_merge = t.nodes[3]
         assert first_merge.members == {"p0", "p1"}
+
+    def test_matches_production_on_exact_ties(self):
+        # Repeats of a few sign vectors under shuffled, non-sequential ids
+        # give exact-zero distances and exact ties, so the tie rule on
+        # (min member id, max member id) decides most merges.
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            base = rng.choice([-1.0, 1.0], size=(int(rng.integers(1, 5)), 3))
+            vecs = base[rng.integers(0, len(base), size=n)]
+            ids = [f"q{v}" for v in rng.choice(1000, size=n, replace=False)]
+            ps = prompt_set(vecs, ids)
+            assert structurally_equal(build_tree(ps), reference_build_tree(ps), score_tol=0.0)
 
     def test_matches_production_on_random_sets(self):
         for seed in range(40):
