@@ -60,19 +60,27 @@ def _load_prompts(args) -> "tuple":
     return prompts
 
 
+def _tree_key(args, ablation: bool) -> dict:
+    """What a tree JSON records about how it was built; a cached tree is
+    reused only when every entry matches a plain build of the same input."""
+    return {"input_sha256": _file_sha256(args.input), "ablation": ablation,
+            "normalize": args.normalize}
+
+
 def _build_or_load_tree(args, prompts):
-    """Reuse a cached tree JSON when its recorded input hash still matches."""
+    """Reuse a cached tree JSON when it was built the way this run would."""
     cached = getattr(args, "tree", None)
     if cached and os.path.isfile(cached):
         with open(cached, "r", encoding="utf-8") as f:
             text = f.read()
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise DataError(f"malformed tree JSON in {cached}: {e}") from e
-        if doc.get("input_sha256") == _file_sha256(args.input):
-            return tree_mod.tree_from_json(text)
-        print(f"warning: {cached} does not match input, rebuilding", file=sys.stderr)
+            tree = tree_mod.tree_from_json(text)
+        except DataError as e:
+            raise DataError(f"{cached}: {e}") from e
+        key = _tree_key(args, ablation=False)
+        if all(tree.provenance.get(k) == v for k, v in key.items()):
+            return tree
+        print(f"warning: {cached} does not match input or options, rebuilding", file=sys.stderr)
     return tree_mod.build_tree(prompts)
 
 
@@ -85,9 +93,8 @@ def cmd_tree(args) -> int:
     else:
         built_from = prompts
     tree = tree_mod.build_tree(built_from)
-    extra = {"input_sha256": _file_sha256(args.input), "ablation": ablation}
     if args.output:
-        _atomic_write(args.output, tree_mod.tree_to_json(tree, extra))
+        _atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args, ablation)))
     label = " (ablation: random encodings)" if ablation else ""
     print(f"N: {len(prompts)}{label}")
     print(f"depth: {tree.depth()}")
@@ -154,7 +161,7 @@ def cmd_simulate(args) -> int:
         out = result.outputs[pid]
         lines.append(json.dumps({
             "id": pid,
-            "sample": [float(np.float32(v)) for v in out.sample],
+            "sample": out.sample.astype(np.float32).tolist(),
             "trace": [[node, k] for node, k in out.trace],
         }))
     _atomic_write(args.output, "\n".join(lines) + "\n")

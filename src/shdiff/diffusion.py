@@ -134,8 +134,9 @@ def noise_forward(x0: np.ndarray, alpha_bar_k: float, epsilon: np.ndarray) -> np
 
 
 def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
-                     condition: np.ndarray) -> np.ndarray:
-    """Optimal noise prediction E[eps | x_k] for the Gaussian target.
+                     mu: np.ndarray) -> np.ndarray:
+    """Optimal noise prediction E[eps | x_k] for the Gaussian target with
+    mean mu = world.target_mean(condition).
 
     Posterior mean of the clean sample is
         x0_hat = mu + (sqrt(ab) s^2 / (ab s^2 + 1 - ab)) * (x_k - sqrt(ab) mu)
@@ -144,7 +145,6 @@ def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
     if not 0.0 < alpha_bar_k < 1.0:
         raise UsageError("alpha_bar must be in (0, 1)")
     x_k = np.asarray(x_k, dtype=np.float64)
-    mu = world.target_mean(condition)
     s2 = world.target_std ** 2
     root_ab = np.sqrt(alpha_bar_k)
     gain = root_ab * s2 / (alpha_bar_k * s2 + 1.0 - alpha_bar_k)
@@ -152,16 +152,17 @@ def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
     return (x_k - root_ab * x0_hat) / np.sqrt(1.0 - alpha_bar_k)
 
 
-def denoise_step(x_k: np.ndarray, k: int, condition: np.ndarray,
+def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray,
                  schedule: NoiseSchedule, world: ToyWorld,
                  noise_source: np.random.Generator | None = None) -> np.ndarray:
-    """One reverse update at plan step k (1..K, noise-to-clean order)."""
+    """One reverse update at plan step k (1..K, noise-to-clean order) toward
+    the target mean mu = world.target_mean(condition)."""
     if not 1 <= k <= schedule.K:
         raise UsageError(f"step {k} outside 1..{schedule.K}")
     t = schedule.K - k + 1
     ab = schedule.alpha_bar[t]
     ab_prev = schedule.alpha_bar[t - 1]
-    eps_hat = analytic_epsilon(world, x_k, ab, condition)
+    eps_hat = analytic_epsilon(world, x_k, ab, mu)
     if schedule.variant == DETERMINISTIC:
         x0_hat = (np.asarray(x_k, dtype=np.float64) - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
         return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
@@ -209,11 +210,14 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     Fresh states draw initial noise from the stream keyed (seed, node); step
     noise comes from (seed, node, k).  Keys depend only on canonical node
     ids, so output does not depend on the order nodes are evaluated in.
+    The target mean of each node the plan activates is computed once.
     """
     _validate(plan, tree, world, schedule)
     m = world.data_dimension
     calls = 0
     prev: dict[int, np.ndarray] = {}
+    active = {n for step in plan.steps for n in step.active}
+    mu = {n: world.target_mean(tree.nodes[n].embedding) for n in active}
 
     def advance(node: int, k: int, src: int | str) -> np.ndarray:
         if src == FRESH:
@@ -223,7 +227,7 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         noise = None
         if schedule.variant == ANCESTRAL:
             noise = stream(master_seed, TAG_STEP, node, k)
-        return denoise_step(x_in, k, tree.nodes[node].embedding, schedule, world, noise)
+        return denoise_step(x_in, k, mu[node], schedule, world, noise)
 
     for step in plan.steps:
         # Only step k-1 states can be inherited, so the frontier is all we keep.
@@ -255,12 +259,13 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
     for pid in sorted(tree.leaf_of):
         leaf = tree.leaf_of[pid]
         x = stream(master_seed, TAG_INIT, leaf).standard_normal(m)
+        mu = world.target_mean(tree.nodes[leaf].embedding)
         trace = []
         for k in range(1, k_stop + 1):
             noise = None
             if schedule.variant == ANCESTRAL:
                 noise = stream(master_seed, TAG_STEP, leaf, k)
-            x = denoise_step(x, k, tree.nodes[leaf].embedding, schedule, world, noise)
+            x = denoise_step(x, k, mu, schedule, world, noise)
             trace.append((leaf, k))
             calls += 1
         outputs[pid] = GenerationOutput(pid, x, tuple(trace), master_seed)

@@ -30,16 +30,16 @@ class PromptSet:
     ids: tuple[str, ...]
     prompts: tuple[str | None, ...]
     embeddings: np.ndarray = field(repr=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) == 0:
             raise DataError("prompt set is empty")
-        if len(set(self.ids)) != len(self.ids):
-            seen = set()
-            for i in self.ids:
-                if i in seen:
-                    raise DataError(f"duplicate prompt id {i!r}")
-                seen.add(i)
+        index: dict[str, int] = {}
+        for i, pid in enumerate(self.ids):
+            if index.setdefault(pid, i) != i:
+                raise DataError(f"duplicate prompt id {pid!r}")
+        object.__setattr__(self, "_index", index)
         emb = np.asarray(self.embeddings, dtype=np.float32)
         if emb.ndim != 2 or emb.shape[0] != len(self.ids) or emb.shape[1] < 1:
             raise DataError("embedding matrix shape does not match ids")
@@ -61,8 +61,8 @@ class PromptSet:
 
     def index_of(self, prompt_id: str) -> int:
         try:
-            return self.ids.index(prompt_id)
-        except ValueError:
+            return self._index[prompt_id]
+        except KeyError:
             raise UsageError(f"unknown prompt id {prompt_id!r}") from None
 
     def embedding_of(self, prompt_id: str) -> np.ndarray:
@@ -142,6 +142,7 @@ def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
 
 def _load_jsonl(path: str) -> PromptSet:
     ids: list[str] = []
+    seen: set[str] = set()
     texts: list[str | None] = []
     rows: list[list[float]] = []
     dim: int | None = None
@@ -157,8 +158,9 @@ def _load_jsonl(path: str) -> PromptSet:
             if not isinstance(rec, dict) or "id" not in rec or "embedding" not in rec:
                 raise DataError(f"{path}:{lineno}: record must have 'id' and 'embedding'")
             pid = str(rec["id"])
-            if pid in ids:
+            if pid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate id {pid!r}")
+            seen.add(pid)
             vec = rec["embedding"]
             if not isinstance(vec, list) or not vec or not all(
                 isinstance(v, (int, float)) and math.isfinite(v) for v in vec

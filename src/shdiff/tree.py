@@ -46,6 +46,9 @@ class EmbeddingTree:
     leaf_of: dict[str, int]
     c_max: float
     inversion_count: int
+    # Top-level keys of the tree JSON it was read from beyond the tree itself
+    # (input_sha256, ablation, normalize, ...); empty for a built tree.
+    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -284,6 +287,9 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=1)
 
 
+_TREE_KEYS = ("nodes", "root", "c_max", "inversion_count")
+
+
 def tree_from_json(text: str) -> EmbeddingTree:
     try:
         doc = json.loads(text)
@@ -309,6 +315,7 @@ def tree_from_json(text: str) -> EmbeddingTree:
             leaf_of=leaf_of,
             c_max=float(doc["c_max"]),
             inversion_count=int(doc["inversion_count"]),
+            provenance={k: v for k, v in doc.items() if k not in _TREE_KEYS},
         )
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed tree JSON: {e}") from e

@@ -152,7 +152,7 @@ def test_05_analytic_denoiser_matches_monte_carlo_regression():
     worst = 0.0
     for ab in (0.9, 0.5, 0.1):
         xq = np.sqrt(ab) * world.target_mean(y) + np.array([0.4, -0.2])
-        ana = analytic_epsilon(world, xq, ab, y)
+        ana = analytic_epsilon(world, xq, ab, world.target_mean(y))
         pred, se = mc_epsilon_regression(world, xq, ab, y, n=100_000, seed=13)
         z = np.max(np.abs(ana - pred) / se)
         worst = max(worst, float(z))
@@ -177,7 +177,7 @@ def test_06_sampler_calibration_against_gaussian_target():
     for i in range(runs):
         x = stream(123, TAG_INIT, i).standard_normal(m)
         for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, y, sch, world)
+            x = denoise_step(x, k, mu, sch, world)
         finals[i] = x
     mean_err = np.max(np.abs(finals.mean(axis=0) - mu))
     var_err = np.max(np.abs(finals.var(axis=0) - s**2)) / s**2

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from shdiff.cli import main
-from shdiff.embeddings import PromptSet, save_prompt_set
+from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule
+from shdiff.embeddings import PromptSet, load_prompt_set, save_prompt_set
+from shdiff.planner import ScheduleParams, compile_plan
+from shdiff.tree import build_tree
 
 
 @pytest.fixture
@@ -115,6 +118,29 @@ class TestPlan:
         assert rc == 0
         assert "rebuilding" in capsys.readouterr().err
 
+    def test_ablation_tree_not_reused(self, prompts_file, tmp_path, capsys):
+        plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
+        tree_path = tmp_path / "random.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path),
+              "--ablation", "random-encodings", "--seed", "1"])
+        capsys.readouterr()
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert "rebuilding" in captured.err
+        assert captured.out == fresh
+
+    def test_tree_cache_rebuilt_on_normalize_mismatch(self, prompts_file, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        assert json.loads(tree_path.read_text())["normalize"] is False
+        capsys.readouterr()
+        rc = main(["plan", "--input", prompts_file, "--tree", str(tree_path),
+                   "--normalize", "--k", "10", "--tau", "1.0"])
+        assert rc == 0
+        assert "rebuilding" in capsys.readouterr().err
+
     def test_bad_tau_exit_2(self, prompts_file):
         assert main(["plan", "--input", prompts_file, "--tau", "-1"]) == 2
 
@@ -146,6 +172,23 @@ class TestSimulate:
         first = out.read_bytes()
         main(args)
         assert out.read_bytes() == first
+
+    def test_samples_are_float32_rounded_values(self, prompts_file, tmp_path):
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", prompts_file, "--output", str(out),
+                     "--k", "10", "--tau", "0.5", "--target-std", "0.5", "--seed", "3",
+                     "--variant", "ancestral"]) == 0
+        prompts = load_prompt_set(prompts_file)
+        tree = build_tree(prompts)
+        plan = compile_plan(tree, ScheduleParams(K=10, tau=0.5))
+        result = execute_plan(plan, tree, ToyWorld.create(3, 3, 0.5),
+                              make_schedule(10, ANCESTRAL), 3)
+        expected = "".join(json.dumps({
+            "id": pid,
+            "sample": [float(np.float32(v)) for v in result.outputs[pid].sample],
+            "trace": [[node, k] for node, k in result.outputs[pid].trace],
+        }) + "\n" for pid in prompts.ids)
+        assert out.read_text() == expected
 
     def test_default_metrics_path(self, prompts_file, tmp_path):
         out = tmp_path / "run.jsonl"

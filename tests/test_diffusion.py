@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ class TestAnalyticEpsilon:
         w = ToyWorld(np.eye(3), 1.0)
         x = np.array([0.5, -1.0, 2.0])
         for ab in (0.9, 0.5, 0.1):
-            eps = analytic_epsilon(w, x, ab, np.zeros(3))
+            eps = analytic_epsilon(w, x, ab, w.target_mean(np.zeros(3)))
             assert np.allclose(eps, np.sqrt(1 - ab) * x, rtol=1e-12)
 
     def test_point_mass_posterior_is_mu(self):
@@ -117,7 +119,7 @@ class TestAnalyticEpsilon:
         y = np.array([1.0, -2.0])
         x = np.array([10.0, 10.0])
         ab = 0.5
-        eps = analytic_epsilon(w, x, ab, y)
+        eps = analytic_epsilon(w, x, ab, w.target_mean(y))
         x0_hat = (x - np.sqrt(1 - ab) * eps) / np.sqrt(ab)
         assert np.allclose(x0_hat, y, rtol=1e-12)
 
@@ -126,7 +128,7 @@ class TestAnalyticEpsilon:
         w = ToyWorld.create(2, 3, 0.7, map_seed=2)
         y = np.array([0.3, -1.0, 0.5])
         xq = np.sqrt(ab) * w.target_mean(y) + np.array([0.4, -0.2])
-        ana = analytic_epsilon(w, xq, ab, y)
+        ana = analytic_epsilon(w, xq, ab, w.target_mean(y))
         pred, se = mc_epsilon_regression(w, xq, ab, y)
         assert np.all(np.abs(ana - pred) < 3 * se)
 
@@ -134,7 +136,7 @@ class TestAnalyticEpsilon:
         w = ToyWorld(np.eye(2), 1.0)
         for ab in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(UsageError):
-                analytic_epsilon(w, np.zeros(2), ab, np.zeros(2))
+                analytic_epsilon(w, np.zeros(2), ab, w.target_mean(np.zeros(2)))
 
 
 class TestDenoiseStep:
@@ -146,7 +148,7 @@ class TestDenoiseStep:
         mu = w.target_mean(y)
         start = np.linalg.norm(x - mu)
         for k in range(1, 11):
-            x = denoise_step(x, k, y, sch, w)
+            x = denoise_step(x, k, mu, sch, w)
         # last step has alpha_bar_prev == 1, so the point mass is hit exactly
         assert np.allclose(x, mu, atol=1e-12)
         assert np.linalg.norm(x - mu) < start
@@ -157,12 +159,12 @@ class TestDenoiseStep:
         y = np.array([1.0, 0.0])
         x = np.array([0.3, 0.7])
         t = det.K - 3 + 1
-        eps = analytic_epsilon(w, x, det.alpha_bar[t], y)
+        eps = analytic_epsilon(w, x, det.alpha_bar[t], w.target_mean(y))
         expected = det.a[t] * x - det.b[t] * eps
         # sigma[1] == 0 at the clean end; emulate by a zeroed-sigma schedule
         from dataclasses import replace
         zero = replace(det, sigma=np.zeros(det.K + 1))
-        assert np.allclose(denoise_step(x, 3, y, zero, w, stream(0, 9)), expected)
+        assert np.allclose(denoise_step(x, 3, w.target_mean(y), zero, w, stream(0, 9)), expected)
 
     def test_calibration_against_gaussian_target(self):
         # full deterministic runs from fresh noise land on N(mu, s^2 I)
@@ -176,7 +178,7 @@ class TestDenoiseStep:
         for i in range(1000):
             x = stream(123, TAG_INIT, i).standard_normal(m)
             for k in range(1, 101):
-                x = denoise_step(x, k, y, sch, w)
+                x = denoise_step(x, k, mu, sch, w)
             finals[i] = x
         mean_err = np.abs(finals.mean(axis=0) - mu)
         assert np.all(mean_err < 3 * s / np.sqrt(1000))
@@ -195,15 +197,20 @@ def replay_trace(output, tree, world, schedule):
     x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(world.data_dimension)
     for node, k in output.trace:
         noise = stream(seed, TAG_STEP, node, k) if schedule.variant == ANCESTRAL else None
-        x = denoise_step(x, k, tree.nodes[node].embedding, schedule, world, noise)
+        x = denoise_step(x, k, world.target_mean(tree.nodes[node].embedding), schedule, world,
+                         noise)
     return x
 
 
 def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
-              std=0.8, tau=1.0, variant=DETERMINISTIC):
+              std=0.8, tau=1.0, variant=DETERMINISTIC, map_seed=None):
+    """map_seed=None gives the identity world; otherwise a seeded 5 x d map."""
     ps = generate_synthetic(clusters, per_cluster, d, jitter, seed=seed)
     tree = build_tree(ps)
-    world = ToyWorld(np.eye(d), std)
+    if map_seed is None:
+        world = ToyWorld(np.eye(d), std)
+    else:
+        world = ToyWorld.create(5, d, std, map_seed=map_seed)
     sch = make_schedule(K, variant, CURVE_COSINE)
     plan = compile_plan(tree, ScheduleParams(K=K, tau=tau))
     return ps, tree, world, sch, plan
@@ -211,8 +218,8 @@ def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
 
 class TestExecutePlan:
     def test_tau_zero_bit_identical_to_standard(self):
-        for variant in (DETERMINISTIC, ANCESTRAL):
-            ps, tree, world, sch, _ = toy_setup(tau=0.0, variant=variant)
+        for variant, map_seed in itertools.product((DETERMINISTIC, ANCESTRAL), (None, 3)):
+            ps, tree, world, sch, _ = toy_setup(tau=0.0, variant=variant, map_seed=map_seed)
             plan = compile_plan(tree, ScheduleParams(K=12, tau=0.0))
             hier = execute_plan(plan, tree, world, sch, master_seed=5)
             std = run_standard(tree, world, sch, master_seed=5)
@@ -266,12 +273,30 @@ class TestExecutePlan:
             assert np.all(np.isfinite(out.sample))
 
     def test_samples_equal_per_prompt_trace_replay(self):
-        for variant in (DETERMINISTIC, ANCESTRAL):
-            ps, tree, world, sch, plan = toy_setup(variant=variant)
+        for variant, map_seed in itertools.product((DETERMINISTIC, ANCESTRAL), (None, 3)):
+            ps, tree, world, sch, plan = toy_setup(variant=variant, map_seed=map_seed)
             res = execute_plan(plan, tree, world, sch, master_seed=4)
             for pid in ps.ids:
                 out = res.outputs[pid]
                 assert np.array_equal(out.sample, replay_trace(out, tree, world, sch))
+
+    def test_target_mean_once_per_active_node(self, monkeypatch):
+        ps, tree, world, sch, plan = toy_setup(clusters=3, jitter=0.05, map_seed=3)
+        conditions = []
+        original = ToyWorld.target_mean
+
+        def counting(self, condition):
+            conditions.append(condition)
+            return original(self, condition)
+
+        monkeypatch.setattr(ToyWorld, "target_mean", counting)
+        execute_plan(plan, tree, world, sch, master_seed=0)
+        active = {n for step in plan.steps for n in step.active}
+        assert plan.total_evaluations > len(active)
+        assert len(conditions) == len(active)
+        called = {n.node_id for n in tree.nodes
+                  if any(c is n.embedding for c in conditions)}
+        assert called == active
 
     def test_repeat_runs_identical(self):
         ps, tree, world, sch, plan = toy_setup(variant=ANCESTRAL)
@@ -286,7 +311,7 @@ class TestExecutePlan:
         internal = next(n for n in tree.nodes if not n.is_leaf)
         x = stream(0, TAG_INIT, internal.node_id).standard_normal(world.data_dimension)
         for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, internal.embedding, sch, world)
+            x = denoise_step(x, k, world.target_mean(internal.embedding), sch, world)
         assert np.allclose(x, world.target_mean(internal.embedding), atol=1e-6)
 
     def test_plan_schedule_mismatch(self):

@@ -108,7 +108,7 @@ class TestIO:
         path.write_text(
             '{"id": "x", "embedding": [1, 0]}\n{"id": "x", "embedding": [0, 1]}\n'
         )
-        with pytest.raises(DataError, match="'x'"):
+        with pytest.raises(DataError, match=r"dup\.jsonl:2: duplicate id 'x'"):
             load_prompt_set(str(path))
 
     def test_jsonl_dimension_mismatch_named(self, tmp_path):

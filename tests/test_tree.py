@@ -207,3 +207,9 @@ class TestTreeJson:
         assert back.inversion_count == t.inversion_count
         for n, n2 in zip(t.nodes, back.nodes):
             assert np.array_equal(n.embedding, n2.embedding)
+        assert t.provenance == back.provenance == {}
+
+    def test_extra_keys_kept_as_provenance(self):
+        t = build_tree(random_prompt_set(5, 3, seed=2))
+        extra = {"input_sha256": "ab" * 32, "ablation": True, "normalize": False}
+        assert tree_from_json(tree_to_json(t, extra)).provenance == extra
