@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .planner import FRESH, SharePlan
-from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, stream
+from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, rekey, stream, stream_keys
 from .tree import EmbeddingTree
 
 ANCESTRAL = "ancestral"
@@ -210,7 +210,9 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     Fresh states draw initial noise from the stream keyed (seed, node); step
     noise comes from (seed, node, k).  Keys depend only on canonical node
     ids, so output does not depend on the order nodes are evaluated in.
-    The target mean of each node the plan activates is computed once.
+    One generator is rekeyed before each draw, which draws exactly what a
+    fresh ``stream`` with that key would.  The target mean of each node the
+    plan activates is computed once.
     """
     _validate(plan, tree, world, schedule)
     m = world.data_dimension
@@ -218,27 +220,35 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     prev: dict[int, np.ndarray] = {}
     active = {n for step in plan.steps for n in step.active}
     mu = {n: world.target_mean(tree.nodes[n].embedding) for n in active}
-
-    def advance(node: int, k: int, src: int | str) -> np.ndarray:
-        if src == FRESH:
-            x_in = stream(master_seed, TAG_INIT, node).standard_normal(m)
-        else:
-            x_in = prev[src]
-        noise = None
-        if schedule.variant == ANCESTRAL:
-            noise = stream(master_seed, TAG_STEP, node, k)
-        return denoise_step(x_in, k, mu[node], schedule, world, noise)
-
+    gen = stream(master_seed)  # every draw below rekeys it first
+    ancestral = schedule.variant == ANCESTRAL
     for step in plan.steps:
+        nodes = sorted(step.active)
+        fresh = [n for n in nodes if step.inherit[n] == FRESH]
+        init_keys = dict(zip(fresh, zip(*stream_keys(master_seed, TAG_INIT, fresh))))
+        if ancestral:
+            noise_keys = dict(zip(nodes, zip(*stream_keys(master_seed, TAG_STEP, nodes, step.k))))
+        cur = {}
+        for node in nodes:
+            src = step.inherit[node]
+            if src == FRESH:
+                rekey(gen, *init_keys[node])
+                x_in = gen.standard_normal(m)
+            else:
+                x_in = prev[src]
+            if ancestral:
+                rekey(gen, *noise_keys[node])
+            cur[node] = denoise_step(x_in, step.k, mu[node], schedule, world,
+                                     gen if ancestral else None)
         # Only step k-1 states can be inherited, so the frontier is all we keep.
-        prev = {n: advance(n, step.k, step.inherit[n]) for n in sorted(step.active)}
+        prev = cur
         calls += len(prev)
     outputs = {}
     for pid, nodes in plan.assignment.items():
         outputs[pid] = GenerationOutput(
             prompt_id=pid,
             sample=prev[nodes[-1]],
-            trace=tuple((node, k + 1) for k, node in enumerate(nodes)),
+            trace=tuple(zip(nodes, range(1, plan.K + 1))),
             seed=master_seed,
         )
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)

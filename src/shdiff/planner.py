@@ -89,6 +89,27 @@ def _select_on_path(path_root_first: list, scores: list[float], phi_k: float) ->
     return best_i
 
 
+def _select_all_steps(path_root_first: list, scores: list[float],
+                      phis: list[float]) -> tuple[int, ...]:
+    """The node ``_select_on_path`` picks at each phi, in one walk.
+
+    phi never rises with k (it is a rounded linear ramp), so the eligible
+    prefix only grows: extend it while the last eligible node's score is
+    >= phi_k and keep the first strict minimum seen.  The result equals
+    ``_select_on_path`` for any scores, monotone or not.
+    """
+    out = []
+    end = 1  # the root is always eligible
+    best_i = 0
+    for phi_k in phis:
+        while end < len(scores) and scores[end - 1] >= phi_k:
+            if scores[end] < scores[best_i]:
+                best_i = end
+            end += 1
+        out.append(path_root_first[best_i])
+    return tuple(out)
+
+
 def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: ScheduleParams) -> int:
     """Tree node whose mean embedding conditions step k for this prompt."""
     path = list(reversed(path_to_root(tree, prompt_id)))  # root first
@@ -119,7 +140,7 @@ def compile_plan(
     for pid in prompt_ids:
         path = list(reversed(path_to_root(sel_tree, pid)))
         scores = [sel_tree.node(n).score for n in path]
-        assignment[pid] = tuple(path[_select_on_path(path, scores, p)] for p in phis)
+        assignment[pid] = _select_all_steps(path, scores, phis)
     steps: list[PlanStep] = []
     prev_active: frozenset[int] = frozenset()
     total = 0

@@ -5,7 +5,9 @@ tuple of integers (seed, purpose tag, ...indices).  Streams with distinct
 keys are statistically independent and a given key always reproduces the
 same sequence, so results do not depend on the order in which streams are
 consumed -- the property the deterministic executor and the parallel
-synthetic generator rely on.
+synthetic generator rely on.  ``stream`` builds a generator per key; a loop
+over many keys derives them in one ``stream_keys`` call and ``rekey``s a
+single generator before each draw, which draws the same numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ TAG_CONDMAP = 0x06  # toy-world condition matrix
 TAG_SAMPLE = 0x07  # diversity metric subsampling
 
 
-def _splitmix64(x: int) -> tuple[int, int]:
+def _splitmix64(x):
+    # Works on Python ints and on uint64 arrays alike: for arrays the masks
+    # are no-ops and the arithmetic wraps modulo 2**64 by itself.
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -32,16 +36,29 @@ def _splitmix64(x: int) -> tuple[int, int]:
     return x, (z ^ (z >> 31)) & _MASK
 
 
-def stream_key(*parts: int) -> tuple[int, int]:
-    """Mix integer parts into a 128-bit Philox key via a splitmix64 chain."""
+def stream_keys(*parts) -> tuple[np.ndarray, np.ndarray]:
+    """Mix key parts into 128-bit Philox keys via a splitmix64 chain.
+
+    Each part is an int or an integer array, taken modulo 2**64 (negative
+    values included).  Array parts broadcast against each other, so one call
+    keys a whole batch of streams.  Returns the (lo, hi) key words as uint64
+    arrays of the broadcast shape (0-d when every part is an int).
+    """
     state = 0
     out = 0
     for p in parts:
-        state, mixed = _splitmix64((state ^ (int(p) & _MASK)) & _MASK)
+        p = p & _MASK if isinstance(p, int) else np.atleast_1d(p).astype(np.uint64)
+        state, mixed = _splitmix64(state ^ p)
         out ^= mixed
     state, lo = _splitmix64(state)
     _, hi = _splitmix64(state ^ out)
-    return lo, hi
+    return np.asarray(lo, dtype=np.uint64), np.asarray(hi, dtype=np.uint64)
+
+
+def stream_key(*parts: int) -> tuple[int, int]:
+    """The Philox key of one stream, as Python ints."""
+    lo, hi = stream_keys(*parts)
+    return int(lo), int(hi)
 
 
 def stream(*parts: int) -> np.random.Generator:
@@ -49,3 +66,22 @@ def stream(*parts: int) -> np.random.Generator:
     lo, hi = stream_key(*parts)
     bitgen = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+def rekey(gen: np.random.Generator, lo, hi) -> None:
+    """Reset a Philox generator to the start of the stream keyed (lo, hi).
+
+    Philox's whole state is its key and counter, so after this call ``gen``
+    draws exactly what a fresh ``stream`` with that key would draw, whatever
+    it drew before: the counter restarts at 0 and the buffered output words
+    and any half-used 64-bit word are dropped.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([lo, hi], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

@@ -290,28 +290,98 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
 _TREE_KEYS = ("nodes", "root", "c_max", "inversion_count")
 
 
+def _node_index(value, n: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+        raise DataError(f"malformed tree JSON: {what} {value!r} is not a node id in 0..{n - 1}")
+    return value
+
+
+def _check_tree(nodes: list[TreeNode], root: int) -> None:
+    """Raise DataError unless the nodes form one tree as ``build_tree`` makes it.
+
+    Parent and child links must agree, the root must be the one node without
+    a parent, every node must hang under it, each internal node's members must
+    be the disjoint union of its two children's, and scores must not rise
+    from parent to child.  Costs O(nodes + members).
+    """
+    dim = nodes[root].embedding.shape
+    for node in nodes:
+        where = f"malformed tree JSON: node {node.node_id}"
+        if node.embedding.ndim != 1 or node.embedding.shape != dim:
+            raise DataError(f"{where}: embedding shape {node.embedding.shape} is not {dim}")
+        if not np.all(np.isfinite(node.embedding)):
+            raise DataError(f"{where}: embedding is not finite")
+        if not (np.isfinite(node.score) and np.isfinite(node.raw_score)):
+            raise DataError(f"{where}: score is not finite")
+        if node.parent is None:
+            if node.node_id != root:
+                raise DataError(f"{where}: has no parent but the root is {root}")
+        else:
+            parent = nodes[node.parent]
+            if parent.children is None or node.node_id not in parent.children:
+                raise DataError(f"{where}: parent {node.parent} does not list it as a child")
+            if node.score > parent.score:
+                raise DataError(f"{where}: score exceeds its parent's")
+        if node.children is None:
+            if len(node.members) != 1:
+                raise DataError(f"{where}: a leaf needs exactly one member")
+            continue
+        a, b = (nodes[c] for c in node.children)
+        if a.parent != node.node_id or b.parent != node.node_id:
+            raise DataError(f"{where}: a child does not name it as parent")
+        if len(a.members) + len(b.members) != len(node.members) or \
+                node.members != a.members | b.members:
+            raise DataError(f"{where}: members are not the disjoint union of its children's")
+    if nodes[root].parent is not None:
+        raise DataError(f"malformed tree JSON: root {root} has a parent")
+    # With the links agreeing, a walk down from the root is a tree walk; it
+    # misses exactly the nodes that never reach the root (a parent cycle).
+    reached = 0
+    order = [root]
+    while order:
+        reached += 1
+        children = nodes[order.pop()].children
+        if children is not None:
+            order.extend(children)
+    if reached != len(nodes):
+        raise DataError(f"malformed tree JSON: {len(nodes) - reached} of {len(nodes)} nodes "
+                        "do not reach the root")
+
+
 def tree_from_json(text: str) -> EmbeddingTree:
+    """Parse a tree JSON document, raising DataError unless it is one valid tree."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"malformed tree JSON: {e}") from e
     try:
-        nodes = [None] * len(doc["nodes"])
+        n = len(doc["nodes"])
+        if n == 0:
+            raise DataError("malformed tree JSON: no nodes")
+        nodes: list = [None] * n
         for rec in doc["nodes"]:
-            node = TreeNode(
-                node_id=int(rec["id"]),
-                parent=rec["parent"],
-                children=tuple(rec["children"]) if rec["children"] else None,
+            nid = _node_index(rec["id"], n, "id")
+            if nodes[nid] is not None:
+                raise DataError(f"malformed tree JSON: node id {nid} repeats")
+            parent = rec["parent"]
+            children = rec["children"]
+            if children and len(children) != 2:
+                raise DataError(f"malformed tree JSON: node {nid} has {len(children)} children")
+            nodes[nid] = TreeNode(
+                node_id=nid,
+                parent=None if parent is None else _node_index(parent, n, "parent"),
+                children=tuple(_node_index(c, n, "child") for c in children) if children else None,
                 members=frozenset(rec["members"]),
                 embedding=np.asarray(rec["embedding"], dtype=np.float64),
                 raw_score=float(rec["raw_score"]),
                 score=float(rec["score"]),
             )
-            nodes[node.node_id] = node
-        leaf_of = {next(iter(n.members)): n.node_id for n in nodes if n.is_leaf}
+        root = _node_index(doc["root"], n, "root")
+        _check_tree(nodes, root)
+        leaf_of = {next(iter(node.members)): node.node_id for node in nodes if node.is_leaf}
         return EmbeddingTree(
             nodes=nodes,
-            root=int(doc["root"]),
+            root=root,
             leaf_of=leaf_of,
             c_max=float(doc["c_max"]),
             inversion_count=int(doc["inversion_count"]),

@@ -144,6 +144,22 @@ class TestPlan:
     def test_bad_tau_exit_2(self, prompts_file):
         assert main(["plan", "--input", prompts_file, "--tau", "-1"]) == 2
 
+    @pytest.mark.parametrize("parents", [{2: 99}, {4: 5, 5: 4}],
+                             ids=["parent out of range", "parent cycle"])
+    def test_corrupt_tree_exit_3(self, prompts_file, tmp_path, capsys, parents):
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        doc = json.loads(tree_path.read_text())
+        assert [n["children"] for n in doc["nodes"][4:]] == [[0, 1], [2, 3], [4, 5]]
+        for node, parent in parents.items():
+            doc["nodes"][node]["parent"] = parent
+        tree_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["plan", "--input", prompts_file, "--tree", str(tree_path),
+                   "--k", "10", "--tau", "1.0"])
+        assert rc == 3
+        assert f"error: {tree_path}: malformed tree JSON" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_samples_and_metrics(self, prompts_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from shdiff import diffusion
 from shdiff.diffusion import (
     ANCESTRAL,
     DETERMINISTIC,
@@ -273,12 +274,26 @@ class TestExecutePlan:
             assert np.all(np.isfinite(out.sample))
 
     def test_samples_equal_per_prompt_trace_replay(self):
-        for variant, map_seed in itertools.product((DETERMINISTIC, ANCESTRAL), (None, 3)):
+        for variant, map_seed, seed in itertools.product(
+                (DETERMINISTIC, ANCESTRAL), (None, 3), (4, -1, 2**63 + 5)):
             ps, tree, world, sch, plan = toy_setup(variant=variant, map_seed=map_seed)
-            res = execute_plan(plan, tree, world, sch, master_seed=4)
+            res = execute_plan(plan, tree, world, sch, master_seed=seed)
             for pid in ps.ids:
                 out = res.outputs[pid]
                 assert np.array_equal(out.sample, replay_trace(out, tree, world, sch))
+
+    def test_one_stream_per_execution(self, monkeypatch):
+        ps, tree, world, sch, plan = toy_setup(clusters=3, variant=ANCESTRAL)
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return stream(*parts)
+
+        monkeypatch.setattr(diffusion, "stream", counting)
+        execute_plan(plan, tree, world, sch, master_seed=0)
+        assert plan.total_evaluations > len(ps)
+        assert len(calls) <= 1
 
     def test_target_mean_once_per_active_node(self, monkeypatch):
         ps, tree, world, sch, plan = toy_setup(clusters=3, jitter=0.05, map_seed=3)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
 from shdiff.planner import (
     FRESH,
+    PHI_APPENDIX,
+    PHI_MAIN,
     ScheduleParams,
     compile_plan,
     phi,
@@ -95,6 +98,26 @@ class TestSelectNode:
 
 
 class TestCompilePlan:
+    def test_assignment_equals_select_node(self):
+        rng = np.random.default_rng(12)
+        for trial in range(24):
+            n = int(rng.integers(2, 20))
+            # draw rows from a small pool so that duplicates give zero-score nodes
+            pool = rng.standard_normal((max(1, n // 2), 6))
+            emb = pool[rng.integers(0, len(pool), n)].astype(np.float32)
+            tree = build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(n)), (None,) * n, emb))
+            if trial % 2:
+                # selection is defined for any scores, monotone toward the leaves or not
+                for node in tree.nodes:
+                    node.score = float(rng.choice([0.0, 0.3, rng.uniform(0.0, 2.0)]))
+            for variant, tau, K in itertools.product(
+                    (PHI_MAIN, PHI_APPENDIX), (0.0, 0.3, 2.0, 1e9), (1, 7, 30)):
+                params = ScheduleParams(K=K, tau=tau, phi_variant=variant)
+                plan = compile_plan(tree, params)
+                for pid in tree.leaf_of:
+                    assert list(plan.assignment[pid]) == \
+                        [select_node(tree, pid, k, params) for k in range(1, K + 1)]
+
     def test_two_prompt_half_share(self, pair_tree):
         for K in (8, 40, 100):
             plan = compile_plan(pair_tree, ScheduleParams(K=K, tau=1.0))

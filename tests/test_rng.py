@@ -1,0 +1,55 @@
+import numpy as np
+import pytest
+
+from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, rekey, stream, stream_key, stream_keys
+
+# Keys pinned from the pure-Python splitmix64 chain the package first shipped
+# with; every stored seed and sample depends on them.
+PINNED_KEYS = [
+    ((0,), (0x6E789E6AA1B965F4, 0x8249D16640921B3E)),
+    ((101, TAG_INIT, 7), (0xDB849CAA32E74FCE, 0x64B0C77368755369)),
+    ((101, TAG_STEP, 7, 3), (0x0131A4258626BAC3, 0x0C1D2231C9F27EF7)),
+    ((-1, TAG_INIT, 0), (0xD8EF386F27F10A03, 0x8EC28B5F11E61B61)),
+    ((2**64 + 5, TAG_STEP, 3, 200), (0xCF97B705CD1CB8B8, 0x3ED29031FDBB8545)),
+    ((2**63 + 5, TAG_INIT, 511), (0xBB0D030B6156F37F, 0xFDA6755FDF5F528E)),
+    ((), (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4)),
+    ((-12345, TAG_SAMPLE), (0x29D459A9F030B8D9, 0x991DEF9673D0A625)),
+]
+
+
+@pytest.mark.parametrize("parts,key", PINNED_KEYS)
+def test_stream_key_pinned(parts, key):
+    assert stream_key(*parts) == key
+
+
+def test_stream_keys_over_arrays_equal_stream_key():
+    nodes = np.array([0, 7, 511, 2**40, -3])
+    steps = np.array([1, 200, 3, 2**63 + 9, 5], dtype=np.uint64)
+    for seed in (101, -1, 2**64 + 5):
+        lo, hi = stream_keys(seed, TAG_STEP, nodes, steps)
+        assert lo.dtype == hi.dtype == np.uint64
+        for i in range(len(nodes)):
+            assert (int(lo[i]), int(hi[i])) == stream_key(seed, TAG_STEP, int(nodes[i]),
+                                                          int(steps[i]))
+        lo, hi = stream_keys(seed, TAG_INIT, nodes)
+        assert [(int(a), int(b)) for a, b in zip(lo, hi)] == \
+            [stream_key(seed, TAG_INIT, int(n)) for n in nodes]
+
+
+def test_stream_keys_empty_batch():
+    lo, hi = stream_keys(3, TAG_INIT, [])
+    assert lo.shape == hi.shape == (0,)
+
+
+def test_rekey_after_draws_matches_fresh_stream():
+    gen = stream(9, 9)
+    gen.standard_normal(5)
+    gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word
+    for parts in ((101, TAG_STEP, 7, 3), (-1, TAG_INIT, 0), (2**64 + 5, TAG_STEP, 3, 200)):
+        rekey(gen, *stream_keys(*parts))
+        assert np.array_equal(gen.standard_normal(64), stream(*parts).standard_normal(64))
+        gen.integers(0, 2**32, size=1, dtype=np.uint32)
+        rekey(gen, *stream_keys(*parts))
+        assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
+                              stream(*parts).integers(0, 2**32, size=5, dtype=np.uint32))
+        gen.integers(0, 2**32, size=1, dtype=np.uint32)

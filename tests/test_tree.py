@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance
-from shdiff.errors import UsageError
+from shdiff.errors import DataError, UsageError
 from shdiff.tree import (
     build_tree,
     path_to_root,
@@ -213,3 +215,69 @@ class TestTreeJson:
         t = build_tree(random_prompt_set(5, 3, seed=2))
         extra = {"input_sha256": "ab" * 32, "ablation": True, "normalize": False}
         assert tree_from_json(tree_to_json(t, extra)).provenance == extra
+
+
+def six_prompt_tree_doc():
+    """JSON document of a built 6-prompt tree: leaves 0-5, merges 6-10, root 10.
+
+    Links: 6 = (1, 2), 7 = (6, 4), 8 = (0, 3), 9 = (7, 5), 10 = (8, 9).
+    """
+    rng = np.random.default_rng(3)
+    doc = json.loads(tree_to_json(build_tree(prompt_set(rng.standard_normal((6, 3))))))
+    assert [n["children"] for n in doc["nodes"][6:]] == [[1, 2], [6, 4], [0, 3], [7, 5], [8, 9]]
+    return doc
+
+
+def _set(node, key, value):
+    def corrupt(doc):
+        doc["nodes"][node][key] = value
+    return corrupt
+
+
+def _self_loop(doc):
+    # links agree locally (parent and both children are itself, no members),
+    # so only the walk down from the root can see it never reaches the root
+    doc["nodes"].append(dict(doc["nodes"][6], id=11, parent=11, children=[11, 11], members=[]))
+
+
+def _overlap(doc):
+    # leaves 0 and 3 both hold p0; every union still matches, sizes do not
+    doc["nodes"][3]["members"] = ["p0"]
+    for node in (8, 10):
+        doc["nodes"][node]["members"].remove("p3")
+
+
+CORRUPTIONS = {
+    "parent out of range": _set(2, "parent", 99),
+    "parent cycle": _set(9, "parent", 7),
+    "consistent parent cycle": _self_loop,
+    "child out of range": _set(6, "children", [1, 99]),
+    "repeated id": _set(0, "id", 1),
+    "id not an int": _set(0, "id", "0"),
+    "links disagree": _set(6, "children", [1, 3]),
+    "three children": _set(6, "children", [1, 2, 3]),
+    "second root": _set(8, "parent", None),
+    "root names another node": lambda doc: doc.update(root=9),
+    "leaf with two members": _set(0, "members", ["p0", "p3"]),
+    "members not the union": _set(7, "members", ["p1", "p2"]),
+    "members overlap": _overlap,
+    "score above parent": _set(6, "score", 5.0),
+    "score nan": _set(6, "score", float("nan")),
+    "raw score infinite": _set(6, "raw_score", float("inf")),
+    "embedding not finite": _set(4, "embedding", [0.0, float("nan"), 1.0]),
+    "embedding dimension": _set(3, "embedding", [0.0, 1.0]),
+    "no nodes": lambda doc: doc.update(nodes=[], root=0),
+}
+
+
+class TestTreeJsonValidation:
+    def test_built_tree_passes(self):
+        doc = six_prompt_tree_doc()
+        assert len(tree_from_json(json.dumps(doc)).nodes) == 11
+
+    @pytest.mark.parametrize("defect", sorted(CORRUPTIONS))
+    def test_defect_is_data_error(self, defect):
+        doc = six_prompt_tree_doc()
+        CORRUPTIONS[defect](doc)
+        with pytest.raises(DataError):
+            tree_from_json(json.dumps(doc))
