@@ -71,14 +71,19 @@ def _build_or_load_tree(args, prompts):
     """Reuse a cached tree JSON when it was built the way this run would."""
     cached = getattr(args, "tree", None)
     if cached and os.path.isfile(cached):
-        with open(cached, "r", encoding="utf-8") as f:
+        with open(cached, "rb") as f:
             text = f.read()
         try:
             tree = tree_mod.tree_from_json(text)
+        except tree_mod.TreeFormatError:
+            tree = None
         except DataError as e:
             raise DataError(f"{cached}: {e}") from e
-        key = _tree_key(args, ablation=False)
-        if all(tree.provenance.get(k) == v for k, v in key.items()):
+        if tree is not None and all(tree.provenance.get(k) == v
+                                    for k, v in _tree_key(args, ablation=False).items()):
+            if set(tree.leaf_of) != set(prompts.ids) or \
+                    tree.nodes[tree.root].embedding.shape[0] != prompts.dimension:
+                raise DataError(f"{cached}: tree leaves or dimension do not match {args.input}")
             return tree
         print(f"warning: {cached} does not match input or options, rebuilding", file=sys.stderr)
     return tree_mod.build_tree(prompts)
@@ -122,7 +127,7 @@ def _resolve_world(args, prompts):
     d = prompts.dimension
     if args.world:
         _require_input(args.world)
-        with open(args.world, "r", encoding="utf-8") as f:
+        with open(args.world, "rb") as f:
             world, schedule, seed = diffusion.world_from_json(f.read(), d)
         if args.seed is not None:
             seed = args.seed

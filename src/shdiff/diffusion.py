@@ -13,6 +13,7 @@ maps to t = K - k + 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +98,8 @@ class ToyWorld:
     def __post_init__(self):
         if not np.all(np.isfinite(self.condition_map)):
             raise UsageError("condition map must be finite")
-        if self.target_std < 0:
-            raise UsageError("target_std must be >= 0")
+        if not (np.isfinite(self.target_std) and self.target_std >= 0):
+            raise UsageError("target_std must be finite and >= 0")
 
     @property
     def data_dimension(self) -> int:
@@ -300,23 +301,50 @@ def world_to_json(world: ToyWorld, schedule: NoiseSchedule, master_seed: int) ->
     )
 
 
-def world_from_json(text: str, embedding_dimension: int) -> tuple[ToyWorld, NoiseSchedule, int]:
+# Sizes a world file may ask for.  Larger ones make numpy fail with a range
+# error (or allocate terabytes) instead of reaching a check.
+_WORLD_SIZES = range(1, 2**31)
+
+
+def _world_int(value, what: str, allowed: range | None = None) -> int:
+    if type(value) is not int or (allowed is not None and value not in allowed):
+        bound = f" in {allowed.start}..{allowed.stop - 1}" if allowed is not None else ""
+        raise DataError(f"malformed world JSON: {what} {value!r} is not an int{bound}")
+    return value
+
+
+def world_from_json(text: str | bytes,
+                    embedding_dimension: int) -> tuple[ToyWorld, NoiseSchedule, int]:
+    """Parse a world config, raising DataError unless every field is valid.
+
+    An identity map whose data dimension is not the embedding dimension is a
+    UsageError: the file is valid, it just does not fit this prompt set.
+    """
     try:
         doc = json.loads(text)
-        m = int(doc["data_dimension"])
-        std = float(doc["target_std"])
+        m = _world_int(doc["data_dimension"], "data_dimension", _WORLD_SIZES)
+        std = doc["target_std"]
+        if type(std) not in (int, float) or not (math.isfinite(std) and std >= 0):
+            raise DataError(f"malformed world JSON: target_std {std!r} is not a finite number >= 0")
         cmap = doc["condition_map"]
         sched = doc["schedule"]
-        seed = int(doc["master_seed"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+        seed = _world_int(doc["master_seed"], "master_seed")
+        K = _world_int(sched["K"], "schedule.K", _WORLD_SIZES)
+        variant, curve = sched["variant"], sched["curve"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed world JSON: {e}") from e
+    if variant not in (ANCESTRAL, DETERMINISTIC) or curve not in (CURVE_COSINE, CURVE_LINEAR_BETA):
+        raise DataError(f"malformed world JSON: unknown schedule {variant!r}/{curve!r}")
     if cmap == "identity":
         if m != embedding_dimension:
             raise UsageError(
                 f"identity condition map needs data_dimension == d ({m} != {embedding_dimension})"
             )
         world = ToyWorld.create(m, embedding_dimension, std)
+    elif isinstance(cmap, dict) and "seed" in cmap:
+        map_seed = _world_int(cmap["seed"], "condition_map.seed")
+        world = ToyWorld.create(m, embedding_dimension, std, map_seed=map_seed)
     else:
-        world = ToyWorld.create(m, embedding_dimension, std, map_seed=int(cmap["seed"]))
-    schedule = make_schedule(int(sched["K"]), sched["variant"], sched["curve"])
-    return world, schedule, seed
+        raise DataError(f"malformed world JSON: condition_map {cmap!r} is neither "
+                        '"identity" nor {"seed": int}')
+    return world, make_schedule(K, variant, curve), seed

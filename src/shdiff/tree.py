@@ -12,7 +12,9 @@ their trees to be ``structurally_equal``.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +24,13 @@ from .errors import DataError, UsageError
 from .rng import TAG_RANDENC, stream
 
 REFERENCE_MAX_N = 64
+
+# Version of the tree JSON layout; a document in any other layout is stale.
+TREE_FORMAT = 2
+
+
+class TreeFormatError(DataError):
+    """A tree JSON document whose ``format`` is missing or not TREE_FORMAT."""
 
 
 @dataclass
@@ -265,7 +274,13 @@ def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
 
 
 def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
+    """Tree JSON, format ``TREE_FORMAT``: one record per node without its
+    embedding, and every node embedding in one ``embeddings`` block, the
+    base64 of little-endian float64 rows in node-id order."""
+    block = np.stack([n.embedding for n in tree.nodes]).astype("<f8", copy=False)
     doc = {
+        "format": TREE_FORMAT,
+        "dimension": block.shape[1],
         "nodes": [
             {
                 "id": n.node_id,
@@ -274,24 +289,24 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
                 "members": sorted(n.members),
                 "score": n.score,
                 "raw_score": n.raw_score,
-                "embedding": [float(v) for v in n.embedding],
             }
             for n in tree.nodes
         ],
         "root": tree.root,
         "c_max": tree.c_max,
         "inversion_count": tree.inversion_count,
+        "embeddings": base64.b64encode(block.tobytes()).decode("ascii"),
     }
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)  # without indent, so that the C encoder runs
 
 
-_TREE_KEYS = ("nodes", "root", "c_max", "inversion_count")
+_TREE_KEYS = ("format", "dimension", "nodes", "root", "c_max", "inversion_count", "embeddings")
 
 
 def _node_index(value, n: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+    if type(value) is not int or not 0 <= value < n:  # bool is not int here
         raise DataError(f"malformed tree JSON: {what} {value!r} is not a node id in 0..{n - 1}")
     return value
 
@@ -304,14 +319,9 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
     be the disjoint union of its two children's, and scores must not rise
     from parent to child.  Costs O(nodes + members).
     """
-    dim = nodes[root].embedding.shape
     for node in nodes:
         where = f"malformed tree JSON: node {node.node_id}"
-        if node.embedding.ndim != 1 or node.embedding.shape != dim:
-            raise DataError(f"{where}: embedding shape {node.embedding.shape} is not {dim}")
-        if not np.all(np.isfinite(node.embedding)):
-            raise DataError(f"{where}: embedding is not finite")
-        if not (np.isfinite(node.score) and np.isfinite(node.raw_score)):
+        if not (math.isfinite(node.score) and math.isfinite(node.raw_score)):
             raise DataError(f"{where}: score is not finite")
         if node.parent is None:
             if node.node_id != root:
@@ -329,8 +339,10 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
         a, b = (nodes[c] for c in node.children)
         if a.parent != node.node_id or b.parent != node.node_id:
             raise DataError(f"{where}: a child does not name it as parent")
+        # Subsets of equal total size are the union exactly when disjoint.
         if len(a.members) + len(b.members) != len(node.members) or \
-                node.members != a.members | b.members:
+                not (a.members <= node.members and b.members <= node.members) or \
+                not a.members.isdisjoint(b.members):
             raise DataError(f"{where}: members are not the disjoint union of its children's")
     if nodes[root].parent is not None:
         raise DataError(f"malformed tree JSON: root {root} has a parent")
@@ -348,16 +360,43 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
                         "do not reach the root")
 
 
-def tree_from_json(text: str) -> EmbeddingTree:
-    """Parse a tree JSON document, raising DataError unless it is one valid tree."""
+def _embedding_block(doc: dict, n: int) -> np.ndarray:
+    """The (n, dimension) float64 rows of the document's ``embeddings`` block."""
+    d = doc["dimension"]
+    if type(d) is not int or d < 1:
+        raise DataError(f"malformed tree JSON: dimension {d!r} is not a positive int")
+    raw = base64.b64decode(doc["embeddings"], validate=True)
+    if len(raw) != n * d * 8:
+        raise DataError(f"malformed tree JSON: embeddings block holds {len(raw)} bytes, "
+                        f"not {n} x {d} float64 values")
+    # astype copies into a writable array in native byte order
+    block = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, d)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise DataError(f"malformed tree JSON: node {int(np.argmin(finite))} embedding "
+                        "is not finite")
+    return block
+
+
+def tree_from_json(text: str | bytes) -> EmbeddingTree:
+    """Parse a tree JSON document, raising DataError unless it is one valid tree.
+
+    A document in another layout raises TreeFormatError, before anything
+    else is checked.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"malformed tree JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError("malformed tree JSON: not an object")
+    if doc.get("format") != TREE_FORMAT:
+        raise TreeFormatError(f"tree JSON format {doc.get('format')!r} is not {TREE_FORMAT}")
     try:
         n = len(doc["nodes"])
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
+        block = _embedding_block(doc, n)
         nodes: list = [None] * n
         for rec in doc["nodes"]:
             nid = _node_index(rec["id"], n, "id")
@@ -370,9 +409,10 @@ def tree_from_json(text: str) -> EmbeddingTree:
             nodes[nid] = TreeNode(
                 node_id=nid,
                 parent=None if parent is None else _node_index(parent, n, "parent"),
-                children=tuple(_node_index(c, n, "child") for c in children) if children else None,
+                children=(_node_index(children[0], n, "child"),
+                          _node_index(children[1], n, "child")) if children else None,
                 members=frozenset(rec["members"]),
-                embedding=np.asarray(rec["embedding"], dtype=np.float64),
+                embedding=block[nid],
                 raw_score=float(rec["raw_score"]),
                 score=float(rec["score"]),
             )
@@ -387,5 +427,5 @@ def tree_from_json(text: str) -> EmbeddingTree:
             inversion_count=int(doc["inversion_count"]),
             provenance={k: v for k, v in doc.items() if k not in _TREE_KEYS},
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed tree JSON: {e}") from e

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from shdiff.cli import main
-from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule
+from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, world_to_json
 from shdiff.embeddings import PromptSet, load_prompt_set, save_prompt_set
 from shdiff.planner import ScheduleParams, compile_plan
 from shdiff.tree import build_tree
@@ -35,6 +36,18 @@ def duplicate_prompts_file(tmp_path):
     path = tmp_path / "dups.jsonl"
     save_prompt_set(ps, str(path))
     return str(path)
+
+
+def write_old_layout(tree_path):
+    """Rewrite a tree JSON in the layout before format 2: no format key and
+    each node's embedding as a JSON list, written with indent=1."""
+    doc = json.loads(tree_path.read_text())
+    rows = np.frombuffer(base64.b64decode(doc.pop("embeddings")), dtype="<f8")
+    rows = rows.reshape(-1, doc.pop("dimension"))
+    del doc["format"]
+    for rec, row in zip(doc["nodes"], rows):
+        rec["embedding"] = row.tolist()
+    tree_path.write_text(json.dumps(doc, indent=1))
 
 
 class TestTree:
@@ -141,6 +154,38 @@ class TestPlan:
         assert rc == 0
         assert "rebuilding" in capsys.readouterr().err
 
+    def test_old_layout_tree_rebuilt(self, prompts_file, tmp_path, capsys):
+        plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        write_old_layout(tree_path)
+        capsys.readouterr()
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert captured.out == fresh
+
+    def test_tree_leaves_not_input_exit_3(self, prompts_file, tmp_path, capsys):
+        # input hash and options match, so the file claims to be this input's tree
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        doc = json.loads(tree_path.read_text())
+        for rec in doc["nodes"]:
+            rec["members"] = sorted("z" if m == "a" else m for m in rec["members"])
+        tree_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
+        assert f"error: {tree_path}: tree leaves or dimension do not match" in \
+            capsys.readouterr().err
+
+    def test_tree_not_utf8_exit_3(self, prompts_file, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_bytes(b'{"format": 2, "nodes": "\xff"}')
+        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
+        assert f"error: {tree_path}: malformed tree JSON" in capsys.readouterr().err
+
     def test_bad_tau_exit_2(self, prompts_file):
         assert main(["plan", "--input", prompts_file, "--tau", "-1"]) == 2
 
@@ -212,6 +257,19 @@ class TestSimulate:
               "--k", "8", "--tau", "0.0"])
         assert os.path.isfile(str(tmp_path / "run.metrics.json"))
 
+    def test_old_layout_tree_rebuilt(self, prompts_file, tmp_path):
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        write_old_layout(tree_path)
+        args = ["simulate", "--input", prompts_file, "--k", "10", "--tau", "0.5", "--seed", "3"]
+        assert main(args + ["--output", str(tmp_path / "fresh.jsonl")]) == 0
+        assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
+        assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    def test_nan_target_std_flag_exit_2(self, prompts_file, tmp_path):
+        assert main(["simulate", "--input", prompts_file, "--target-std", "nan",
+                     "--output", str(tmp_path / "s.jsonl")]) == 2
+
     def test_ablation_runs(self, prompts_file, tmp_path, capsys):
         out = tmp_path / "samples.jsonl"
         rc = main(["simulate", "--input", prompts_file, "--output", str(out),
@@ -280,3 +338,52 @@ class TestSynth:
                    "--output", str(out), "--tau", "1.0"])
         assert rc == 0
         assert len(json.loads(out.read_text().splitlines()[0])["trace"]) == 12
+
+
+def _world_set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def corrupt(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+        return doc
+    return corrupt
+
+
+WORLD_DEFECTS = {
+    "data_dimension -1": _world_set("data_dimension", -1),
+    "data_dimension float": _world_set("data_dimension", 3.0),
+    "schedule.K a list": _world_set("schedule", "K", [5]),
+    "schedule.K 2**31": _world_set("schedule", "K", 2**31),
+    "schedule variant unknown": _world_set("schedule", "variant", "euler"),
+    "condition_map a list": _world_set("condition_map", [1, 2]),
+    "condition_map seed missing": _world_set("condition_map", {}),
+    "target_std nan": _world_set("target_std", float("nan")),
+    "target_std inf": _world_set("target_std", float("inf")),
+    "target_std negative": _world_set("target_std", -0.5),
+    "master_seed a string": _world_set("master_seed", "4"),
+    "not an object": lambda doc: [doc],
+}
+
+
+class TestWorldFile:
+    @pytest.mark.parametrize("defect", sorted(WORLD_DEFECTS))
+    def test_defect_exit_3(self, prompts_file, tmp_path, capsys, defect):
+        doc = json.loads(world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        world_path = tmp_path / "world.json"
+        world_path.write_text(json.dumps(WORLD_DEFECTS[defect](doc)))
+        out = tmp_path / "samples.jsonl"
+        rc = main(["simulate", "--input", prompts_file, "--world", str(world_path),
+                   "--output", str(out), "--tau", "1.0"])
+        assert rc == 3
+        assert "error: malformed world JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_not_utf8_exit_3(self, prompts_file, tmp_path, capsys):
+        world_path = tmp_path / "world.json"
+        world_path.write_bytes(b'{"data_dimension": "\xff"}')
+        assert main(["sweep", "--input", prompts_file, "--world", str(world_path),
+                     "--sweep", "1.0"]) == 3
+        assert "error: malformed world JSON" in capsys.readouterr().err

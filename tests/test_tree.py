@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance
 from shdiff.errors import DataError, UsageError
 from shdiff.tree import (
+    TREE_FORMAT,
+    TreeFormatError,
     build_tree,
     path_to_root,
     randomize_encodings,
@@ -211,6 +214,34 @@ class TestTreeJson:
             assert np.array_equal(n.embedding, n2.embedding)
         assert t.provenance == back.provenance == {}
 
+    def test_embeddings_roundtrip_bit_exact(self):
+        t = build_tree(random_prompt_set(5, 3, seed=6))
+        t.nodes[0].embedding = np.array([-0.0, 5e-324, np.finfo(np.float64).max])
+        t.nodes[t.root].embedding = np.array([0.1, -2.2250738585072014e-308, 1.0 / 3.0])
+        back = tree_from_json(tree_to_json(t))
+        for n, n2 in zip(t.nodes, back.nodes):
+            assert np.array_equal(n.embedding.view(np.uint64), n2.embedding.view(np.uint64))
+
+    def test_layout(self):
+        t = build_tree(random_prompt_set(4, 3, seed=1))
+        text = tree_to_json(t)
+        assert "\n" not in text
+        doc = json.loads(text)
+        assert doc["format"] == TREE_FORMAT == 2 and doc["dimension"] == 3
+        assert all("embedding" not in rec for rec in doc["nodes"])
+        raw = base64.b64decode(doc["embeddings"])
+        assert raw == np.stack([n.embedding for n in t.nodes]).astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("fmt", [{}, {"format": None}, {"format": 1}, {"format": 3},
+                                     {"format": "2"}], ids=["missing", "null", "1", "3", "'2'"])
+    def test_other_format_is_stale(self, fmt):
+        # checked first: nothing else in the document is looked at
+        doc = json.loads(tree_to_json(build_tree(random_prompt_set(4, 3, seed=1))))
+        del doc["format"]
+        doc.update(fmt, nodes="not checked")
+        with pytest.raises(TreeFormatError):
+            tree_from_json(json.dumps(doc))
+
     def test_extra_keys_kept_as_provenance(self):
         t = build_tree(random_prompt_set(5, 3, seed=2))
         extra = {"input_sha256": "ab" * 32, "ablation": True, "normalize": False}
@@ -228,6 +259,29 @@ def six_prompt_tree_doc():
     return doc
 
 
+def _block(doc):
+    rows = np.frombuffer(base64.b64decode(doc["embeddings"]), dtype="<f8")
+    return rows.reshape(-1, doc["dimension"]).copy()
+
+
+def _set_block(edit):
+    def corrupt(doc):
+        doc["embeddings"] = base64.b64encode(edit(_block(doc)).astype("<f8").tobytes()).decode()
+    return corrupt
+
+
+def _one_column_as(dimension):
+    def corrupt(doc):
+        _set_block(lambda block: block[:, :1])(doc)
+        doc["dimension"] = dimension
+    return corrupt
+
+
+def _nan_in_row(block):
+    block[4, 1] = np.nan
+    return block
+
+
 def _set(node, key, value):
     def corrupt(doc):
         doc["nodes"][node][key] = value
@@ -237,6 +291,7 @@ def _set(node, key, value):
 def _self_loop(doc):
     # links agree locally (parent and both children are itself, no members),
     # so only the walk down from the root can see it never reaches the root
+    _set_block(lambda block: np.vstack([block, block[6]]))(doc)
     doc["nodes"].append(dict(doc["nodes"][6], id=11, parent=11, children=[11, 11], members=[]))
 
 
@@ -261,11 +316,20 @@ CORRUPTIONS = {
     "leaf with two members": _set(0, "members", ["p0", "p3"]),
     "members not the union": _set(7, "members", ["p1", "p2"]),
     "members overlap": _overlap,
+    "members overlap, sizes add up": _set(3, "members", ["p0"]),
     "score above parent": _set(6, "score", 5.0),
     "score nan": _set(6, "score", float("nan")),
     "raw score infinite": _set(6, "raw_score", float("inf")),
-    "embedding not finite": _set(4, "embedding", [0.0, float("nan"), 1.0]),
-    "embedding dimension": _set(3, "embedding", [0.0, 1.0]),
+    "embedding not finite": _set_block(_nan_in_row),
+    "embedding dimension": _set_block(lambda block: block.ravel()[:-1]),
+    "embeddings block too long": _set_block(lambda block: np.append(block, 0.0)),
+    "embeddings not base64": lambda doc: doc.update(embeddings="AAAA!AAA"),
+    "embeddings not a string": lambda doc: doc.update(embeddings=[0.0] * 33),
+    "embeddings missing": lambda doc: doc.pop("embeddings"),
+    "dimension missing": lambda doc: doc.pop("dimension"),
+    # each with a block whose length fits the bad dimension
+    "dimension 0": lambda doc: doc.update(dimension=0, embeddings=""),
+    "dimension bool": _one_column_as(True),
     "no nodes": lambda doc: doc.update(nodes=[], root=0),
 }
 
