@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .planner import FRESH, SharePlan
+from .planner import FRESH, MAX_K, SharePlan
 from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, rekey, stream, stream_keys
 from .tree import EmbeddingTree
 
@@ -51,8 +51,8 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
     normalized so alpha_bar[0] = 1; betas are clipped at 0.999 and alpha_bar
     rebuilt by cumulative product so it stays strictly inside (0, 1].
     """
-    if K < 1:
-        raise UsageError("K must be >= 1")
+    if not 1 <= K <= MAX_K:
+        raise UsageError(f"K must be in 1..{MAX_K}")
     if variant not in (ANCESTRAL, DETERMINISTIC):
         raise UsageError(f"unknown variant {variant!r}")
     t = np.arange(K + 1, dtype=np.float64)

@@ -7,7 +7,6 @@ done in 64-bit, rounding back to 32-bit only at serialization boundaries.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -96,7 +95,8 @@ def unit_distances(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     with no catastrophic cancellation near 0.
     """
     diff = rows - u
-    return np.minimum(2.0, np.sum(diff * diff, axis=1) / 2.0)
+    diff *= diff  # in place: one temporary instead of two, same bits
+    return np.minimum(2.0, np.sum(diff, axis=1) / 2.0)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -140,20 +140,41 @@ def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
         raise UsageError(f"unknown format {fmt!r}")
 
 
+_NUMBER_TYPES = {int, float, bool}  # what json.loads gives for a number, true or false
+
+
+def _finite_numbers(vec: list) -> bool:
+    """True if every element is a number (bools count, as in Python) that is
+    finite in float64."""
+    if not set(map(type, vec)) <= _NUMBER_TYPES:
+        return False
+    try:
+        return bool(np.isfinite(np.array(vec, dtype=np.float64)).all())
+    except OverflowError:  # an int beyond the float64 range
+        return False
+
+
 def _load_jsonl(path: str) -> PromptSet:
     ids: list[str] = []
     seen: set[str] = set()
     texts: list[str | None] = []
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as f:
+    # Bytes that are not UTF-8 decode to lone surrogates, which only a
+    # non-ASCII line can hold and which do not encode back.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise DataError(f"{path}:{lineno}: not valid UTF-8") from e
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # also too many digits or too deep
                 raise DataError(f"{path}:{lineno}: malformed JSON: {e}") from e
             if not isinstance(rec, dict) or "id" not in rec or "embedding" not in rec:
                 raise DataError(f"{path}:{lineno}: record must have 'id' and 'embedding'")
@@ -162,9 +183,7 @@ def _load_jsonl(path: str) -> PromptSet:
                 raise DataError(f"{path}:{lineno}: duplicate id {pid!r}")
             seen.add(pid)
             vec = rec["embedding"]
-            if not isinstance(vec, list) or not vec or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in vec
-            ):
+            if not isinstance(vec, list) or not vec or not _finite_numbers(vec):
                 raise DataError(f"{path}:{lineno}: bad embedding for id {pid!r}")
             if dim is None:
                 dim = len(vec)
@@ -181,13 +200,18 @@ def _load_jsonl(path: str) -> PromptSet:
 
 
 def _load_binary(path: str) -> PromptSet:
+    size = 4 + struct.calcsize("<HQI")
     with open(path, "rb") as f:
-        header = f.read(4 + struct.calcsize("<HQI"))
+        header = f.read(size)
         if len(header) < 4 or header[:4] != BINARY_MAGIC:
             raise DataError(f"{path}: bad magic bytes, not a {BINARY_MAGIC.decode()} file")
+        if len(header) < size:
+            raise DataError(f"{path}: header holds {len(header)} bytes, not {size}")
         version, n, d = struct.unpack("<HQI", header[4:])
         if version != BINARY_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
+        if d == 0:  # n empty rows would fit any n, and n ids cost memory
+            raise DataError(f"{path}: dimension 0")
         payload = f.read()
     expected = n * d * 4
     if len(payload) != expected:

@@ -19,6 +19,9 @@ FRESH = "FRESH"
 PHI_MAIN = "main"
 PHI_APPENDIX = "appendix"
 
+# Largest step count, as for world files; schedules and plans hold K-long arrays.
+MAX_K = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -27,8 +30,8 @@ class ScheduleParams:
     phi_variant: str = PHI_MAIN
 
     def __post_init__(self):
-        if self.K < 1:
-            raise UsageError("K must be >= 1")
+        if not 1 <= self.K <= MAX_K:
+            raise UsageError(f"K must be in 1..{MAX_K}")
         if self.tau < 0:
             raise UsageError("tau must be >= 0")
         if self.phi_variant not in (PHI_MAIN, PHI_APPENDIX):

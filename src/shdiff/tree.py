@@ -1,10 +1,12 @@
 """Agglomerative embedding tree with heterogeneity scores.
 
 Clusters are merged greedily by cosine distance between cluster mean
-embeddings (centroid linkage).  ``build_tree`` keeps one matrix of distances
-between live clusters and updates one row per merge;
-``reference_build_tree`` recomputes every cluster mean and pair distance
-each round and serves as the brute-force oracle.  Both take means from
+embeddings (centroid linkage).  ``build_tree`` keeps the upper triangle of a
+matrix of distances between live clusters plus each cluster's nearest
+neighbour, computes one row per merge and rescans only the clusters whose
+neighbour changed: O(N^2 d) in all.  ``reference_build_tree`` recomputes
+every cluster mean and pair distance each round and serves as the
+brute-force oracle.  Both take means from
 ``embeddings.mean_embedding`` over member rows in sorted-id order and
 distances from the one cosine kernel in ``embeddings``; the tests require
 their trees to be ``structurally_equal``.
@@ -166,41 +168,72 @@ def _finalize(
 def build_tree(prompts: PromptSet) -> EmbeddingTree:
     """Agglomerative clustering over cosine distance of cluster means.
 
-    Holds one N x N float64 matrix of distances between live clusters, so
-    memory is O(N^2).  Each of the N - 1 merges computes the new cluster's
-    mean and one O(N d) row of distances, then scans the whole matrix for
-    the next pair: O(N^3) time in numpy scans plus O(N^2 d) arithmetic.
-    Children are listed with the cluster holding the smaller id first.
+    Slot s holds the cluster whose smallest member id is the s-th smallest
+    id, and a merge keeps the lower slot.  Only the upper triangle of one
+    N x N float64 distance matrix is filled or read.  Each live slot s
+    caches ``nn[s]``, the first argmin of ``dist[s, s+1:]``, and that
+    distance; the next pair is (i, nn[i]) for the first minimum i of the
+    cached distances.  That is the first minimum of the symmetric matrix in
+    row-major order: the pair with the smallest (min member id, max member
+    id) among those at the minimal distance, the same tie rule as
+    ``reference_build_tree``.
+
+    After merging i < j the builder computes the new mean and one O(N d) row
+    against the live slots, rescans slot i and every slot whose ``nn`` was i
+    or j, and lets every other slot below i take i if i is now nearer (or
+    equally near and below its ``nn``).  Rescans average about four per
+    merge, so a build costs O(N^2 d) arithmetic plus O(N^2) numpy scans, in
+    O(N^2) memory (Muellner's generic algorithm, arXiv:1109.2378).  Children
+    are listed with the cluster holding the smaller id first.
     """
     n = len(prompts)
-    # Slot s holds the cluster whose smallest member id is the s-th smallest
-    # id, and a merge keeps the lower slot.  The first minimum of the
-    # symmetric matrix in row-major order is then the pair with the smallest
-    # (min member id, max member id) among those at the minimal distance.
     order = sorted(range(n), key=prompts.ids.__getitem__)
     node_of = list(order)
-    members = [[i] for i in order]
-    units = unit_rows(prompts.embeddings[order])
+    members = [[s] for s in range(n)]  # slots, which sort in id order
+    rows = prompts.embeddings[order]
+    units = unit_rows(rows)
     dist = np.empty((n, n))
-    for s in range(n):
-        dist[s] = unit_distances(units[s], units)
-    np.fill_diagonal(dist, np.inf)
+    nn = np.full(n, n)  # n: no slot above
+    nn_dist = np.full(n, np.inf)
+    for s in range(n - 1):
+        dist[s, s + 1:] = unit_distances(units[s], units[s + 1:])
+        _rescan(dist, nn, nn_dist, s)
     live = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float, np.ndarray]] = []
     for nid in range(n, 2 * n - 1):
-        i, j = divmod(int(np.argmin(dist)), n)
-        members[i] += members[j]
-        mean = _cluster_mean(prompts, members[i])
-        merges.append((node_of[i], node_of[j], float(dist[i, j]), mean))
+        i = int(np.argmin(nn_dist))
+        j = int(nn[i])
+        members[i] = sorted(members[i] + members[j])
+        mean = mean_embedding(rows[members[i]])
+        merges.append((node_of[i], node_of[j], float(nn_dist[i]), mean))
         node_of[i] = nid
         live[j] = False
-        dist[j, :] = dist[:, j] = np.inf
-        if nid < 2 * n - 2:  # the root is never compared, so its mean may be zero
-            units[i] = unit_rows(mean[None])[0]
-            row = np.where(live, unit_distances(units[i], units), np.inf)
-            row[i] = np.inf
-            dist[i, :] = dist[:, i] = row
+        nn[j], nn_dist[j] = n, np.inf
+        if nid == 2 * n - 2:  # the root is never compared, so its mean may be zero
+            break
+        units[i] = unit_rows(mean[None])[0]
+        stale = np.flatnonzero((nn == i) | (nn == j))  # i itself: its nn was j
+        dist[:j, j] = np.inf
+        slots = np.flatnonzero(live)
+        row = unit_distances(units[i], units[slots])
+        at = int(np.searchsorted(slots, i))
+        dist[i, slots[at + 1:]] = row[at + 1:]
+        below, row = slots[:at], row[:at]
+        dist[below, i] = row
+        nearer = (row < nn_dist[below]) | ((row == nn_dist[below]) & (i < nn[below]))
+        nn[below[nearer]] = i
+        nn_dist[below[nearer]] = row[nearer]
+        for s in stale.tolist():
+            _rescan(dist, nn, nn_dist, s)
     return _finalize(prompts, merges)
+
+
+def _rescan(dist: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray, s: int) -> None:
+    """Point slot s (never the last) at the first minimum of its row right of
+    the diagonal."""
+    row = dist[s, s + 1:]
+    k = int(np.argmin(row))
+    nn[s], nn_dist[s] = s + 1 + k, row[k]
 
 
 def reference_build_tree(prompts: PromptSet) -> EmbeddingTree:

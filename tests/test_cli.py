@@ -78,6 +78,18 @@ class TestTree:
         assert main(["tree", "--input", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data, where", [
+        ("p.jsonl", b'{"id": "a", "embedding": [1, 0]}\n{"id": "\xff"}\n', "p.jsonl:2: not valid UTF-8"),
+        ("p.jsonl", b'{"id": "a", "embedding": [1' + b"0" * 400 + b', 0]}\n',
+         "p.jsonl:1: bad embedding for id 'a'"),
+        ("p.bin", b"SHDF\x01\x00\x04", "p.bin: header holds 7 bytes"),
+    ], ids=["not utf-8", "int beyond float64", "short binary header"])
+    def test_input_defect_exit_3(self, tmp_path, capsys, name, data, where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["tree", "--input", str(path)]) == 3
+        assert where in capsys.readouterr().err
+
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a"}\n')
@@ -309,6 +321,18 @@ class TestSweep:
                    "--schedule", "linear-beta", "--sweep", "0.5"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("tau,")
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
+@pytest.mark.parametrize("k", [2**31, 2**63])
+def test_k_above_bound_exit_2(prompts_file, tmp_path, capsys, command, k):
+    # Only rejected values are tried: an accepted K near the bound would
+    # allocate K-long arrays.
+    argv = [command, "--input", prompts_file, "--k", str(k), "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--sweep", "1"]
+    assert main(argv) == 2
+    assert "K must be in 1..2147483647" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -80,8 +80,9 @@ class TestSchedule:
                 assert np.all(np.isfinite(arr))
 
     def test_bad_k(self):
-        with pytest.raises(UsageError):
-            make_schedule(0)
+        for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
+            with pytest.raises(UsageError):
+                make_schedule(k)
 
 
 class TestNoiseForward:

@@ -119,6 +119,49 @@ class TestIO:
         with pytest.raises(DataError, match="'y'"):
             load_prompt_set(str(path))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_jsonl_not_utf8_named(self, tmp_path, newline):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(newline.join(['{"id": "x", "embedding": [1, 0]}', "",
+                                       '{"id": "\xff", "embedding": [0, 1]}', ""]).encode("latin-1"))
+        with pytest.raises(DataError, match=r"bad\.jsonl:3: not valid UTF-8"):
+            load_prompt_set(str(path))
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "y", "embedding": [1%s, 0]}' % ("0" * 400), "bad embedding for id 'y'"),
+        ('{"id": "y", "embedding": [1%s, 0]}' % ("0" * 5000), "malformed JSON"),
+        ('{"id": "y", "embedding": %s}' % ("[" * 100_000), "malformed JSON"),
+    ], ids=["int beyond float64", "int too long to parse", "nested too deep"])
+    def test_jsonl_number_defects_named(self, tmp_path, record, message):
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"id": "x", "embedding": [1, 0]}\n' + record + "\n")
+        with pytest.raises(DataError, match=rf"big\.jsonl:2: {message}"):
+            load_prompt_set(str(path))
+
+    @pytest.mark.parametrize("embedding", ['["1", 0]', "[null, 1]", "[[1], 0]", "[NaN, 1]",
+                                           "[Infinity, 1]", "[1e400, 1]", "[]", '"1, 0"'])
+    def test_jsonl_bad_embedding_named(self, tmp_path, embedding):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"id": "y", "embedding": %s}\n' % embedding)
+        with pytest.raises(DataError, match=r"e\.jsonl:1: bad embedding for id 'y'"):
+            load_prompt_set(str(path))
+
+    def test_jsonl_bools_and_ints_are_numbers(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        path.write_text('{"id": "y", "embedding": [true, false, 2, 0.5]}\n')
+        assert load_prompt_set(str(path)).embeddings.tolist() == [[1.0, 0.0, 2.0, 0.5]]
+
+    @pytest.mark.parametrize("second, message", [
+        ('{"id": "x", "embedding": [NaN]}', "duplicate id 'x'"),
+        ('{"id": "y", "embedding": [NaN]}', "bad embedding for id 'y'"),
+        ('{"embedding": [NaN]}', "record must have 'id' and 'embedding'"),
+    ], ids=["duplicate before embedding", "embedding before dimension", "keys first"])
+    def test_jsonl_first_defect_reported(self, tmp_path, second, message):
+        path = tmp_path / "o.jsonl"
+        path.write_text('{"id": "x", "embedding": [1, 0]}\n' + second + "\n")
+        with pytest.raises(DataError, match=rf"o\.jsonl:2: {message}"):
+            load_prompt_set(str(path))
+
     def test_binary_roundtrip(self, tmp_path):
         path = str(tmp_path / "p.bin")
         ps = generate_synthetic(2, 2, 8, 0.2, seed=4)
@@ -150,6 +193,23 @@ class TestIO:
         path.write_bytes(b"SHDF" + (1).to_bytes(2, "little")
                          + (4).to_bytes(8, "little") + (8).to_bytes(4, "little") + b"\x00" * 8)
         with pytest.raises(DataError):
+            load_prompt_set(str(path))
+
+    @pytest.mark.parametrize("length", [4, 5, 13, 17])
+    def test_binary_short_header_named(self, tmp_path, length):
+        path = tmp_path / "short.bin"
+        header = b"SHDF" + (1).to_bytes(2, "little") + (4).to_bytes(8, "little") + \
+            (8).to_bytes(4, "little")
+        path.write_bytes(header[:length])
+        with pytest.raises(DataError, match=rf"short\.bin: header holds {length} bytes, not 18"):
+            load_prompt_set(str(path))
+
+    def test_binary_dimension_zero(self, tmp_path):
+        # empty rows would fit any count, so a huge count must not be reached
+        path = tmp_path / "flat.bin"
+        path.write_bytes(b"SHDF" + (1).to_bytes(2, "little") + (2**40).to_bytes(8, "little")
+                         + (0).to_bytes(4, "little"))
+        with pytest.raises(DataError, match=r"flat\.bin: dimension 0"):
             load_prompt_set(str(path))
 
 

@@ -1,14 +1,18 @@
-"""Corrupted tree and world files: the CLI exits 0, 2 or 3 and never raises.
+"""Corrupted prompt sets, tree and world files: the CLI exits 0, 2 or 3 and
+never raises.
 
-Each example takes a valid file, corrupts it one way (truncate it, flip one
-byte, delete a key, or replace a value with one of another type) and runs a
-subcommand on it.  A stale or mismatching tree is rebuilt (exit 0); a
-malformed file is a data error (exit 3).  Replacement integers stay below
-1000 or at the extremes: a world may ask for any size up to 2**31 - 1, and
-mid-sized ones cost real memory and time rather than exposing a check.
+Each example takes a valid file, corrupts it one way and runs a subcommand on
+it.  Every file may be truncated or have one byte flipped.  A tree or world
+file may also lose a key or have a value replaced by one of another type; a
+prompt set may get a wrong dimension or a NaN, and a JSONL set a duplicate id.
+A stale or mismatching tree is rebuilt (exit 0); a malformed file is a data
+error (exit 3).  Replacement integers stay below 1000 or at the extremes: a
+world may ask for any size up to 2**31 - 1, and mid-sized ones cost real
+memory and time rather than exposing a check.
 """
 
 import json
+import struct
 from datetime import timedelta
 
 import numpy as np
@@ -40,11 +44,15 @@ def files(tmp_path_factory):
     emb = np.array([[1.0, 0.0, 0.0], [0.96, 0.28, 0.0], [0.0, 1.0, 0.0], [0.0, 0.96, 0.28]],
                    dtype=np.float32)
     prompts = str(d / "prompts.jsonl")
-    save_prompt_set(PromptSet(("a", "b", "c", "d"), (None,) * 4, emb), prompts)
+    binary = d / "prompts.bin"
+    ps = PromptSet(("a", "b", "c", "d"), (None,) * 4, emb)
+    save_prompt_set(ps, prompts)
+    save_prompt_set(ps, str(binary), "binary")
     tree = d / "tree.json"
     assert main(["tree", "--input", prompts, "--output", str(tree)]) == 0
     world = world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(6, ANCESTRAL), 1)
-    return {"dir": d, "prompts": prompts, "tree": tree.read_bytes(), "world": world.encode()}
+    return {"dir": d, "prompts": prompts, "tree": tree.read_bytes(), "world": world.encode(),
+            "jsonl": (d / "prompts.jsonl").read_bytes(), "binary": binary.read_bytes()}
 
 
 def _paths(value, prefix=()):
@@ -56,14 +64,17 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def corrupt(data, text: bytes) -> bytes:
-    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "swap"]), label="kind")
+def corrupt_bytes(data, text: bytes, kind: str) -> bytes:
     if kind == "truncate":
         return text[:data.draw(st.integers(0, len(text) - 1), label="length")]
-    if kind == "flip":
-        i = data.draw(st.integers(0, len(text) - 1), label="offset")
-        return text[:i] + bytes([text[i] ^ data.draw(st.integers(1, 255), label="mask")]) + \
-            text[i + 1:]
+    i = data.draw(st.integers(0, len(text) - 1), label="offset")
+    return text[:i] + bytes([text[i] ^ data.draw(st.integers(1, 255), label="mask")]) + text[i + 1:]
+
+
+def corrupt(data, text: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "swap"]), label="kind")
+    if kind in ("truncate", "flip"):
+        return corrupt_bytes(data, text, kind)
     doc = json.loads(text)
     paths = [p for p in _paths(doc) if kind == "swap" or isinstance(p[-1], str)]
     *path, key = data.draw(st.sampled_from(paths), label="path")
@@ -76,6 +87,50 @@ def corrupt(data, text: bytes) -> bytes:
         node[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(node[key])),
                               label="value")
     return json.dumps(doc).encode()
+
+
+def corrupt_jsonl(data, text: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(["truncate", "flip", "dimension", "nan", "duplicate"]),
+                     label="kind")
+    if kind in ("truncate", "flip"):
+        return corrupt_bytes(data, text, kind)
+    records = [json.loads(line) for line in text.splitlines()]
+    rec = data.draw(st.sampled_from(records), label="record")
+    vec = rec["embedding"]
+    if kind == "dimension":
+        if data.draw(st.booleans(), label="longer"):
+            vec.append(0.5)
+        else:
+            vec.pop()
+    elif kind == "nan":
+        vec[data.draw(st.integers(0, len(vec) - 1), label="element")] = float("nan")
+    else:
+        rec["id"] = data.draw(st.sampled_from([r["id"] for r in records if r is not rec]),
+                              label="id")
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def corrupt_binary(data, text: bytes) -> bytes:
+    # 18-byte header: magic, version u16, count u64, dimension u32; then float32 rows
+    kind = data.draw(st.sampled_from(["truncate", "flip", "dimension", "nan"]), label="kind")
+    if kind in ("truncate", "flip"):
+        return corrupt_bytes(data, text, kind)
+    if kind == "dimension":
+        d = data.draw(st.sampled_from([0, 1, 2, 4, 6, 12, 2**32 - 1]), label="dimension")
+        return text[:14] + struct.pack("<I", d) + text[18:]
+    i = 18 + 4 * data.draw(st.integers(0, (len(text) - 18) // 4 - 1), label="element")
+    return text[:i] + struct.pack("<f", float("nan")) + text[i + 4:]
+
+
+@FUZZ
+@given(data=st.data(), fmt=st.sampled_from(["jsonl", "binary"]),
+       command=st.sampled_from(["tree", "plan"]))
+def test_corrupt_prompt_set(files, data, fmt, command):
+    path = files["dir"] / f"corrupt.{fmt}"
+    corrupt_set = corrupt_jsonl if fmt == "jsonl" else corrupt_binary
+    path.write_bytes(corrupt_set(data, files[fmt]))
+    argv = [command, "--input", str(path)] + (["--k", "6"] if command == "plan" else [])
+    assert main(argv) in (0, 2, 3)
 
 
 @FUZZ

@@ -54,8 +54,9 @@ class TestPhi:
         assert phi(10, p) == 0.0
 
     def test_bad_params(self):
-        with pytest.raises(UsageError):
-            ScheduleParams(K=0, tau=1.0)
+        for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
+            with pytest.raises(UsageError):
+                ScheduleParams(K=k, tau=1.0)
         with pytest.raises(UsageError):
             ScheduleParams(K=10, tau=-0.5)
 

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -29,6 +30,17 @@ def prompt_set(vectors, ids=None):
 def random_prompt_set(n, d, seed):
     rng = np.random.default_rng(seed)
     return prompt_set(rng.standard_normal((n, d)))
+
+
+def clustered_prompt_set(clusters, per_cluster, d, jitter, seed):
+    """Unit rows around random centres with ids p0, p1, ..., shaped like the
+    benchmark's sets.  Norms are taken over axis=1, which does not call BLAS."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((clusters, d))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    rows = np.repeat(centers, per_cluster, axis=0)
+    rows += jitter * rng.standard_normal(rows.shape)
+    return prompt_set(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 class TestBuildTree:
@@ -95,6 +107,16 @@ class TestBuildTree:
                 mean = ps.embeddings[idx].astype(np.float64).mean(axis=0)
                 assert np.allclose(n.embedding, mean, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("shape, digest", [
+        ((16, 32, 64, 0.1, 7), "2f6908603d3406f48764111d5fd5a25c978c7de7cea94cd8922918dc1e8d60ec"),
+        ((16, 16, 768, 0.03, 8), "c4da0542be98d9bbd99d5e63bdc6ea20e54616dab9b8ac61dc0e78d3eb104232"),
+    ], ids=["N512-d64", "N256-d768"])
+    def test_tree_json_pinned(self, shape, digest):
+        # Digests of the full-matrix argmin builder's output; every faster
+        # builder must write the same bytes.
+        text = tree_to_json(build_tree(clustered_prompt_set(*shape)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_raw_score_is_merge_distance(self):
         ps = random_prompt_set(6, 3, seed=8)
         t = build_tree(ps)
@@ -124,15 +146,27 @@ class TestReference:
     def test_matches_production_on_exact_ties(self):
         # Repeats of a few sign vectors under shuffled, non-sequential ids
         # give exact-zero distances and exact ties, so the tie rule on
-        # (min member id, max member id) decides most merges.
+        # (min member id, max member id) decides most merges.  Sets of up to
+        # 30 prompts make the cached builder rescan slots whose nearest
+        # neighbour merged away and update slots at equal distance.
         rng = np.random.default_rng(21)
         for _ in range(100):
-            n = int(rng.integers(2, 12))
+            n = int(rng.integers(2, 31))
             base = rng.choice([-1.0, 1.0], size=(int(rng.integers(1, 5)), 3))
             vecs = base[rng.integers(0, len(base), size=n)]
             ids = [f"q{v}" for v in rng.choice(1000, size=n, replace=False)]
             ps = prompt_set(vecs, ids)
             assert structurally_equal(build_tree(ps), reference_build_tree(ps), score_tol=0.0)
+
+    def test_equal_distance_goes_to_lower_slot(self):
+        # p1 and p2 merge first into a mean along (1, 0, 2).  That mean is as
+        # far from p0 as p3 = (1, 2, 0) is, bit for bit (the coordinates are
+        # permuted), so p0 must now pair with the merged cluster, whose
+        # smallest id p1 is below p3.
+        ps = prompt_set([[1, 0, 0], [1, 1, 2], [1, -1, 2], [1, 2, 0]])
+        t = build_tree(ps)
+        assert [t.nodes[nid].members for nid in (4, 5)] == [{"p1", "p2"}, {"p0", "p1", "p2"}]
+        assert structurally_equal(t, reference_build_tree(ps), score_tol=0.0)
 
     def test_matches_production_on_random_sets(self):
         for seed in range(40):
