@@ -91,15 +91,20 @@ class ToyWorld:
     target_std = 0 is the point-mass limit used by exact-convergence checks.
     """
 
-    condition_map: np.ndarray = field(repr=False)  # (m, d)
+    condition_map: np.ndarray = field(repr=False)  # (m, d), made read-only
     target_std: float
     map_seed: int | None = None
+    _identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.condition_map)):
             raise UsageError("condition map must be finite")
         if not (np.isfinite(self.target_std) and self.target_std >= 0):
             raise UsageError("target_std must be finite and >= 0")
+        A = self.condition_map
+        A.flags.writeable = False  # so the identity test below cannot go stale
+        object.__setattr__(self, "_identity", A.shape[0] == A.shape[1] == np.count_nonzero(A)
+                           and bool(np.all(A.diagonal() == 1)))
 
     @property
     def data_dimension(self) -> int:
@@ -110,7 +115,13 @@ class ToyWorld:
         return int(self.condition_map.shape[1])
 
     def target_mean(self, condition: np.ndarray) -> np.ndarray:
-        return self.condition_map @ np.asarray(condition, dtype=np.float64)
+        """A @ condition.  An identity map is applied as condition + 0.0, which
+        has the mat-vec's bits for finite input (its sum starts at +0.0, so
+        -0.0 becomes +0.0) without the d x d pass."""
+        y = np.asarray(condition, dtype=np.float64)
+        if self._identity and y.shape == self.condition_map.shape[:1]:
+            return y + 0.0
+        return self.condition_map @ y
 
     @classmethod
     def create(cls, data_dimension: int, embedding_dimension: int,
@@ -331,7 +342,7 @@ def world_from_json(text: str | bytes,
         seed = _world_int(doc["master_seed"], "master_seed")
         K = _world_int(sched["K"], "schedule.K", _WORLD_SIZES)
         variant, curve = sched["variant"], sched["curve"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise DataError(f"malformed world JSON: {e}") from e
     if variant not in (ANCESTRAL, DETERMINISTIC) or curve not in (CURVE_COSINE, CURVE_LINEAR_BETA):
         raise DataError(f"malformed world JSON: unknown schedule {variant!r}/{curve!r}")

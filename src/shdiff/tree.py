@@ -419,7 +419,7 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # also too many digits or too deep
         raise DataError(f"malformed tree JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DataError("malformed tree JSON: not an object")

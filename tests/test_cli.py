@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 
@@ -198,6 +199,16 @@ class TestPlan:
         assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
         assert f"error: {tree_path}: malformed tree JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"format": 2, "x": ' + "7" * 5_000 + "}",
+    ], ids=["nested too deep", "int too long"])
+    def test_tree_json_beyond_parser_limits_exit_3(self, prompts_file, tmp_path, capsys, text):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(text)
+        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
+        assert f"error: {tree_path}: malformed tree JSON" in capsys.readouterr().err
+
     def test_bad_tau_exit_2(self, prompts_file):
         assert main(["plan", "--input", prompts_file, "--tau", "-1"]) == 2
 
@@ -289,6 +300,28 @@ class TestSimulate:
                    "--seed", "1"])
         assert rc == 0
         assert "savings:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("synth, simulate, samples_sha, metrics_sha", [
+        (["--clusters", "4", "--per-cluster", "8", "--dim", "768", "--jitter", "0.03",
+          "--seed", "11"],
+         ["--k", "20", "--tau", "0.5", "--target-std", "0.5", "--seed", "5"],
+         "eb96012815d8d95b52383cb567d09365b81cc2722ab9751d19e7323e84c1e078",
+         "e543321eacfb60bf81d7e77d2811437149a08607344da2cbd77fd9fa2befce46"),
+        (["--clusters", "8", "--per-cluster", "8", "--dim", "64", "--jitter", "0.1",
+          "--seed", "12"],
+         ["--k", "40", "--tau", "1.0", "--variant", "ancestral", "--seed", "6"],
+         "64a3a0f005f63bb69cd231dc41277fc09540526de9c4fe23d42e09c700905dcb",
+         "d59cd186d3d34c039369a170ba442efbb427009684475a2b624307d6918fc21d"),
+    ], ids=["d768-deterministic", "d64-ancestral"])
+    def test_outputs_pinned(self, tmp_path, synth, simulate, samples_sha, metrics_sha):
+        # Digests written when every target mean was an A @ y mat-vec; the
+        # tau=0 oracle cannot see a drift there, since run_standard shares it.
+        prompts, out, met = (tmp_path / n for n in ("p.jsonl", "s.jsonl", "m.json"))
+        assert main(["synth", *synth, "--output", str(prompts)]) == 0
+        assert main(["simulate", "--input", str(prompts), *simulate,
+                     "--output", str(out), "--metrics", str(met)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == samples_sha
+        assert hashlib.sha256(met.read_bytes()).hexdigest() == metrics_sha
 
 
 class TestSweep:
@@ -402,6 +435,15 @@ class TestWorldFile:
         rc = main(["simulate", "--input", prompts_file, "--world", str(world_path),
                    "--output", str(out), "--tau", "1.0"])
         assert rc == 3
+        assert "error: malformed world JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nested_too_deep_exit_3(self, prompts_file, tmp_path, capsys):
+        world_path = tmp_path / "world.json"
+        world_path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", prompts_file, "--world", str(world_path),
+                     "--output", str(out)]) == 3
         assert "error: malformed world JSON" in capsys.readouterr().err
         assert not out.exists()
 

@@ -108,6 +108,65 @@ class TestNoiseForward:
             assert np.allclose(rec, x0, rtol=1e-10)
 
 
+def conditions(d, seed=0):
+    """Random (float64 and float32), all -0.0, mixed +-0.0, subnormal and huge
+    conditions of length d."""
+    rng = np.random.default_rng(seed)
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    return [
+        rng.standard_normal(d),
+        rng.standard_normal(d).astype(np.float32),
+        np.full(d, -0.0),
+        signs * 0.0,
+        rng.standard_normal(d) * 1e-310,
+        signs * 5e-324,
+        np.where(rng.random(d) < 0.5, -0.0, rng.standard_normal(d) * 1e-300),
+        rng.standard_normal(d) * 1e300,
+    ]
+
+
+class TestTargetMean:
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 768])
+    def test_identity_bitwise_equal_to_matvec(self, d):
+        world = ToyWorld.create(d, d, 1.0)
+        assert world._identity  # otherwise this compares the mat-vec with itself
+        eye = np.eye(d)
+        for y in conditions(d, seed=d):
+            assert world.target_mean(y).tobytes() == (eye @ y).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 768])
+    def test_identity_with_negative_zeros_off_diagonal(self, d):
+        A = np.where(np.eye(d) == 1.0, 1.0, -0.0)
+        world = ToyWorld(A, 1.0)
+        assert world._identity
+        for y in conditions(d, seed=d):
+            assert world.target_mean(y).tobytes() == (A @ y).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 768])
+    def test_other_maps_keep_matvec(self, d):
+        scaled = np.eye(d)
+        scaled[-1, -1] = 2.0
+        maps = [scaled, np.eye(d, d + 3), np.eye(d + 3, d),
+                ToyWorld.create(d, d + 3, 1.0, map_seed=d).condition_map]
+        if d > 1:  # at d=1 these two are the identity
+            maps += [np.eye(d)[::-1].copy(), np.eye(d) + np.eye(d, k=1)]
+        for A in maps:
+            world = ToyWorld(A, 1.0)
+            assert not world._identity
+            for y in conditions(A.shape[1], seed=d):
+                assert world.target_mean(y).tobytes() == (A @ y).tobytes()
+
+    def test_identity_rejects_wrong_length(self):
+        world = ToyWorld.create(4, 4, 1.0)
+        with pytest.raises(ValueError):
+            world.target_mean(np.zeros(5))
+
+    def test_map_is_read_only(self):
+        world = ToyWorld.create(3, 3, 1.0)
+        with pytest.raises(ValueError):
+            world.condition_map[0, 1] = 1.0
+
+
 class TestAnalyticEpsilon:
     def test_zero_mean_unit_std(self):
         w = ToyWorld(np.eye(3), 1.0)
