@@ -67,9 +67,21 @@ def _tree_key(args, ablation: bool) -> dict:
             "normalize": args.normalize}
 
 
-def _build_or_load_tree(args, prompts):
-    """Reuse a cached tree JSON when it was built the way this run would."""
+def _plan_tree(args, prompts, seed: int):
+    """The one tree ``plan``, ``simulate`` and ``sweep`` run on.
+
+    Under ``--ablation random-encodings`` it is the tree built on random
+    encodings drawn with ``seed`` and re-embedded with the real prompts: its
+    ids, parents and scores select the nodes, and real means condition
+    generation.  Otherwise a cached tree JSON is reused when it was built
+    the way this run would build one.
+    """
     cached = getattr(args, "tree", None)
+    if args.ablation is not None:
+        if cached:
+            raise UsageError("--tree cannot be combined with --ablation")
+        random_tree = tree_mod.build_tree(tree_mod.randomize_encodings(prompts, seed))
+        return tree_mod.reembed(random_tree, prompts)
     if cached and os.path.isfile(cached):
         with open(cached, "rb") as f:
             text = f.read()
@@ -110,13 +122,9 @@ def cmd_tree(args) -> int:
 
 def cmd_plan(args) -> int:
     prompts = _load_prompts(args)
-    tree = _build_or_load_tree(args, prompts)
+    tree = _plan_tree(args, prompts, args.seed if args.seed is not None else 0)
     params = planner.ScheduleParams(K=args.k, tau=args.tau, phi_variant=args.phi)
-    ablation_tree = None
-    if args.ablation == "random-encodings":
-        seed = args.seed if args.seed is not None else 0
-        ablation_tree = tree_mod.build_tree(tree_mod.randomize_encodings(prompts, seed))
-    plan = planner.compile_plan(tree, params, ablation_tree=ablation_tree)
+    plan = planner.compile_plan(tree, params)
     if args.output:
         _atomic_write(args.output, planner.plan_to_json(plan))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")
@@ -150,17 +158,9 @@ def _resolve_world(args, prompts):
 def cmd_simulate(args) -> int:
     prompts = _load_prompts(args)
     world, schedule, seed = _resolve_world(args, prompts)
-    tree = _build_or_load_tree(args, prompts)
+    tree = _plan_tree(args, prompts, seed)
     params = planner.ScheduleParams(K=schedule.K, tau=args.tau, phi_variant=args.phi)
-    ablation_tree = None
-    exec_tree = None
-    if args.ablation == "random-encodings":
-        ablation_tree = tree_mod.build_tree(tree_mod.randomize_encodings(prompts, seed))
-        exec_tree = tree_mod.reembed(ablation_tree, prompts)
-    plan, result, run_metrics = metrics.run_once(
-        prompts, tree, world, schedule, params, seed,
-        ablation_tree=ablation_tree, exec_tree=exec_tree,
-    )
+    plan, result, run_metrics = metrics.run_once(prompts, tree, world, schedule, params, seed)
     lines = []
     for pid in prompts.ids:
         out = result.outputs[pid]
@@ -186,7 +186,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --sweep list: {e}") from e
     if not taus:
         raise UsageError("--sweep needs at least one tau value")
-    rows = metrics.sweep_tau(prompts, world, schedule, taus, seed, phi_variant=args.phi)
+    tree = _plan_tree(args, prompts, seed)
+    rows = metrics.sweep_tau(prompts, tree, world, schedule, taus, seed, phi_variant=args.phi)
     csv_text = metrics.sweep_csv(rows, schedule.K, len(prompts))
     if args.output:
         _atomic_write(args.output, csv_text)

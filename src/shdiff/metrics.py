@@ -15,7 +15,7 @@ from .embeddings import PromptSet
 from .errors import UsageError
 from .planner import ScheduleParams, SharePlan, compile_plan
 from .rng import TAG_SAMPLE, stream
-from .tree import EmbeddingTree, build_tree
+from .tree import EmbeddingTree
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,11 @@ def diversity_pairwise_cosine(result: ExecutionResult, sample_cap: int = 100,
 
 
 def run_once(prompts: PromptSet, tree: EmbeddingTree, world: ToyWorld,
-             schedule: NoiseSchedule, params: ScheduleParams, master_seed: int,
-             ablation_tree: EmbeddingTree | None = None,
-             exec_tree: EmbeddingTree | None = None
+             schedule: NoiseSchedule, params: ScheduleParams, master_seed: int
              ) -> tuple[SharePlan, ExecutionResult, RunMetrics]:
     """Plan, execute, and summarize one configuration."""
-    plan = compile_plan(tree, params, ablation_tree=ablation_tree)
-    run_tree = exec_tree if exec_tree is not None else tree
-    result = execute_plan(plan, run_tree, world, schedule, master_seed)
+    plan = compile_plan(tree, params)
+    result = execute_plan(plan, tree, world, schedule, master_seed)
     metrics = RunMetrics(
         savings_fraction=plan.savings_fraction,
         mean_squared_error_to_target=quality_mse(result, world, prompts),
@@ -92,13 +89,12 @@ def run_once(prompts: PromptSet, tree: EmbeddingTree, world: ToyWorld,
     return plan, result, metrics
 
 
-def sweep_tau(prompts: PromptSet, world: ToyWorld, schedule: NoiseSchedule,
-              tau_values: list[float], master_seed: int,
+def sweep_tau(prompts: PromptSet, tree: EmbeddingTree, world: ToyWorld,
+              schedule: NoiseSchedule, tau_values: list[float], master_seed: int,
               phi_variant: str = "main") -> list[tuple[float, RunMetrics]]:
     """One full plan + execution per tau over a single shared tree and seed."""
     if not tau_values:
         raise UsageError("tau_values must be non-empty")
-    tree = build_tree(prompts)
     rows = []
     for tau in tau_values:
         params = ScheduleParams(K=schedule.K, tau=tau, phi_variant=phi_variant)

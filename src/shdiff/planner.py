@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DataError, UsageError
+from .errors import UsageError
 from .tree import EmbeddingTree, path_to_root
 
 FRESH = "FRESH"
@@ -32,8 +32,8 @@ class ScheduleParams:
     def __post_init__(self):
         if not 1 <= self.K <= MAX_K:
             raise UsageError(f"K must be in 1..{MAX_K}")
-        if self.tau < 0:
-            raise UsageError("tau must be >= 0")
+        if not 0 <= self.tau < float("inf"):  # NaN fails both comparisons
+            raise UsageError("tau must be finite and >= 0")
         if self.phi_variant not in (PHI_MAIN, PHI_APPENDIX):
             raise UsageError(f"unknown phi variant {self.phi_variant!r}")
 
@@ -120,49 +120,29 @@ def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: SchedulePar
     return path[_select_on_path(path, scores, phi(k, params))]
 
 
-def compile_plan(
-    tree: EmbeddingTree,
-    params: ScheduleParams,
-    ablation_tree: EmbeddingTree | None = None,
-) -> SharePlan:
+def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
     """Compile the full per-step assignment, active sets, and inherit edges.
 
-    With an ablation tree, selection runs on the ablation tree's structure
-    and scores (its node ids populate the plan); generation embeddings are
-    later taken from real leaf means via shared membership (see tree.reembed).
+    Selection on a shared root-first prefix depends only on that prefix, so
+    every prompt on node n at step k was on the same node at step k-1: the
+    nearest node at or above n active at k-1.  Each inherit edge is
+    therefore a prompt's previous node.
     """
-    sel_tree = tree
-    if ablation_tree is not None:
-        if set(ablation_tree.leaf_of) != set(tree.leaf_of):
-            raise UsageError("ablation tree prompt ids do not match")
-        sel_tree = ablation_tree
-    prompt_ids = sorted(sel_tree.leaf_of)
+    prompt_ids = sorted(tree.leaf_of)
     k_count = params.K
     assignment: dict[str, tuple[int, ...]] = {}
     phis = [phi(k, params) for k in range(1, k_count + 1)]
     for pid in prompt_ids:
-        path = list(reversed(path_to_root(sel_tree, pid)))
-        scores = [sel_tree.node(n).score for n in path]
+        path = list(reversed(path_to_root(tree, pid)))
+        scores = [tree.node(n).score for n in path]
         assignment[pid] = _select_all_steps(path, scores, phis)
     steps: list[PlanStep] = []
-    prev_active: frozenset[int] = frozenset()
     total = 0
     for ki in range(k_count):
-        active = frozenset(assignment[pid][ki] for pid in prompt_ids)
-        inherit: dict[int, int | str] = {}
-        for node in active:
-            if ki == 0:
-                inherit[node] = FRESH
-            else:
-                cur: int | None = node
-                while cur is not None and cur not in prev_active:
-                    cur = sel_tree.node(cur).parent
-                if cur is None:
-                    raise DataError(f"no active ancestor for node {node} at step {ki + 1}")
-                inherit[node] = cur
-        steps.append(PlanStep(k=ki + 1, active=active, inherit=inherit))
-        prev_active = active
-        total += len(active)
+        inherit: dict[int, int | str] = {
+            nodes[ki]: nodes[ki - 1] if ki else FRESH for nodes in assignment.values()}
+        steps.append(PlanStep(k=ki + 1, active=frozenset(inherit), inherit=inherit))
+        total += len(inherit)
     baseline = k_count * len(prompt_ids)
     return SharePlan(
         K=k_count,

@@ -8,9 +8,10 @@ import pytest
 
 from shdiff.cli import main
 from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, world_to_json
-from shdiff.embeddings import PromptSet, load_prompt_set, save_prompt_set
+from shdiff.embeddings import PromptSet, generate_synthetic, load_prompt_set, save_prompt_set
+from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import ScheduleParams, compile_plan
-from shdiff.tree import build_tree
+from shdiff.tree import build_tree, randomize_encodings, reembed
 
 
 @pytest.fixture
@@ -323,6 +324,22 @@ class TestSimulate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == samples_sha
         assert hashlib.sha256(met.read_bytes()).hexdigest() == metrics_sha
 
+    def test_ablation_outputs_pinned(self, tmp_path):
+        prompts, plan, out, met = (tmp_path / n for n in ("p.jsonl", "plan.json",
+                                                          "s.jsonl", "m.json"))
+        assert main(["synth", "--clusters", "8", "--per-cluster", "8", "--dim", "64",
+                     "--jitter", "0.1", "--seed", "13", "--output", str(prompts)]) == 0
+        ablation = ["--input", str(prompts), "--k", "40", "--tau", "1.0",
+                    "--ablation", "random-encodings", "--seed", "2"]
+        assert main(["plan", *ablation, "--output", str(plan)]) == 0
+        assert main(["simulate", *ablation, "--target-std", "0.5",
+                     "--output", str(out), "--metrics", str(met)]) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (plan, out, met)] == [
+            "5634d2bd432798f1d320077a7bfda26a241555a238cf21298c6e3d1f6523b81e",
+            "9f20984bef3e95717e1ad0ffa71846164d9ca3e4c163b74bb98c0f69e3f8662a",
+            "0a3970d7022957824dc7796b8acebc5e0c05885fe8d9ea0be5648244e8cebd36",
+        ]
+
 
 class TestSweep:
     def test_csv_to_stdout(self, prompts_file, capsys):
@@ -354,6 +371,45 @@ class TestSweep:
                    "--schedule", "linear-beta", "--sweep", "0.5"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("tau,")
+
+    def test_ablation_sweeps_reembedded_random_tree(self, tmp_path, capsys):
+        ps = generate_synthetic(4, 6, 16, 0.05, seed=3)
+        prompts = tmp_path / "p.jsonl"
+        save_prompt_set(ps, str(prompts))
+        argv = ["sweep", "--input", str(prompts), "--k", "20", "--target-std", "0.5",
+                "--seed", "4", "--sweep", "0.5,1,2"]
+        assert main(argv + ["--ablation", "random-encodings"]) == 0
+        ablated = capsys.readouterr().out
+        tree = reembed(build_tree(randomize_encodings(ps, 4)), ps)
+        world, schedule = ToyWorld.create(16, 16, 0.5), make_schedule(20)
+        rows = [(tau, run_once(ps, tree, world, schedule, ScheduleParams(K=20, tau=tau), 4)[2])
+                for tau in (0.5, 1.0, 2.0)]
+        assert ablated == sweep_csv(rows, 20, len(ps))
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        savings = [[row.split(",")[5] for row in text.splitlines()[1:]]
+                   for text in (ablated, plain)]
+        assert savings[0] != savings[1]
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
+@pytest.mark.parametrize("tau", ["inf", "nan"])
+def test_non_finite_tau_exit_2(prompts_file, tmp_path, capsys, command, tau):
+    flag = "--sweep" if command == "sweep" else "--tau"
+    argv = [command, "--input", prompts_file, "--k", "10", flag, tau,
+            "--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "tau must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_tree_with_ablation_exit_2(prompts_file, tmp_path, capsys, command):
+    tree_path = tmp_path / "tree.json"
+    main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+    capsys.readouterr()
+    assert main([command, "--input", prompts_file, "--tree", str(tree_path),
+                 "--ablation", "random-encodings", "--output", str(tmp_path / "out")]) == 2
+    assert "--tree cannot be combined with --ablation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])

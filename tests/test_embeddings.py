@@ -91,7 +91,7 @@ class TestIO:
         # save -> load -> save is byte stable
         path2 = str(tmp_path / "p2.jsonl")
         save_prompt_set(back, path2, "jsonl")
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
 
     def test_jsonl_small(self, tmp_path):
         path = tmp_path / "two.jsonl"
@@ -171,7 +171,7 @@ class TestIO:
         assert np.array_equal(back.embeddings, ps.embeddings)
         path2 = str(tmp_path / "p2.bin")
         save_prompt_set(back, path2, "binary")
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "p2.bin").read_bytes()
 
     def test_binary_header(self, tmp_path):
         path = tmp_path / "h.bin"

@@ -135,27 +135,27 @@ class TestRunOnce:
 
 class TestSweep:
     def test_savings_monotone_in_tau(self):
-        ps, _, world, sch = setup(N_clusters=3, per=8, d=16)
+        ps, tree, world, sch = setup(N_clusters=3, per=8, d=16)
         taus = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
-        rows = sweep_tau(ps, world, sch, taus, master_seed=0)
+        rows = sweep_tau(ps, tree, world, sch, taus, master_seed=0)
         savings = [m.savings_fraction for _, m in rows]
         assert savings[0] == 0.0
         assert all(s1 >= s0 for s0, s1 in zip(savings, savings[1:]))
         assert savings[-1] > 0.0
 
     def test_single_tau(self):
-        ps, _, world, sch = setup(N_clusters=2, per=2, d=8)
-        rows = sweep_tau(ps, world, sch, [0.5], master_seed=0)
+        ps, tree, world, sch = setup(N_clusters=2, per=2, d=8)
+        rows = sweep_tau(ps, tree, world, sch, [0.5], master_seed=0)
         assert len(rows) == 1 and rows[0][0] == 0.5
 
     def test_empty_taus(self):
-        ps, _, world, sch = setup(N_clusters=2, per=2, d=8)
+        ps, tree, world, sch = setup(N_clusters=2, per=2, d=8)
         with pytest.raises(UsageError):
-            sweep_tau(ps, world, sch, [], master_seed=0)
+            sweep_tau(ps, tree, world, sch, [], master_seed=0)
 
     def test_csv_shape_and_stability(self):
-        ps, _, world, sch = setup(N_clusters=2, per=4, d=8)
-        rows = sweep_tau(ps, world, sch, [0.0, 1.0], master_seed=0)
+        ps, tree, world, sch = setup(N_clusters=2, per=4, d=8)
+        rows = sweep_tau(ps, tree, world, sch, [0.0, 1.0], master_seed=0)
         text = sweep_csv(rows, K=sch.K, N=len(ps))
         lines = text.splitlines()
         assert lines[0] == "tau,K,N,evaluations,baseline,savings,quality,diversity"
@@ -164,7 +164,7 @@ class TestSweep:
         assert first[1] == "20" and first[2] == "8"
         assert float(first[4]) == 20 * 8
         # byte-stable across repeated sweeps
-        rows2 = sweep_tau(ps, world, sch, [0.0, 1.0], master_seed=0)
+        rows2 = sweep_tau(ps, tree, world, sch, [0.0, 1.0], master_seed=0)
         assert sweep_csv(rows2, K=sch.K, N=len(ps)) == text
 
 

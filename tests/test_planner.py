@@ -17,7 +17,7 @@ from shdiff.planner import (
     savings_report,
     select_node,
 )
-from shdiff.tree import build_tree, path_to_root, randomize_encodings
+from shdiff.tree import build_tree, path_to_root, randomize_encodings, reembed
 
 
 def duplicated_set(n):
@@ -57,8 +57,9 @@ class TestPhi:
         for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
             with pytest.raises(UsageError):
                 ScheduleParams(K=k, tau=1.0)
-        with pytest.raises(UsageError):
-            ScheduleParams(K=10, tau=-0.5)
+        for tau in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(UsageError, match="tau must be finite and >= 0"):
+                ScheduleParams(K=10, tau=tau)
 
 
 class TestSelectNode:
@@ -118,6 +119,18 @@ class TestCompilePlan:
                 for pid in tree.leaf_of:
                     assert list(plan.assignment[pid]) == \
                         [select_node(tree, pid, k, params) for k in range(1, K + 1)]
+                # each state comes from the nearest ancestor-or-self active a step earlier
+                prev = None
+                for step in plan.steps:
+                    for node, src in step.inherit.items():
+                        if prev is None:
+                            assert src == FRESH
+                            continue
+                        cur = node
+                        while cur is not None and cur not in prev:
+                            cur = tree.nodes[cur].parent
+                        assert src == cur
+                    prev = step.active
 
     def test_two_prompt_half_share(self, pair_tree):
         for K in (8, 40, 100):
@@ -204,21 +217,15 @@ class TestCompilePlan:
                   for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5)]
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
-    def test_ablation_id_mismatch(self):
-        ps = generate_synthetic(2, 2, 8, 0.1, seed=1)
-        other = generate_synthetic(2, 3, 8, 0.1, seed=1)
-        with pytest.raises(UsageError):
-            compile_plan(build_tree(ps), ScheduleParams(K=5, tau=1.0),
-                         ablation_tree=build_tree(other))
-
     def test_ablation_uses_ablation_structure(self):
         ps = generate_synthetic(4, 8, 32, 0.02, seed=2)
         tree = build_tree(ps)
         abl = build_tree(randomize_encodings(ps, seed=0))
         plan_true = compile_plan(tree, ScheduleParams(K=40, tau=1.0))
-        plan_abl = compile_plan(tree, ScheduleParams(K=40, tau=1.0), ablation_tree=abl)
+        plan_abl = compile_plan(reembed(abl, ps), ScheduleParams(K=40, tau=1.0))
         assert plan_abl.savings_fraction < plan_true.savings_fraction
-        # plan node ids refer to the ablation tree
+        # the re-embedded tree keeps the random tree's node ids, parents and scores
+        assert plan_abl == compile_plan(abl, ScheduleParams(K=40, tau=1.0))
         for pid, nodes in plan_abl.assignment.items():
             path = set(path_to_root(abl, pid))
             assert all(n in path for n in nodes)
