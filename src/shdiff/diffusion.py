@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,17 @@ CURVE_LINEAR_BETA = "linear_beta"
 _BETA_MAX = 0.999
 
 
+class Coefficients(NamedTuple):
+    """The scalars of one noise level t, as Python floats."""
+
+    alpha_bar: float
+    root_ab: float  # sqrt(alpha_bar)
+    root_one_minus_ab: float  # sqrt(1 - alpha_bar)
+    a: float
+    b: float
+    sigma: float
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     K: int
@@ -42,6 +54,18 @@ class NoiseSchedule:
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
+    coefficients: tuple[Coefficients, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Build the per-t coefficient table, with the arrays made read-only
+        so that it cannot go stale.  sqrt is correctly rounded, so the
+        array-wide roots have the bits of per-step np.sqrt calls."""
+        for arr in (self.alpha_bar, self.beta, self.a, self.b, self.sigma):
+            arr.flags.writeable = False
+        ab = self.alpha_bar
+        columns = (ab, np.sqrt(ab), np.sqrt(1.0 - ab), self.a, self.b, self.sigma)
+        object.__setattr__(self, "coefficients", tuple(
+            map(Coefficients._make, zip(*(c.tolist() for c in columns)))))
 
 
 def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSINE) -> NoiseSchedule:
@@ -145,6 +169,15 @@ def noise_forward(x0: np.ndarray, alpha_bar_k: float, epsilon: np.ndarray) -> np
     return np.sqrt(alpha_bar_k) * x0 + np.sqrt(1.0 - alpha_bar_k) * epsilon
 
 
+def _epsilon(x_k: np.ndarray, mu: np.ndarray, ab: float, root_ab: float,
+             root_one_minus_ab: float, s2: float) -> np.ndarray:
+    # x_k and mu are float64 arrays: Python-float coefficients are weak
+    # scalars under NEP 50 and would leave a float32 array in float32.
+    gain = root_ab * s2 / (ab * s2 + 1.0 - ab)
+    x0_hat = mu + gain * (x_k - root_ab * mu)
+    return (x_k - root_ab * x0_hat) / root_one_minus_ab
+
+
 def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
                      mu: np.ndarray) -> np.ndarray:
     """Optimal noise prediction E[eps | x_k] for the Gaussian target with
@@ -156,34 +189,36 @@ def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
     """
     if not 0.0 < alpha_bar_k < 1.0:
         raise UsageError("alpha_bar must be in (0, 1)")
-    x_k = np.asarray(x_k, dtype=np.float64)
-    s2 = world.target_std ** 2
-    root_ab = np.sqrt(alpha_bar_k)
-    gain = root_ab * s2 / (alpha_bar_k * s2 + 1.0 - alpha_bar_k)
-    x0_hat = mu + gain * (x_k - root_ab * mu)
-    return (x_k - root_ab * x0_hat) / np.sqrt(1.0 - alpha_bar_k)
+    return _epsilon(np.asarray(x_k, dtype=np.float64), np.asarray(mu, dtype=np.float64),
+                    alpha_bar_k, np.sqrt(alpha_bar_k), np.sqrt(1.0 - alpha_bar_k),
+                    world.target_std ** 2)
 
 
 def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray,
                  schedule: NoiseSchedule, world: ToyWorld,
                  noise_source: np.random.Generator | None = None) -> np.ndarray:
     """One reverse update at plan step k (1..K, noise-to-clean order) toward
-    the target mean mu = world.target_mean(condition)."""
+    the target mean mu = world.target_mean(condition).  The scalars come
+    from the schedule's coefficient table, not from per-call arithmetic."""
     if not 1 <= k <= schedule.K:
         raise UsageError(f"step {k} outside 1..{schedule.K}")
     t = schedule.K - k + 1
-    ab = schedule.alpha_bar[t]
-    ab_prev = schedule.alpha_bar[t - 1]
-    eps_hat = analytic_epsilon(world, x_k, ab, mu)
+    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t]
+    if not 0.0 < ab < 1.0:
+        raise UsageError("alpha_bar must be in (0, 1)")
+    x_k = np.asarray(x_k, dtype=np.float64)
+    eps_hat = _epsilon(x_k, np.asarray(mu, dtype=np.float64), ab, root_ab, root_one_minus_ab,
+                       world.target_std ** 2)
     if schedule.variant == DETERMINISTIC:
-        x0_hat = (np.asarray(x_k, dtype=np.float64) - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-        return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
-    mean = schedule.a[t] * np.asarray(x_k, dtype=np.float64) - schedule.b[t] * eps_hat
-    if schedule.sigma[t] == 0.0:
+        prev = schedule.coefficients[t - 1]
+        x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
+        return prev.root_ab * x0_hat + prev.root_one_minus_ab * eps_hat
+    mean = a * x_k - b * eps_hat
+    if sigma == 0.0:
         return mean
     if noise_source is None:
         raise UsageError("ancestral step needs a noise source")
-    return mean + schedule.sigma[t] * noise_source.standard_normal(x_k.shape[0])
+    return mean + sigma * noise_source.standard_normal(x_k.shape[0])
 
 
 @dataclass(frozen=True)
@@ -215,6 +250,12 @@ def _validate(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         raise UsageError("tree embedding dimension does not match world condition map")
 
 
+def _key_pairs(*parts) -> list[tuple[int, int]]:
+    """``stream_keys`` over a batch, as (lo, hi) pairs of Python ints."""
+    lo, hi = stream_keys(*parts)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
                  schedule: NoiseSchedule, master_seed: int) -> ExecutionResult:
     """Run the shared-step plan; each (node, step) is evaluated exactly once.
@@ -237,9 +278,9 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     for step in plan.steps:
         nodes = sorted(step.active)
         fresh = [n for n in nodes if step.inherit[n] == FRESH]
-        init_keys = dict(zip(fresh, zip(*stream_keys(master_seed, TAG_INIT, fresh))))
+        init_keys = dict(zip(fresh, _key_pairs(master_seed, TAG_INIT, fresh)))
         if ancestral:
-            noise_keys = dict(zip(nodes, zip(*stream_keys(master_seed, TAG_STEP, nodes, step.k))))
+            noise_keys = dict(zip(nodes, _key_pairs(master_seed, TAG_STEP, nodes, step.k)))
         cur = {}
         for node in nodes:
             src = step.inherit[node]

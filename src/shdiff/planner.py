@@ -72,8 +72,8 @@ class SharePlan:
     savings_fraction: float
 
 
-def _select_on_path(path_root_first: list, scores: list[float], phi_k: float) -> int:
-    """Index into the root-first path of the selected node.
+def _select_on_path(scores: list[float], phi_k: float) -> int:
+    """Index of the selected node, given the scores along a root-first path.
 
     A node is eligible when its parent's score is >= phi_k (the root's
     virtual parent has score +inf).  Scores are monotone non-increasing
@@ -94,12 +94,13 @@ def _select_on_path(path_root_first: list, scores: list[float], phi_k: float) ->
 
 def _select_all_steps(path_root_first: list, scores: list[float],
                       phis: list[float]) -> tuple[int, ...]:
-    """The node ``_select_on_path`` picks at each phi, in one walk.
+    """The node selected at each phi, in one walk.
 
     phi never rises with k (it is a rounded linear ramp), so the eligible
     prefix only grows: extend it while the last eligible node's score is
-    >= phi_k and keep the first strict minimum seen.  The result equals
-    ``_select_on_path`` for any scores, monotone or not.
+    >= phi_k and keep the first strict minimum seen.  Each entry equals
+    ``path_root_first[_select_on_path(scores, phi_k)]`` for any scores,
+    monotone or not.
     """
     out = []
     end = 1  # the root is always eligible
@@ -117,7 +118,7 @@ def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: SchedulePar
     """Tree node whose mean embedding conditions step k for this prompt."""
     path = list(reversed(path_to_root(tree, prompt_id)))  # root first
     scores = [tree.node(n).score for n in path]
-    return path[_select_on_path(path, scores, phi(k, params))]
+    return path[_select_on_path(scores, phi(k, params))]
 
 
 def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:

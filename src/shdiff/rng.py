@@ -68,6 +68,9 @@ def stream(*parts: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+_ZEROS = (0, 0, 0, 0)
+
+
 def rekey(gen: np.random.Generator, lo, hi) -> None:
     """Reset a Philox generator to the start of the stream keyed (lo, hi).
 
@@ -75,12 +78,16 @@ def rekey(gen: np.random.Generator, lo, hi) -> None:
     draws exactly what a fresh ``stream`` with that key would draw, whatever
     it drew before: the counter restarts at 0 and the buffered output words
     and any half-used 64-bit word are dropped.
+
+    ``lo`` and ``hi`` are the key words, each a Python int in 0..2**64-1
+    (as ``stream_key`` or ``.tolist()`` of ``stream_keys`` give) or a 0-d
+    uint64 array (as ``stream_keys`` gives for int parts).  Plain ints are
+    the cheap case: no array is built.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([lo, hi], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS, "key": (lo, hi)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

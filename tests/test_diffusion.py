@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestSchedule:
             sch = make_schedule(K, ANCESTRAL, CURVE_COSINE)
             for arr in (sch.a, sch.b, sch.sigma, sch.alpha_bar):
                 assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("name", ["alpha_bar", "beta", "a", "b", "sigma"])
+    def test_arrays_read_only(self, name):
+        for variant in (DETERMINISTIC, ANCESTRAL):
+            arr = getattr(make_schedule(5, variant), name)
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
 
     def test_bad_k(self):
         for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
@@ -245,6 +253,45 @@ class TestDenoiseStep:
         assert np.all(mean_err < 3 * s / np.sqrt(1000))
         var = finals.var(axis=0)
         assert np.all(np.abs(var - s ** 2) < 0.15 * s ** 2)
+
+
+# sha256 of every denoise_step output over the grid below and of
+# analytic_epsilon at every schedule alpha_bar, computed with the per-call
+# np.sqrt coefficients the executor first shipped with.
+COEFFICIENT_GRID_SHA256 = "2421bf7c910bf0799f8ff9893406fbf66f33f457b158d08190fae7c7e1ef70d5"
+
+
+def coefficient_grid_digest():
+    h = hashlib.sha256()
+
+    def add(out):
+        h.update(out.dtype.str.encode())
+        h.update(out.tobytes())
+
+    m = 5
+    rng = np.random.default_rng(17)
+    for variant, curve, std, K in itertools.product(
+            (DETERMINISTIC, ANCESTRAL), (CURVE_COSINE, CURVE_LINEAR_BETA),
+            (0.0, 0.5, 1.0, 1), (1, 2, 40, 200)):
+        sch = make_schedule(K, variant, curve)
+        world = ToyWorld(np.eye(m), std)
+        xs = rng.standard_normal((K, m)) * 3.0
+        mus = rng.standard_normal((K, m))
+        for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
+            for k in range(1, K + 1):
+                noise = stream(23, TAG_STEP, 0, k) if variant == ANCESTRAL else None
+                add(denoise_step(xs[k - 1].astype(x_type), k, mus[k - 1].astype(mu_type),
+                                 sch, world, noise))
+        for t in range(1, K + 1):
+            for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
+                add(analytic_epsilon(world, xs[t - 1].astype(x_type), sch.alpha_bar[t],
+                                     mus[t - 1].astype(mu_type)))
+    return h.hexdigest()
+
+
+class TestCoefficientTable:
+    def test_outputs_pinned(self):
+        assert coefficient_grid_digest() == COEFFICIENT_GRID_SHA256
 
 
 def replay_trace(output, tree, world, schedule):

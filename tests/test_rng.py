@@ -45,11 +45,15 @@ def test_rekey_after_draws_matches_fresh_stream():
     gen = stream(9, 9)
     gen.standard_normal(5)
     gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word
-    for parts in ((101, TAG_STEP, 7, 3), (-1, TAG_INIT, 0), (2**64 + 5, TAG_STEP, 3, 200)):
-        rekey(gen, *stream_keys(*parts))
-        assert np.array_equal(gen.standard_normal(64), stream(*parts).standard_normal(64))
-        gen.integers(0, 2**32, size=1, dtype=np.uint32)
-        rekey(gen, *stream_keys(*parts))
-        assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
-                              stream(*parts).integers(0, 2**32, size=5, dtype=np.uint32))
-        gen.integers(0, 2**32, size=1, dtype=np.uint32)
+    keyed = ((101, TAG_STEP, 7, 3), (-1, TAG_INIT, 0), (2**64 + 5, TAG_STEP, 3, 200))
+    assert any(word >= 2**63 for parts in keyed for word in stream_key(*parts))
+    for parts in keyed:
+        # Python ints, and the 0-d uint64 arrays of stream_keys
+        for key in (stream_key(*parts), stream_keys(*parts)):
+            rekey(gen, *key)
+            assert np.array_equal(gen.standard_normal(64), stream(*parts).standard_normal(64))
+            gen.integers(0, 2**32, size=1, dtype=np.uint32)
+            rekey(gen, *key)
+            assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
+                                  stream(*parts).integers(0, 2**32, size=5, dtype=np.uint32))
+            gen.integers(0, 2**32, size=1, dtype=np.uint32)
