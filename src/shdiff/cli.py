@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -22,13 +23,17 @@ from .embeddings import generate_synthetic, load_prompt_set, save_prompt_set
 from .errors import DataError, UsageError
 
 
-def _atomic_write(path: str, data: str | bytes) -> None:
+def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
+    """Write data, or each string an iterable yields in turn, to a temp file
+    beside path and rename it over path; if anything raises, path is left
+    as it was and the temp file is removed."""
     mode = "wb" if isinstance(data, bytes) else "w"
+    chunks = (data,) if isinstance(data, (str, bytes)) else data
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".shdiff-tmp-")
     try:
         with os.fdopen(fd, mode) as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -161,15 +166,12 @@ def cmd_simulate(args) -> int:
     tree = _plan_tree(args, prompts, seed)
     params = planner.ScheduleParams(K=schedule.K, tau=args.tau, phi_variant=args.phi)
     plan, result, run_metrics = metrics.run_once(prompts, tree, world, schedule, params, seed)
-    lines = []
-    for pid in prompts.ids:
-        out = result.outputs[pid]
-        lines.append(json.dumps({
-            "id": pid,
-            "sample": out.sample.astype(np.float32).tolist(),
-            "trace": [[node, k] for node, k in out.trace],
-        }))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    # One line at a time, so the file is never held in memory whole.
+    _atomic_write(args.output, (json.dumps({
+        "id": pid,
+        "sample": result.outputs[pid].sample.astype(np.float32).tolist(),
+        "trace": [[node, k] for node, k in result.outputs[pid].trace],
+    }) + "\n" for pid in prompts.ids))
     mpath = args.metrics or (os.path.splitext(args.output)[0] + ".metrics.json")
     _atomic_write(mpath, metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")

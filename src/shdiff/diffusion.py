@@ -44,7 +44,7 @@ class Coefficients(NamedTuple):
     sigma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class NoiseSchedule:
     K: int
     variant: str
@@ -54,7 +54,7 @@ class NoiseSchedule:
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
-    coefficients: tuple[Coefficients, ...] = field(init=False, repr=False, compare=False)
+    coefficients: tuple[Coefficients, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         """Build the per-t coefficient table, with the arrays made read-only
@@ -108,7 +108,7 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
                          beta=beta, a=a, b=b, sigma=sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class ToyWorld:
     """Conditional Gaussian target N(A*condition, target_std^2 I).
 
@@ -118,7 +118,7 @@ class ToyWorld:
     condition_map: np.ndarray = field(repr=False)  # (m, d), made read-only
     target_std: float
     map_seed: int | None = None
-    _identity: bool = field(init=False, repr=False, compare=False)
+    _identity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.condition_map)):
@@ -225,8 +225,12 @@ def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray,
 class GenerationOutput:
     prompt_id: str
     sample: np.ndarray = field(repr=False)
-    trace: tuple[tuple[int, int], ...]  # (node_id, k) per step
-    seed: int
+    nodes: tuple[int, ...]  # node id conditioning each step k = 1, 2, ...
+
+    @property
+    def trace(self) -> tuple[tuple[int, int], ...]:
+        """(node_id, k) per step."""
+        return tuple(zip(self.nodes, range(1, len(self.nodes) + 1)))
 
 
 @dataclass(frozen=True)
@@ -296,14 +300,8 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         # Only step k-1 states can be inherited, so the frontier is all we keep.
         prev = cur
         calls += len(prev)
-    outputs = {}
-    for pid, nodes in plan.assignment.items():
-        outputs[pid] = GenerationOutput(
-            prompt_id=pid,
-            sample=prev[nodes[-1]],
-            trace=tuple(zip(nodes, range(1, plan.K + 1))),
-            seed=master_seed,
-        )
+    outputs = {pid: GenerationOutput(pid, prev[nodes[-1]], nodes)
+               for pid, nodes in plan.assignment.items()}
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
 
 
@@ -323,15 +321,13 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
         leaf = tree.leaf_of[pid]
         x = stream(master_seed, TAG_INIT, leaf).standard_normal(m)
         mu = world.target_mean(tree.nodes[leaf].embedding)
-        trace = []
         for k in range(1, k_stop + 1):
             noise = None
             if schedule.variant == ANCESTRAL:
                 noise = stream(master_seed, TAG_STEP, leaf, k)
             x = denoise_step(x, k, mu, schedule, world, noise)
-            trace.append((leaf, k))
             calls += 1
-        outputs[pid] = GenerationOutput(pid, x, tuple(trace), master_seed)
+        outputs[pid] = GenerationOutput(pid, x, (leaf,) * k_stop)
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
 
 

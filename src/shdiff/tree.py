@@ -394,16 +394,17 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
 
 
 def _embedding_block(doc: dict, n: int) -> np.ndarray:
-    """The (n, dimension) float64 rows of the document's ``embeddings`` block."""
+    """The (n, dimension) float64 rows of the document's ``embeddings`` block,
+    a read-only view of the decoded bytes.  The base64 text is popped from
+    the document, so it is freed once decoded."""
     d = doc["dimension"]
     if type(d) is not int or d < 1:
         raise DataError(f"malformed tree JSON: dimension {d!r} is not a positive int")
-    raw = base64.b64decode(doc["embeddings"], validate=True)
+    raw = base64.b64decode(doc.pop("embeddings"), validate=True)
     if len(raw) != n * d * 8:
         raise DataError(f"malformed tree JSON: embeddings block holds {len(raw)} bytes, "
                         f"not {n} x {d} float64 values")
-    # astype copies into a writable array in native byte order
-    block = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, d)
+    block = np.frombuffer(raw, dtype="<f8").reshape(n, d)
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise DataError(f"malformed tree JSON: node {int(np.argmin(finite))} embedding "
@@ -415,7 +416,7 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     """Parse a tree JSON document, raising DataError unless it is one valid tree.
 
     A document in another layout raises TreeFormatError, before anything
-    else is checked.
+    else is checked.  Node embeddings are read-only rows of one block.
     """
     try:
         doc = json.loads(text)
@@ -451,13 +452,22 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
             )
         root = _node_index(doc["root"], n, "root")
         _check_tree(nodes, root)
+        c_max = doc["c_max"]
+        if type(c_max) not in (int, float) or c_max != nodes[root].score:
+            raise DataError(f"malformed tree JSON: c_max {c_max!r} is not the root's score")
+        # A clamped node is one whose score fell below its merge distance.
+        inversions = doc["inversion_count"]
+        if type(inversions) is not int or \
+                inversions != sum(node.score < node.raw_score for node in nodes):
+            raise DataError(f"malformed tree JSON: inversion_count {inversions!r} is not "
+                            "the number of clamped scores")
         leaf_of = {next(iter(node.members)): node.node_id for node in nodes if node.is_leaf}
         return EmbeddingTree(
             nodes=nodes,
             root=root,
             leaf_of=leaf_of,
-            c_max=float(doc["c_max"]),
-            inversion_count=int(doc["inversion_count"]),
+            c_max=nodes[root].score,
+            inversion_count=inversions,
             provenance={k: v for k, v in doc.items() if k not in _TREE_KEYS},
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -276,11 +276,12 @@ def test_11_shared_execution_equals_per_prompt_trace_replay():
     world = ToyWorld(np.eye(16), 0.8)
     plan = compile_plan(tree, ScheduleParams(K=30, tau=1.0))
     ok = True
+    seed = 5
     for variant in (DETERMINISTIC, ANCESTRAL):
         sch = make_schedule(30, variant, CURVE_COSINE)
-        result = execute_plan(plan, tree, world, sch, master_seed=5)
+        result = execute_plan(plan, tree, world, sch, master_seed=seed)
         ok = ok and all(
-            np.array_equal(out.sample, replay_trace(out, tree, world, sch))
+            np.array_equal(out.sample, replay_trace(out, tree, world, sch, seed))
             for out in result.outputs.values()
         )
     check(

@@ -1,11 +1,14 @@
 import base64
+import errno
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shdiff import cli
 from shdiff.cli import main
 from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, world_to_json
 from shdiff.embeddings import PromptSet, generate_synthetic, load_prompt_set, save_prompt_set
@@ -257,6 +260,29 @@ class TestSimulate:
         first = out.read_bytes()
         main(args)
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("existing", [None, b"old samples\n"], ids=["new", "existing"])
+    def test_failed_write_leaves_no_file(self, prompts_file, tmp_path, monkeypatch, existing):
+        # the third samples line fails, as a full disk would, after two were written
+        out = tmp_path / "samples.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        written = []
+
+        def dumps(obj):
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(obj["id"])
+            return json.dumps(obj)
+
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+        assert main(["simulate", "--input", prompts_file, "--output", str(out),
+                     "--metrics", str(tmp_path / "m.json"), "--k", "10"]) == 3
+        assert written == ["a", "b"]
+        left = {"prompts.jsonl"} | ({"samples.jsonl"} if existing is not None else set())
+        assert {p.name for p in tmp_path.iterdir()} == left
+        if existing is not None:
+            assert out.read_bytes() == existing
 
     def test_samples_are_float32_rounded_values(self, prompts_file, tmp_path):
         out = tmp_path / "samples.jsonl"

@@ -93,6 +93,15 @@ class TestSchedule:
                 make_schedule(k)
 
 
+@pytest.mark.parametrize("make", [lambda: make_schedule(5), lambda: ToyWorld.create(3, 3, 1.0)],
+                         ids=["NoiseSchedule", "ToyWorld"])
+def test_compared_and_hashed_by_identity(make):
+    # array fields have no single truth value, so field-wise == would raise
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 class TestNoiseForward:
     def test_no_noise(self):
         x0 = np.array([1.0, 2.0])
@@ -294,14 +303,13 @@ class TestCoefficientTable:
         assert coefficient_grid_digest() == COEFFICIENT_GRID_SHA256
 
 
-def replay_trace(output, tree, world, schedule):
+def replay_trace(output, tree, world, schedule, seed):
     """Independent oracle: rerun one prompt's own trace with no sharing.
 
     Starts from the first traced node's initial noise and applies one
     denoising step per traced (node, k), drawing ancestral noise from the
     (seed, node, k) stream, exactly as a lone run along that trace would.
     """
-    seed = output.seed
     x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(world.data_dimension)
     for node, k in output.trace:
         noise = stream(seed, TAG_STEP, node, k) if schedule.variant == ANCESTRAL else None
@@ -387,7 +395,7 @@ class TestExecutePlan:
             res = execute_plan(plan, tree, world, sch, master_seed=seed)
             for pid in ps.ids:
                 out = res.outputs[pid]
-                assert np.array_equal(out.sample, replay_trace(out, tree, world, sch))
+                assert np.array_equal(out.sample, replay_trace(out, tree, world, sch, seed))
 
     def test_one_stream_per_execution(self, monkeypatch):
         ps, tree, world, sch, plan = toy_setup(clusters=3, variant=ANCESTRAL)

@@ -255,6 +255,14 @@ class TestTreeJson:
         back = tree_from_json(tree_to_json(t))
         for n, n2 in zip(t.nodes, back.nodes):
             assert np.array_equal(n.embedding.view(np.uint64), n2.embedding.view(np.uint64))
+            assert n2.embedding.dtype == np.float64 and not n2.embedding.flags.writeable
+
+    def test_inversions_survive_reload(self):
+        trees = [build_tree(random_prompt_set(12, 3, seed=s)) for s in range(40)]
+        assert any(t.inversion_count for t in trees)
+        for t in trees:
+            back = tree_from_json(tree_to_json(t))
+            assert (back.c_max, back.inversion_count) == (t.c_max, t.inversion_count)
 
     def test_layout(self):
         t = build_tree(random_prompt_set(4, 3, seed=1))
@@ -365,6 +373,12 @@ CORRUPTIONS = {
     "dimension 0": lambda doc: doc.update(dimension=0, embeddings=""),
     "dimension bool": _one_column_as(True),
     "no nodes": lambda doc: doc.update(nodes=[], root=0),
+    "c_max a string": lambda doc: doc.update(c_max="nan"),
+    "c_max a bool": lambda doc: doc.update(c_max=True),
+    "c_max not the root's score": lambda doc: doc.update(c_max=-5.0),
+    "inversion_count a string": lambda doc: doc.update(inversion_count="7"),
+    "inversion_count a float": lambda doc: doc.update(inversion_count=2.9),
+    "inversion_count one too many": lambda d: d.update(inversion_count=d["inversion_count"] + 1),
 }
 
 
