@@ -16,7 +16,6 @@ from .diffusion import (
     denoise_step,
     execute_plan,
     make_schedule,
-    noise_forward,
     run_standard,
 )
 from .embeddings import (

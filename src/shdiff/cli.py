@@ -65,11 +65,20 @@ def _load_prompts(args) -> "tuple":
     return prompts
 
 
-def _tree_key(args, ablation: bool) -> dict:
+def _tree_key(args) -> dict:
     """What a tree JSON records about how it was built; a cached tree is
-    reused only when every entry matches a plain build of the same input."""
-    return {"input_sha256": _file_sha256(args.input), "ablation": ablation,
-            "normalize": args.normalize}
+    reused only when every entry matches a build of the same input."""
+    return {"input_sha256": _file_sha256(args.input), "normalize": args.normalize}
+
+
+def _leaves_match(tree, prompts) -> bool:
+    """True if the tree's leaves are the prompts, each with its row bit for bit."""
+    if set(tree.leaf_of) != set(prompts.ids):
+        return False
+    rows = np.array([tree.nodes[tree.leaf_of[pid]].embedding for pid in prompts.ids],
+                    dtype=np.float32)
+    return rows.shape == prompts.embeddings.shape and \
+        np.array_equal(rows.view(np.uint32), prompts.embeddings.view(np.uint32))
 
 
 def _plan_tree(args, prompts, seed: int):
@@ -88,18 +97,16 @@ def _plan_tree(args, prompts, seed: int):
         random_tree = tree_mod.build_tree(tree_mod.randomize_encodings(prompts, seed))
         return tree_mod.reembed(random_tree, prompts)
     if cached and os.path.isfile(cached):
-        with open(cached, "rb") as f:
-            text = f.read()
         try:
-            tree = tree_mod.tree_from_json(text)
+            with open(cached, "rb") as f:
+                tree = tree_mod.tree_from_json(f.read())  # the text is freed on return
         except tree_mod.TreeFormatError:
             tree = None
         except DataError as e:
             raise DataError(f"{cached}: {e}") from e
         if tree is not None and all(tree.provenance.get(k) == v
-                                    for k, v in _tree_key(args, ablation=False).items()):
-            if set(tree.leaf_of) != set(prompts.ids) or \
-                    tree.nodes[tree.root].embedding.shape[0] != prompts.dimension:
+                                    for k, v in _tree_key(args).items()):
+            if not _leaves_match(tree, prompts):
                 raise DataError(f"{cached}: tree leaves or dimension do not match {args.input}")
             return tree
         print(f"warning: {cached} does not match input or options, rebuilding", file=sys.stderr)
@@ -107,8 +114,11 @@ def _plan_tree(args, prompts, seed: int):
 
 
 def cmd_tree(args) -> int:
-    prompts = _load_prompts(args)
     ablation = args.ablation == "random-encodings"
+    if ablation and args.output:
+        raise UsageError("--output cannot be combined with --ablation: "
+                         "no command reads an ablation tree")
+    prompts = _load_prompts(args)
     seed = args.seed if args.seed is not None else 0
     if ablation:
         built_from = tree_mod.randomize_encodings(prompts, seed)
@@ -116,7 +126,7 @@ def cmd_tree(args) -> int:
         built_from = prompts
     tree = tree_mod.build_tree(built_from)
     if args.output:
-        _atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args, ablation)))
+        _atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args)))
     label = " (ablation: random encodings)" if ablation else ""
     print(f"N: {len(prompts)}{label}")
     print(f"depth: {tree.depth()}")

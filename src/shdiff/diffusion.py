@@ -112,40 +112,50 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
 class ToyWorld:
     """Conditional Gaussian target N(A*condition, target_std^2 I).
 
-    target_std = 0 is the point-mass limit used by exact-convergence checks.
+    ``condition_map`` None is the identity on vectors of length
+    ``dimension``, which holds no d x d array.  target_std = 0 is the
+    point-mass limit used by exact-convergence checks.
     """
 
-    condition_map: np.ndarray = field(repr=False)  # (m, d), made read-only
+    condition_map: np.ndarray | None = field(repr=False)  # (m, d), made read-only
     target_std: float
     map_seed: int | None = None
-    _identity: bool = field(init=False, repr=False)
+    dimension: int | None = None  # of the identity map only
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.condition_map)):
-            raise UsageError("condition map must be finite")
+        A = self.condition_map
+        if (A is None) == (self.dimension is None):
+            raise UsageError("a world needs either a condition map or an identity dimension")
+        if A is None and self.dimension < 1:
+            raise UsageError("identity dimension must be >= 1")
+        if A is not None:
+            if not np.all(np.isfinite(A)):
+                raise UsageError("condition map must be finite")
+            A.flags.writeable = False
         if not (np.isfinite(self.target_std) and self.target_std >= 0):
             raise UsageError("target_std must be finite and >= 0")
-        A = self.condition_map
-        A.flags.writeable = False  # so the identity test below cannot go stale
-        object.__setattr__(self, "_identity", A.shape[0] == A.shape[1] == np.count_nonzero(A)
-                           and bool(np.all(A.diagonal() == 1)))
 
     @property
     def data_dimension(self) -> int:
-        return int(self.condition_map.shape[0])
+        A = self.condition_map
+        return self.dimension if A is None else int(A.shape[0])
 
     @property
     def embedding_dimension(self) -> int:
-        return int(self.condition_map.shape[1])
+        A = self.condition_map
+        return self.dimension if A is None else int(A.shape[1])
 
     def target_mean(self, condition: np.ndarray) -> np.ndarray:
-        """A @ condition.  An identity map is applied as condition + 0.0, which
-        has the mat-vec's bits for finite input (its sum starts at +0.0, so
-        -0.0 becomes +0.0) without the d x d pass."""
+        """A @ condition.  The identity is applied as condition + 0.0, which
+        has the bits of ``np.eye(d) @ condition`` for finite input (the
+        mat-vec's sum starts at +0.0, so -0.0 becomes +0.0)."""
         y = np.asarray(condition, dtype=np.float64)
-        if self._identity and y.shape == self.condition_map.shape[:1]:
-            return y + 0.0
-        return self.condition_map @ y
+        if self.condition_map is not None:
+            return self.condition_map @ y
+        if y.shape != (self.dimension,):
+            raise ValueError(f"condition of shape {y.shape} for the identity on "
+                             f"{self.dimension}-vectors")
+        return y + 0.0
 
     @classmethod
     def create(cls, data_dimension: int, embedding_dimension: int,
@@ -153,20 +163,10 @@ class ToyWorld:
         """Identity map when dimensions agree, else a seeded random matrix
         with unit-norm rows."""
         if data_dimension == embedding_dimension:
-            A = np.eye(data_dimension)
-            return cls(A, target_std, None)
+            return cls(None, target_std, None, data_dimension)
         A = stream(map_seed, TAG_CONDMAP).standard_normal((data_dimension, embedding_dimension))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         return cls(A, target_std, map_seed)
-
-
-def noise_forward(x0: np.ndarray, alpha_bar_k: float, epsilon: np.ndarray) -> np.ndarray:
-    """sqrt(ab)*x0 + sqrt(1-ab)*eps."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    epsilon = np.asarray(epsilon, dtype=np.float64)
-    if x0.shape != epsilon.shape:
-        raise UsageError("x0 and epsilon dimensions differ")
-    return np.sqrt(alpha_bar_k) * x0 + np.sqrt(1.0 - alpha_bar_k) * epsilon
 
 
 def _epsilon(x_k: np.ndarray, mu: np.ndarray, ab: float, root_ab: float,
@@ -221,7 +221,7 @@ def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray,
     return mean + sigma * noise_source.standard_normal(x_k.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class GenerationOutput:
     prompt_id: str
     sample: np.ndarray = field(repr=False)

@@ -88,7 +88,8 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def unit_distances(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """1 - cos(u, r) in [0, 2] for each row r, all inputs already unit-norm.
+    """1 - cos(u, r) in [0, 2] for each row r, all inputs already unit-norm;
+    u may also be a matrix of rows paired with ``rows``.
 
     For unit vectors 1 - cos == |a - b|^2 / 2.  This form is exact at the
     endpoints: identical inputs give 0 and antipodal unit inputs give 2,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .rng import TAG_RANDENC, stream
 REFERENCE_MAX_N = 64
 
 # Version of the tree JSON layout; a document in any other layout is stale.
-TREE_FORMAT = 2
+TREE_FORMAT = 3
 
 
 class TreeFormatError(DataError):
@@ -58,7 +57,7 @@ class EmbeddingTree:
     c_max: float
     inversion_count: int
     # Top-level keys of the tree JSON it was read from beyond the tree itself
-    # (input_sha256, ablation, normalize, ...); empty for a built tree.
+    # (input_sha256, normalize, ...); empty for a built tree.
     provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -141,9 +140,23 @@ def _finalize(
         nodes[a].parent = nid
         nodes[b].parent = nid
     root = len(nodes) - 1
-    # Centroid linkage admits score inversions; clamp top-down so that
-    # heterogeneity is monotone non-increasing toward the leaves, and count
-    # how many nodes the clamp actually changed.
+    inversions = _clamp(nodes, root)
+    leaf_of = {pid: i for i, pid in enumerate(prompts.ids)}
+    return EmbeddingTree(
+        nodes=nodes,
+        root=root,
+        leaf_of=leaf_of,
+        c_max=nodes[root].score,
+        inversion_count=inversions,
+    )
+
+
+def _clamp(nodes: list[TreeNode], root: int) -> int:
+    """Clamp scores top-down and return how many internal nodes changed.
+
+    Centroid linkage admits score inversions; after the clamp heterogeneity
+    is monotone non-increasing toward the leaves.
+    """
     inversions = 0
     order = [root]
     while order:
@@ -155,14 +168,7 @@ def _finalize(
                 inversions += 1
         if node.children is not None:
             order.extend(node.children)
-    leaf_of = {pid: i for i, pid in enumerate(prompts.ids)}
-    return EmbeddingTree(
-        nodes=nodes,
-        root=root,
-        leaf_of=leaf_of,
-        c_max=nodes[root].score,
-        inversion_count=inversions,
-    )
+    return inversions
 
 
 def build_tree(prompts: PromptSet) -> EmbeddingTree:
@@ -296,24 +302,75 @@ def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
 
     Structure and scores are preserved; used in ablation mode where selection
     runs on a random-encoding tree but generation conditions on real means.
+    The tree is numbered as ``build_tree`` numbers it.
     """
     if set(tree.leaf_of) != set(prompts.ids):
         raise UsageError("prompt ids do not match tree leaves")
-    nodes = []
-    for n in tree.nodes:
-        idx = [prompts.index_of(pid) for pid in n.members]
-        nodes.append(replace(n, embedding=_cluster_mean(prompts, idx)))
+    leaves = [prompts.index_of(next(iter(n.members))) for n in tree.nodes[:len(tree.leaf_of)]]
+    block = _node_means(tree.nodes, prompts.embeddings[leaves])
+    nodes = [replace(n, embedding=block[n.node_id]) for n in tree.nodes]
     return EmbeddingTree(nodes, tree.root, dict(tree.leaf_of), tree.c_max, tree.inversion_count)
+
+
+def _node_means(nodes: list[TreeNode], leaf_rows: np.ndarray) -> np.ndarray:
+    """Every node's mean by the builder's rule, as one read-only (nodes, d)
+    float64 block.
+
+    The nodes are numbered as ``build_tree`` numbers them: ``leaf_rows`` are
+    the rows of the leaves, nodes 0..L-1, and each later node comes after its
+    children.  As in ``mean_embedding`` over the member rows in sorted-id
+    order, a node whose rows are all equal takes the first of them and any
+    other node sums them in that order.  Each node merges its children's
+    sorted lists of member ranks, as ``build_tree`` does, and its rows are
+    all equal exactly when both children's are and the two children's means
+    are equal, so no member row is compared or sorted again.
+    """
+    n, n_leaves = len(nodes), len(leaf_rows)
+    block = np.empty((n, leaf_rows.shape[1]))
+    block[:n_leaves] = leaf_rows
+    leaf_at = sorted(range(n_leaves), key=lambda nid: next(iter(nodes[nid].members)))
+    ranks: list = [None] * n  # a node's member ranks; dropped once its parent has them
+    for rank, nid in enumerate(leaf_at):
+        ranks[nid] = [rank]
+    leaf_at = np.array(leaf_at, dtype=np.intp)
+    equal = [True] * n
+    for node in nodes[n_leaves:]:
+        nid, (a, b) = node.node_id, node.children
+        members = sorted(ranks[a] + ranks[b])
+        ranks[nid], ranks[a], ranks[b] = members, None, None
+        equal[nid] = equal[a] and equal[b] and bool((block[a] == block[b]).all())
+        if equal[nid]:
+            block[nid] = block[leaf_at[members[0]]]
+        else:  # np.sum's reduction without its wrapper; the gathered rows are freed at once
+            np.divide(np.add.reduce(block.take(leaf_at.take(members), axis=0), axis=0),
+                      len(members), out=block[nid])
+    block.flags.writeable = False
+    return block
+
+
+def _merge_distances(block: np.ndarray, internal: list[TreeNode]) -> np.ndarray:
+    """Each internal node's distance between its children's unit means, by
+    the kernel ``build_tree`` merges with.  Unit rows are made for about
+    256 KB of rows at a time, never for the whole block."""
+    children = np.array([node.children for node in internal], dtype=np.intp)
+    out = np.empty(len(internal))
+    step = max(1, (1 << 18) // (8 * block.shape[1]))
+    for s in range(0, len(internal), step):
+        a, b = children[s:s + step].T
+        out[s:s + step] = unit_distances(unit_rows(block[a]), unit_rows(block[b]))
+    return out
 
 
 def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
     """Tree JSON, format ``TREE_FORMAT``: one record per node without its
-    embedding, and every node embedding in one ``embeddings`` block, the
-    base64 of little-endian float64 rows in node-id order."""
-    block = np.stack([n.embedding for n in tree.nodes]).astype("<f8", copy=False)
+    embedding, and the leaf rows in one ``leaves`` block, the base64 of
+    little-endian float32 rows in node-id order.  A built tree's leaves are
+    float32 rows, so the block is exact; ``tree_from_json`` derives every
+    other mean from it."""
+    leaves = np.array([n.embedding for n in tree.nodes if n.is_leaf], dtype="<f4")
     doc = {
         "format": TREE_FORMAT,
-        "dimension": block.shape[1],
+        "dimension": leaves.shape[1],
         "nodes": [
             {
                 "id": n.node_id,
@@ -328,14 +385,14 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
         "root": tree.root,
         "c_max": tree.c_max,
         "inversion_count": tree.inversion_count,
-        "embeddings": base64.b64encode(block.tobytes()).decode("ascii"),
+        "leaves": base64.b64encode(leaves.tobytes()).decode("ascii"),
     }
     if extra:
         doc.update(extra)
     return json.dumps(doc)  # without indent, so that the C encoder runs
 
 
-_TREE_KEYS = ("format", "dimension", "nodes", "root", "c_max", "inversion_count", "embeddings")
+_TREE_KEYS = ("format", "dimension", "nodes", "root", "c_max", "inversion_count", "leaves")
 
 
 def _node_index(value, n: int, what: str) -> int:
@@ -345,17 +402,22 @@ def _node_index(value, n: int, what: str) -> int:
 
 
 def _check_tree(nodes: list[TreeNode], root: int) -> None:
-    """Raise DataError unless the nodes form one tree as ``build_tree`` makes it.
+    """Raise DataError unless the nodes form one tree numbered as
+    ``build_tree`` numbers it.
 
-    Parent and child links must agree, the root must be the one node without
-    a parent, every node must hang under it, each internal node's members must
-    be the disjoint union of its two children's, and scores must not rise
-    from parent to child.  Costs O(nodes + members).
+    The leaves must come first and the root last, as the one node without a
+    parent; every child's id must be below its parent's, parent and child
+    links must agree, and each internal node's members must be the disjoint
+    union of its two children's.  Parent ids then rise along every path, so
+    each path ends at the root.  Costs O(nodes + members).
     """
+    if root != len(nodes) - 1:
+        raise DataError(f"malformed tree JSON: root {root} is not the last node")
+    n_leaves = (len(nodes) + 1) // 2  # of a binary tree with this many nodes
     for node in nodes:
         where = f"malformed tree JSON: node {node.node_id}"
-        if not (math.isfinite(node.score) and math.isfinite(node.raw_score)):
-            raise DataError(f"{where}: score is not finite")
+        if (node.children is None) != (node.node_id < n_leaves):
+            raise DataError(f"{where}: the {n_leaves} leaves do not come first")
         if node.parent is None:
             if node.node_id != root:
                 raise DataError(f"{where}: has no parent but the root is {root}")
@@ -363,12 +425,12 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
             parent = nodes[node.parent]
             if parent.children is None or node.node_id not in parent.children:
                 raise DataError(f"{where}: parent {node.parent} does not list it as a child")
-            if node.score > parent.score:
-                raise DataError(f"{where}: score exceeds its parent's")
         if node.children is None:
             if len(node.members) != 1:
                 raise DataError(f"{where}: a leaf needs exactly one member")
             continue
+        if max(node.children) >= node.node_id:
+            raise DataError(f"{where}: a child's id is not below its own")
         a, b = (nodes[c] for c in node.children)
         if a.parent != node.node_id or b.parent != node.node_id:
             raise DataError(f"{where}: a child does not name it as parent")
@@ -377,46 +439,35 @@ def _check_tree(nodes: list[TreeNode], root: int) -> None:
                 not (a.members <= node.members and b.members <= node.members) or \
                 not a.members.isdisjoint(b.members):
             raise DataError(f"{where}: members are not the disjoint union of its children's")
-    if nodes[root].parent is not None:
-        raise DataError(f"malformed tree JSON: root {root} has a parent")
-    # With the links agreeing, a walk down from the root is a tree walk; it
-    # misses exactly the nodes that never reach the root (a parent cycle).
-    reached = 0
-    order = [root]
-    while order:
-        reached += 1
-        children = nodes[order.pop()].children
-        if children is not None:
-            order.extend(children)
-    if reached != len(nodes):
-        raise DataError(f"malformed tree JSON: {len(nodes) - reached} of {len(nodes)} nodes "
-                        "do not reach the root")
 
 
-def _embedding_block(doc: dict, n: int) -> np.ndarray:
-    """The (n, dimension) float64 rows of the document's ``embeddings`` block,
-    a read-only view of the decoded bytes.  The base64 text is popped from
-    the document, so it is freed once decoded."""
+def _leaf_rows(doc: dict, n_leaves: int) -> np.ndarray:
+    """The (leaves, dimension) float32 rows of the document's ``leaves``
+    block, a view of the decoded bytes.  The base64 text is popped from the
+    document, so it is freed once decoded."""
     d = doc["dimension"]
     if type(d) is not int or d < 1:
         raise DataError(f"malformed tree JSON: dimension {d!r} is not a positive int")
-    raw = base64.b64decode(doc.pop("embeddings"), validate=True)
-    if len(raw) != n * d * 8:
-        raise DataError(f"malformed tree JSON: embeddings block holds {len(raw)} bytes, "
-                        f"not {n} x {d} float64 values")
-    block = np.frombuffer(raw, dtype="<f8").reshape(n, d)
-    finite = np.isfinite(block).all(axis=1)
+    raw = base64.b64decode(doc.pop("leaves"), validate=True)
+    if len(raw) != n_leaves * d * 4:
+        raise DataError(f"malformed tree JSON: leaves block holds {len(raw)} bytes, "
+                        f"not {n_leaves} x {d} float32 values")
+    rows = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, d)
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise DataError(f"malformed tree JSON: node {int(np.argmin(finite))} embedding "
-                        "is not finite")
-    return block
+        raise DataError(f"malformed tree JSON: leaf {int(np.argmin(finite))} is not finite")
+    return rows
 
 
 def tree_from_json(text: str | bytes) -> EmbeddingTree:
     """Parse a tree JSON document, raising DataError unless it is one valid tree.
 
     A document in another layout raises TreeFormatError, before anything
-    else is checked.  Node embeddings are read-only rows of one block.
+    else is checked.  Internal means are derived from the leaf rows by the
+    builder's rule, into one read-only block whose rows are the node
+    embeddings; merge distances are recomputed from them and clamped again,
+    and every stored score, ``c_max`` and ``inversion_count`` must equal the
+    derived value.
     """
     try:
         doc = json.loads(text)
@@ -430,7 +481,6 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
         n = len(doc["nodes"])
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
-        block = _embedding_block(doc, n)
         nodes: list = [None] * n
         for rec in doc["nodes"]:
             nid = _node_index(rec["id"], n, "id")
@@ -446,22 +496,33 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
                 children=(_node_index(children[0], n, "child"),
                           _node_index(children[1], n, "child")) if children else None,
                 members=frozenset(rec["members"]),
-                embedding=block[nid],
+                embedding=None,
                 raw_score=float(rec["raw_score"]),
                 score=float(rec["score"]),
             )
         root = _node_index(doc["root"], n, "root")
         _check_tree(nodes, root)
+        n_leaves = (n + 1) // 2
+        block = _node_means(nodes, _leaf_rows(doc, n_leaves))
+        derived = [0.0] * n_leaves + _merge_distances(block, nodes[n_leaves:]).tolist()
+        stored = [(node.raw_score, node.score) for node in nodes]
+        for node, raw_score in zip(nodes, derived):
+            node.embedding = block[node.node_id]
+            node.raw_score = node.score = raw_score
+        inversions = _clamp(nodes, root)
+        for node, (raw_score, score) in zip(nodes, stored):
+            if raw_score != node.raw_score or score != node.score:
+                raise DataError(f"malformed tree JSON: node {node.node_id} scores "
+                                f"{raw_score!r}/{score!r} are not the derived "
+                                f"{node.raw_score!r}/{node.score!r}")
         c_max = doc["c_max"]
         if type(c_max) not in (int, float) or c_max != nodes[root].score:
             raise DataError(f"malformed tree JSON: c_max {c_max!r} is not the root's score")
-        # A clamped node is one whose score fell below its merge distance.
-        inversions = doc["inversion_count"]
-        if type(inversions) is not int or \
-                inversions != sum(node.score < node.raw_score for node in nodes):
-            raise DataError(f"malformed tree JSON: inversion_count {inversions!r} is not "
+        count = doc["inversion_count"]
+        if type(count) is not int or count != inversions:
+            raise DataError(f"malformed tree JSON: inversion_count {count!r} is not "
                             "the number of clamped scores")
-        leaf_of = {next(iter(node.members)): node.node_id for node in nodes if node.is_leaf}
+        leaf_of = {next(iter(node.members)): node.node_id for node in nodes[:n_leaves]}
         return EmbeddingTree(
             nodes=nodes,
             root=root,

@@ -14,7 +14,7 @@ from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, w
 from shdiff.embeddings import PromptSet, generate_synthetic, load_prompt_set, save_prompt_set
 from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import ScheduleParams, compile_plan
-from shdiff.tree import build_tree, randomize_encodings, reembed
+from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
 
 
 @pytest.fixture
@@ -43,16 +43,45 @@ def duplicate_prompts_file(tmp_path):
     return str(path)
 
 
+def node_embeddings(doc):
+    """Every node's embedding of a format-3 tree document, derived on load."""
+    return np.stack([n.embedding for n in tree_from_json(json.dumps(doc)).nodes])
+
+
+def write_format_2(tree_path, **extra):
+    """Rewrite a tree JSON in format 2: every node embedding in one base64
+    block of float64 rows instead of the float32 leaf rows."""
+    doc = json.loads(tree_path.read_text())
+    rows = node_embeddings(doc)
+    del doc["leaves"]
+    doc.update(format=2, embeddings=base64.b64encode(rows.astype("<f8").tobytes()).decode(),
+               **extra)
+    tree_path.write_text(json.dumps(doc))
+
+
 def write_old_layout(tree_path):
     """Rewrite a tree JSON in the layout before format 2: no format key and
     each node's embedding as a JSON list, written with indent=1."""
     doc = json.loads(tree_path.read_text())
-    rows = np.frombuffer(base64.b64decode(doc.pop("embeddings")), dtype="<f8")
-    rows = rows.reshape(-1, doc.pop("dimension"))
-    del doc["format"]
+    rows = node_embeddings(doc)
+    del doc["format"], doc["leaves"], doc["dimension"]
     for rec, row in zip(doc["nodes"], rows):
         rec["embedding"] = row.tolist()
     tree_path.write_text(json.dumps(doc, indent=1))
+
+
+def edit_leaf_value(doc):
+    """Move one leaf value of a format-3 document up by one float32 ulp."""
+    rows = np.frombuffer(base64.b64decode(doc["leaves"]), dtype="<f4").copy()
+    rows[1] = np.nextafter(rows[1], np.float32(np.inf))
+    doc["leaves"] = base64.b64encode(rows.tobytes()).decode()
+
+
+def ulp_up(key):
+    def edit(doc):
+        rec = next(r for r in doc["nodes"] if r["children"])
+        rec[key] = float(np.nextafter(rec[key], np.inf))
+    return edit
 
 
 class TestTree:
@@ -63,7 +92,7 @@ class TestTree:
         assert "N: 4" in text
         doc = json.loads(out.read_text())
         assert len(doc["nodes"]) == 7
-        assert doc["ablation"] is False
+        assert "ablation" not in doc
         assert "input_sha256" in doc
 
     def test_rerun_byte_identical(self, prompts_file, tmp_path):
@@ -73,11 +102,16 @@ class TestTree:
         main(["tree", "--input", prompts_file, "--output", str(out)])
         assert out.read_bytes() == first
 
-    def test_ablation_flag(self, prompts_file, tmp_path):
+    def test_ablation_flag(self, prompts_file, tmp_path, capsys):
+        # an ablation tree file could never be read back, so none is written
         out = tmp_path / "tree.json"
-        main(["tree", "--input", prompts_file, "--output", str(out),
-              "--ablation", "random-encodings", "--seed", "1"])
-        assert json.loads(out.read_text())["ablation"] is True
+        ablation = ["tree", "--input", prompts_file, "--ablation", "random-encodings",
+                    "--seed", "1"]
+        assert main(ablation + ["--output", str(out)]) == 2
+        assert "--output cannot be combined with --ablation" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(ablation) == 0
+        assert "N: 4 (ablation: random encodings)" in capsys.readouterr().out
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert main(["tree", "--input", str(tmp_path / "nope.jsonl")]) == 2
@@ -137,6 +171,18 @@ class TestPlan:
         assert rc == 0
         assert "rebuilding" not in capsys.readouterr().err
 
+    def test_normalized_tree_cache_used(self, prompts_file, tmp_path, capsys):
+        # leaves hold the normalised rows, which the normalised input matches
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--normalize", "--output", str(tree_path)])
+        capsys.readouterr()
+        plan_args = ["plan", "--input", prompts_file, "--normalize", "--k", "10"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == fresh
+
     def test_tree_cache_rebuilt_on_mismatch(self, prompts_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
@@ -149,13 +195,16 @@ class TestPlan:
         assert "rebuilding" in capsys.readouterr().err
 
     def test_ablation_tree_not_reused(self, prompts_file, tmp_path, capsys):
+        # a random-encodings tree file written before --output was refused
+        # with --ablation: format 2, so it is rebuilt
         plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
         assert main(plan_args) == 0
         fresh = capsys.readouterr().out
+        ps = load_prompt_set(prompts_file)
         tree_path = tmp_path / "random.json"
-        main(["tree", "--input", prompts_file, "--output", str(tree_path),
-              "--ablation", "random-encodings", "--seed", "1"])
-        capsys.readouterr()
+        key = cli._tree_key(SimpleNamespace(input=prompts_file, normalize=False))
+        tree_path.write_text(tree_to_json(build_tree(randomize_encodings(ps, 1)), key))
+        write_format_2(tree_path, ablation=True)
         assert main(plan_args + ["--tree", str(tree_path)]) == 0
         captured = capsys.readouterr()
         assert "rebuilding" in captured.err
@@ -184,6 +233,19 @@ class TestPlan:
         assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
         assert captured.out == fresh
 
+    def test_format_2_tree_rebuilt(self, prompts_file, tmp_path, capsys):
+        plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        write_format_2(tree_path)
+        capsys.readouterr()
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert captured.out == fresh
+
     def test_tree_leaves_not_input_exit_3(self, prompts_file, tmp_path, capsys):
         # input hash and options match, so the file claims to be this input's tree
         tree_path = tmp_path / "tree.json"
@@ -193,6 +255,19 @@ class TestPlan:
             rec["members"] = sorted("z" if m == "a" else m for m in rec["members"])
         tree_path.write_text(json.dumps(doc))
         capsys.readouterr()
+        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
+        assert f"error: {tree_path}: tree leaves or dimension do not match" in \
+            capsys.readouterr().err
+
+    def test_tree_leaf_rows_not_input_exit_3(self, prompts_file, tmp_path, capsys):
+        # a valid tree of other rows, whose file names this input's hash
+        ps = load_prompt_set(prompts_file)
+        rows = ps.embeddings.copy()
+        rows[2, 1] = np.nextafter(rows[2, 1], np.float32(0))
+        other = build_tree(PromptSet(ps.ids, ps.prompts, rows))
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(tree_to_json(other, cli._tree_key(
+            SimpleNamespace(input=prompts_file, normalize=False))))
         assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
         assert f"error: {tree_path}: tree leaves or dimension do not match" in \
             capsys.readouterr().err
@@ -315,6 +390,21 @@ class TestSimulate:
         assert main(args + ["--output", str(tmp_path / "fresh.jsonl")]) == 0
         assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
         assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("edit", [edit_leaf_value, ulp_up("raw_score"), ulp_up("score")],
+                             ids=["leaf value", "raw_score", "score"])
+    def test_one_ulp_tree_edit_exit_3(self, prompts_file, tmp_path, capsys, edit):
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        doc = json.loads(tree_path.read_text())
+        edit(doc)
+        tree_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", prompts_file, "--tree", str(tree_path),
+                     "--k", "10", "--output", str(out)]) == 3
+        assert f"error: {tree_path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_target_std_flag_exit_2(self, prompts_file, tmp_path):
         assert main(["simulate", "--input", prompts_file, "--target-std", "nan",

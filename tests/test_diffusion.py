@@ -10,12 +10,12 @@ from shdiff.diffusion import (
     DETERMINISTIC,
     CURVE_COSINE,
     CURVE_LINEAR_BETA,
+    GenerationOutput,
     ToyWorld,
     analytic_epsilon,
     denoise_step,
     execute_plan,
     make_schedule,
-    noise_forward,
     run_standard,
     world_from_json,
     world_to_json,
@@ -25,6 +25,11 @@ from shdiff.errors import UsageError
 from shdiff.planner import ScheduleParams, compile_plan
 from shdiff.rng import TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
+
+
+def noise_forward(x0, alpha_bar_k, epsilon):
+    """Forward noising sqrt(ab)*x0 + sqrt(1-ab)*eps, which only these tests use."""
+    return np.sqrt(alpha_bar_k) * x0 + np.sqrt(1.0 - alpha_bar_k) * epsilon
 
 
 def mc_epsilon_regression(world, x_query, alpha_bar, condition, n=100_000, seed=11):
@@ -93,8 +98,9 @@ class TestSchedule:
                 make_schedule(k)
 
 
-@pytest.mark.parametrize("make", [lambda: make_schedule(5), lambda: ToyWorld.create(3, 3, 1.0)],
-                         ids=["NoiseSchedule", "ToyWorld"])
+@pytest.mark.parametrize("make", [lambda: make_schedule(5), lambda: ToyWorld.create(3, 3, 1.0),
+                                  lambda: GenerationOutput("p", np.zeros(2), (0, 0))],
+                         ids=["NoiseSchedule", "ToyWorld", "GenerationOutput"])
 def test_compared_and_hashed_by_identity(make):
     # array fields have no single truth value, so field-wise == would raise
     first, second = make(), make()
@@ -146,16 +152,16 @@ class TestTargetMean:
     @pytest.mark.parametrize("d", [1, 2, 3, 64, 768])
     def test_identity_bitwise_equal_to_matvec(self, d):
         world = ToyWorld.create(d, d, 1.0)
-        assert world._identity  # otherwise this compares the mat-vec with itself
+        assert world.condition_map is None  # no d x d array is held
         eye = np.eye(d)
         for y in conditions(d, seed=d):
             assert world.target_mean(y).tobytes() == (eye @ y).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 64, 768])
     def test_identity_with_negative_zeros_off_diagonal(self, d):
+        # the copy also has the bits of an identity map written with -0.0
         A = np.where(np.eye(d) == 1.0, 1.0, -0.0)
-        world = ToyWorld(A, 1.0)
-        assert world._identity
+        world = ToyWorld.create(d, d, 1.0)
         for y in conditions(d, seed=d):
             assert world.target_mean(y).tobytes() == (A @ y).tobytes()
 
@@ -163,25 +169,32 @@ class TestTargetMean:
     def test_other_maps_keep_matvec(self, d):
         scaled = np.eye(d)
         scaled[-1, -1] = 2.0
-        maps = [scaled, np.eye(d, d + 3), np.eye(d + 3, d),
+        maps = [np.eye(d), scaled, np.eye(d, d + 3), np.eye(d + 3, d),
                 ToyWorld.create(d, d + 3, 1.0, map_seed=d).condition_map]
-        if d > 1:  # at d=1 these two are the identity
+        if d > 1:
             maps += [np.eye(d)[::-1].copy(), np.eye(d) + np.eye(d, k=1)]
         for A in maps:
             world = ToyWorld(A, 1.0)
-            assert not world._identity
+            assert world.condition_map is A
             for y in conditions(A.shape[1], seed=d):
                 assert world.target_mean(y).tobytes() == (A @ y).tobytes()
 
     def test_identity_rejects_wrong_length(self):
         world = ToyWorld.create(4, 4, 1.0)
-        with pytest.raises(ValueError):
-            world.target_mean(np.zeros(5))
+        for y in (np.zeros(5), np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError):
+                world.target_mean(y)
 
     def test_map_is_read_only(self):
-        world = ToyWorld.create(3, 3, 1.0)
+        world = ToyWorld.create(3, 4, 1.0)
         with pytest.raises(ValueError):
             world.condition_map[0, 1] = 1.0
+
+    @pytest.mark.parametrize("args", [(None, 1.0), (np.eye(2), 1.0, None, 2), (None, 1.0, None, 0)],
+                             ids=["neither", "both", "dimension 0"])
+    def test_map_or_identity_dimension(self, args):
+        with pytest.raises(UsageError):
+            ToyWorld(*args)
 
 
 class TestAnalyticEpsilon:

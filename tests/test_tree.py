@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance
 from shdiff.errors import DataError, UsageError
@@ -108,12 +109,12 @@ class TestBuildTree:
                 assert np.allclose(n.embedding, mean, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("shape, digest", [
-        ((16, 32, 64, 0.1, 7), "2f6908603d3406f48764111d5fd5a25c978c7de7cea94cd8922918dc1e8d60ec"),
-        ((16, 16, 768, 0.03, 8), "c4da0542be98d9bbd99d5e63bdc6ea20e54616dab9b8ac61dc0e78d3eb104232"),
+        ((16, 32, 64, 0.1, 7), "d87e6feb4f11499c022ffd870e34e15a1fa2c52b9b906fd049ecb7203420d9f3"),
+        ((16, 16, 768, 0.03, 8), "5e715b37d032e03407ed4035a0cc6efb9051265e6663b6864d0811763cae112a"),
     ], ids=["N512-d64", "N256-d768"])
     def test_tree_json_pinned(self, shape, digest):
-        # Digests of the full-matrix argmin builder's output; every faster
-        # builder must write the same bytes.
+        # Format-3 digests of the trees the full-matrix argmin builder made;
+        # every faster builder must write the same bytes.
         text = tree_to_json(build_tree(clustered_prompt_set(*shape)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -249,13 +250,15 @@ class TestTreeJson:
         assert t.provenance == back.provenance == {}
 
     def test_embeddings_roundtrip_bit_exact(self):
-        t = build_tree(random_prompt_set(5, 3, seed=6))
-        t.nodes[0].embedding = np.array([-0.0, 5e-324, np.finfo(np.float64).max])
-        t.nodes[t.root].embedding = np.array([0.1, -2.2250738585072014e-308, 1.0 / 3.0])
+        # float32 edge values: -0.0, the smallest subnormal and the largest finite
+        tiny, big = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+        t = build_tree(prompt_set([[-0.0, tiny, big], [0.1, -tiny, 1.0 / 3.0],
+                                   [-0.0, tiny, big], [big, -0.0, -big], [1.0, 2.0, 3.0]]))
         back = tree_from_json(tree_to_json(t))
         for n, n2 in zip(t.nodes, back.nodes):
             assert np.array_equal(n.embedding.view(np.uint64), n2.embedding.view(np.uint64))
             assert n2.embedding.dtype == np.float64 and not n2.embedding.flags.writeable
+            assert (n.raw_score, n.score) == (n2.raw_score, n2.score)
 
     def test_inversions_survive_reload(self):
         trees = [build_tree(random_prompt_set(12, 3, seed=s)) for s in range(40)]
@@ -269,13 +272,14 @@ class TestTreeJson:
         text = tree_to_json(t)
         assert "\n" not in text
         doc = json.loads(text)
-        assert doc["format"] == TREE_FORMAT == 2 and doc["dimension"] == 3
+        assert doc["format"] == TREE_FORMAT == 3 and doc["dimension"] == 3
+        assert "embeddings" not in doc
         assert all("embedding" not in rec for rec in doc["nodes"])
-        raw = base64.b64decode(doc["embeddings"])
-        assert raw == np.stack([n.embedding for n in t.nodes]).astype("<f8").tobytes()
+        raw = base64.b64decode(doc["leaves"])
+        assert raw == np.stack([n.embedding for n in t.nodes[:4]]).astype("<f4").tobytes()
 
-    @pytest.mark.parametrize("fmt", [{}, {"format": None}, {"format": 1}, {"format": 3},
-                                     {"format": "2"}], ids=["missing", "null", "1", "3", "'2'"])
+    @pytest.mark.parametrize("fmt", [{}, {"format": None}, {"format": 1}, {"format": 2},
+                                     {"format": "2"}], ids=["missing", "null", "1", "2", "'2'"])
     def test_other_format_is_stale(self, fmt):
         # checked first: nothing else in the document is looked at
         doc = json.loads(tree_to_json(build_tree(random_prompt_set(4, 3, seed=1))))
@@ -286,8 +290,39 @@ class TestTreeJson:
 
     def test_extra_keys_kept_as_provenance(self):
         t = build_tree(random_prompt_set(5, 3, seed=2))
-        extra = {"input_sha256": "ab" * 32, "ablation": True, "normalize": False}
+        extra = {"input_sha256": "ab" * 32, "normalize": False, "note": [1, None]}
         assert tree_from_json(tree_to_json(t, extra)).provenance == extra
+
+
+@st.composite
+def small_sets(draw):
+    """Up to 12 rows in d 1..6 around at most 3 centres: N=1 and N=2, exact
+    duplicates, -0.0 and near-ties; normalised like ``--normalize`` or not."""
+    d = draw(st.integers(1, 6), label="d")
+    n = draw(st.integers(1, 12), label="n")
+    element = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+    centres = draw(st.lists(st.lists(element, min_size=d, max_size=d).filter(any),
+                            min_size=1, max_size=3), label="centres")
+    picks = draw(st.lists(st.integers(0, len(centres) - 1), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**16), label="seed")
+    jitter = draw(st.sampled_from([0.0, 1e-7, 0.05]), label="jitter")
+    rows = np.array([centres[i] for i in picks]) + \
+        jitter * np.random.default_rng(seed).standard_normal((n, d))
+    ps = prompt_set(rows)
+    return ps.normalized() if draw(st.booleans(), label="normalize") else ps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ps=small_sets())
+def test_roundtrip_property(ps):
+    t = build_tree(ps)
+    back = tree_from_json(tree_to_json(t))
+    assert [n.embedding.tobytes() for n in back.nodes] == [n.embedding.tobytes() for n in t.nodes]
+    assert [(n.raw_score, n.score) for n in back.nodes] == [(n.raw_score, n.score) for n in t.nodes]
+    assert (back.c_max, back.inversion_count) == (t.c_max, t.inversion_count)
+    block = back.nodes[0].embedding.base
+    assert block.shape == (len(t), ps.dimension) and not block.flags.writeable
+    assert all(n.embedding.base is block for n in back.nodes)
 
 
 def six_prompt_tree_doc():
@@ -301,27 +336,54 @@ def six_prompt_tree_doc():
     return doc
 
 
-def _block(doc):
-    rows = np.frombuffer(base64.b64decode(doc["embeddings"]), dtype="<f8")
+def _leaves(doc):
+    rows = np.frombuffer(base64.b64decode(doc["leaves"]), dtype="<f4")
     return rows.reshape(-1, doc["dimension"]).copy()
 
 
-def _set_block(edit):
+def _set_leaves(edit):
     def corrupt(doc):
-        doc["embeddings"] = base64.b64encode(edit(_block(doc)).astype("<f8").tobytes()).decode()
+        doc["leaves"] = base64.b64encode(edit(_leaves(doc)).astype("<f4").tobytes()).decode()
     return corrupt
 
 
 def _one_column_as(dimension):
     def corrupt(doc):
-        _set_block(lambda block: block[:, :1])(doc)
+        _set_leaves(lambda rows: rows[:, :1])(doc)
         doc["dimension"] = dimension
     return corrupt
 
 
-def _nan_in_row(block):
-    block[4, 1] = np.nan
-    return block
+def _nan_in_row(rows):
+    rows[4, 1] = np.nan
+    return rows
+
+
+def _moved_leaf(rows):
+    rows[1] += 0.5
+    return rows
+
+
+def _ulp_up(node, key):
+    def corrupt(doc):
+        doc["nodes"][node][key] = float(np.nextafter(doc["nodes"][node][key], np.inf))
+    return corrupt
+
+
+def _renumber(swap):
+    """Swap the ids of two nodes everywhere they appear, leaving the tree
+    intact but numbered differently."""
+    def relabel(nid):
+        return swap.get(nid, nid)
+
+    def corrupt(doc):
+        for rec in doc["nodes"]:
+            rec["id"], rec["children"] = relabel(rec["id"]), [relabel(c) for c in rec["children"]]
+            if rec["parent"] is not None:
+                rec["parent"] = relabel(rec["parent"])
+        doc["nodes"].sort(key=lambda rec: rec["id"])
+        doc["root"] = relabel(doc["root"])
+    return corrupt
 
 
 def _set(node, key, value):
@@ -331,9 +393,8 @@ def _set(node, key, value):
 
 
 def _self_loop(doc):
-    # links agree locally (parent and both children are itself, no members),
-    # so only the walk down from the root can see it never reaches the root
-    _set_block(lambda block: np.vstack([block, block[6]]))(doc)
+    # links agree locally (parent and both children are itself, no members);
+    # its children are not below it and it comes after the root
     doc["nodes"].append(dict(doc["nodes"][6], id=11, parent=11, children=[11, 11], members=[]))
 
 
@@ -362,15 +423,25 @@ CORRUPTIONS = {
     "score above parent": _set(6, "score", 5.0),
     "score nan": _set(6, "score", float("nan")),
     "raw score infinite": _set(6, "raw_score", float("inf")),
-    "embedding not finite": _set_block(_nan_in_row),
-    "embedding dimension": _set_block(lambda block: block.ravel()[:-1]),
-    "embeddings block too long": _set_block(lambda block: np.append(block, 0.0)),
-    "embeddings not base64": lambda doc: doc.update(embeddings="AAAA!AAA"),
-    "embeddings not a string": lambda doc: doc.update(embeddings=[0.0] * 33),
-    "embeddings missing": lambda doc: doc.pop("embeddings"),
+    "raw score one ulp up": _ulp_up(6, "raw_score"),
+    "score one ulp up": _ulp_up(8, "score"),
+    "leaf score not zero": _set(2, "score", 0.25),
+    # passes every check of the stored numbers alone
+    "clamp that did not happen": lambda doc: (_set(8, "score", 0.3)(doc),
+                                              doc.update(inversion_count=1)),
+    "child id above its parent": _renumber({6: 7, 7: 6}),
+    "root not the last node": _renumber({9: 10, 10: 9}),
+    "leaf after a merge": _renumber({5: 6, 6: 5}),
+    "leaf moved": _set_leaves(_moved_leaf),
+    "embedding not finite": _set_leaves(_nan_in_row),
+    "embedding dimension": _set_leaves(lambda rows: rows.ravel()[:-1]),
+    "embeddings block too long": _set_leaves(lambda rows: np.append(rows, 0.0)),
+    "embeddings not base64": lambda doc: doc.update(leaves="AAAA!AAA"),
+    "embeddings not a string": lambda doc: doc.update(leaves=[0.0] * 18),
+    "embeddings missing": lambda doc: doc.pop("leaves"),
     "dimension missing": lambda doc: doc.pop("dimension"),
     # each with a block whose length fits the bad dimension
-    "dimension 0": lambda doc: doc.update(dimension=0, embeddings=""),
+    "dimension 0": lambda doc: doc.update(dimension=0, leaves=""),
     "dimension bool": _one_column_as(True),
     "no nodes": lambda doc: doc.update(nodes=[], root=0),
     "c_max a string": lambda doc: doc.update(c_max="nan"),
