@@ -45,7 +45,6 @@ from .planner import (
 )
 from .tree import (
     EmbeddingTree,
-    TreeNode,
     build_tree,
     path_to_root,
     randomize_encodings,

@@ -19,7 +19,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import diffusion, metrics, planner, tree as tree_mod
-from .embeddings import generate_synthetic, load_prompt_set, save_prompt_set
+from .embeddings import encode_prompt_set, generate_synthetic, load_prompt_set
 from .errors import DataError, UsageError
 
 
@@ -75,8 +75,7 @@ def _leaves_match(tree, prompts) -> bool:
     """True if the tree's leaves are the prompts, each with its row bit for bit."""
     if set(tree.leaf_of) != set(prompts.ids):
         return False
-    rows = np.array([tree.nodes[tree.leaf_of[pid]].embedding for pid in prompts.ids],
-                    dtype=np.float32)
+    rows = tree.means[[tree.leaf_of[pid] for pid in prompts.ids]].astype(np.float32)
     return rows.shape == prompts.embeddings.shape and \
         np.array_equal(rows.view(np.uint32), prompts.embeddings.view(np.uint32))
 
@@ -212,7 +211,7 @@ def cmd_synth(args) -> int:
     prompts = generate_synthetic(args.clusters, args.per_cluster, args.dim,
                                  args.jitter, args.seed)
     fmt = "binary" if args.output.endswith(".bin") else "jsonl"
-    save_prompt_set(prompts, args.output, fmt)
+    _atomic_write(args.output, encode_prompt_set(prompts, fmt))
     print(f"wrote {len(prompts)} embeddings (d={prompts.dimension}) to {args.output}")
     return 0
 

@@ -245,12 +245,12 @@ def _validate(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         raise UsageError(f"plan K={plan.K} does not match schedule K={schedule.K}")
     if set(plan.assignment) - set(tree.leaf_of):
         raise UsageError("plan references prompts missing from the tree")
-    n_nodes = len(tree.nodes)
+    n_nodes = len(tree)
     for step in plan.steps:
         for node in step.active:
             if not 0 <= node < n_nodes:
                 raise UsageError(f"plan references unknown node {node}")
-    if tree.nodes[tree.root].embedding.shape[0] != world.embedding_dimension:
+    if tree.means.shape[1] != world.embedding_dimension:
         raise UsageError("tree embedding dimension does not match world condition map")
 
 
@@ -276,7 +276,7 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     calls = 0
     prev: dict[int, np.ndarray] = {}
     active = {n for step in plan.steps for n in step.active}
-    mu = {n: world.target_mean(tree.nodes[n].embedding) for n in active}
+    mu = {n: world.target_mean(tree.means[n]) for n in active}
     gen = stream(master_seed)  # every draw below rekeys it first
     ancestral = schedule.variant == ANCESTRAL
     for step in plan.steps:
@@ -320,7 +320,7 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
     for pid in sorted(tree.leaf_of):
         leaf = tree.leaf_of[pid]
         x = stream(master_seed, TAG_INIT, leaf).standard_normal(m)
-        mu = world.target_mean(tree.nodes[leaf].embedding)
+        mu = world.target_mean(tree.means[leaf])
         for k in range(1, k_stop + 1):
             noise = None
             if schedule.variant == ANCESTRAL:

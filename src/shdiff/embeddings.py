@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,23 +123,31 @@ def mean_embedding(members: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return np.sum(arr, axis=0) / arr.shape[0]
 
 
-def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
+def encode_prompt_set(prompts: PromptSet, fmt: str = "jsonl") -> bytes | Iterator[str]:
+    """A prompt set file: all the bytes of the binary format, or the JSONL
+    lines one at a time."""
     if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as f:
-            for i, pid in enumerate(prompts.ids):
-                rec: dict = {"id": pid}
-                if prompts.prompts[i] is not None:
-                    rec["prompt"] = prompts.prompts[i]
-                rec["embedding"] = [float(v) for v in prompts.embeddings[i]]
-                f.write(json.dumps(rec) + "\n")
-    elif fmt == "binary":
+        return _jsonl_lines(prompts)
+    if fmt == "binary":
         n, d = prompts.embeddings.shape
-        with open(path, "wb") as f:
-            f.write(BINARY_MAGIC)
-            f.write(struct.pack("<HQI", BINARY_VERSION, n, d))
-            f.write(prompts.embeddings.astype("<f4").tobytes(order="C"))
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+        return BINARY_MAGIC + struct.pack("<HQI", BINARY_VERSION, n, d) + \
+            prompts.embeddings.astype("<f4").tobytes(order="C")
+    raise UsageError(f"unknown format {fmt!r}")
+
+
+def _jsonl_lines(prompts: PromptSet) -> Iterator[str]:
+    for i, pid in enumerate(prompts.ids):
+        rec: dict = {"id": pid}
+        if prompts.prompts[i] is not None:
+            rec["prompt"] = prompts.prompts[i]
+        rec["embedding"] = [float(v) for v in prompts.embeddings[i]]
+        yield json.dumps(rec) + "\n"
+
+
+def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
+    data = encode_prompt_set(prompts, fmt)
+    with open(path, "wb" if isinstance(data, bytes) else "w") as f:
+        f.writelines((data,) if isinstance(data, bytes) else data)
 
 
 _NUMBER_TYPES = {int, float, bool}  # what json.loads gives for a number, true or false

@@ -116,9 +116,8 @@ def _select_all_steps(path_root_first: list, scores: list[float],
 
 def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: ScheduleParams) -> int:
     """Tree node whose mean embedding conditions step k for this prompt."""
-    path = list(reversed(path_to_root(tree, prompt_id)))  # root first
-    scores = [tree.node(n).score for n in path]
-    return path[_select_on_path(scores, phi(k, params))]
+    path = path_to_root(tree, prompt_id)[::-1]  # root first
+    return path[_select_on_path(tree.score[path].tolist(), phi(k, params))]
 
 
 def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
@@ -133,10 +132,10 @@ def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
     k_count = params.K
     assignment: dict[str, tuple[int, ...]] = {}
     phis = [phi(k, params) for k in range(1, k_count + 1)]
+    parent, score = tree.parent.tolist(), tree.score.tolist()
     for pid in prompt_ids:
-        path = list(reversed(path_to_root(tree, pid)))
-        scores = [tree.node(n).score for n in path]
-        assignment[pid] = _select_all_steps(path, scores, phis)
+        path = path_to_root(tree, pid, parent)[::-1]
+        assignment[pid] = _select_all_steps(path, [score[n] for n in path], phis)
     steps: list[PlanStep] = []
     total = 0
     for ki in range(k_count):

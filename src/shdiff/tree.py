@@ -27,65 +27,73 @@ from .rng import TAG_RANDENC, stream
 REFERENCE_MAX_N = 64
 
 # Version of the tree JSON layout; a document in any other layout is stale.
-TREE_FORMAT = 3
+TREE_FORMAT = 4
 
 
 class TreeFormatError(DataError):
     """A tree JSON document whose ``format`` is missing or not TREE_FORMAT."""
 
 
-@dataclass
-class TreeNode:
-    node_id: int
-    parent: int | None
-    children: tuple[int, int] | None
-    members: frozenset[str]
-    embedding: np.ndarray = field(repr=False)  # float64 mean of member leaves
-    raw_score: float
-    score: float
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class EmbeddingTree:
-    nodes: list[TreeNode]  # indexed by node_id; leaves first, merges after
-    root: int
-    leaf_of: dict[str, int]
-    c_max: float
+    """A binary tree over N prompts as read-only arrays indexed by node id.
+
+    Leaves are nodes 0..N-1, leaf i holding prompt ``leaf_ids[i]``; each
+    merge comes after its children and the root is the last node, so every
+    parent's id is above its children's.  A built and a loaded tree are
+    made by the same ``_finalize``.
+    """
+
+    parent: np.ndarray  # (2N-1,) intp, -1 at the root
+    children: np.ndarray  # (N-1, 2) intp: row i holds node N+i's children
+    raw_score: np.ndarray  # (2N-1,) float64 merge distance, 0 at leaves
+    score: np.ndarray  # (2N-1,) float64 raw_score clamped to the parent's score
+    leaf_ids: tuple[str, ...]
+    means: np.ndarray = field(repr=False)  # (2N-1, d) float64 mean of each node's leaves
     inversion_count: int
     # Top-level keys of the tree JSON it was read from beyond the tree itself
     # (input_sha256, normalize, ...); empty for a built tree.
     provenance: dict = field(default_factory=dict)
+    leaf_of: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for arr in (self.parent, self.children, self.raw_score, self.score, self.means):
+            arr.flags.writeable = False
+        object.__setattr__(self, "leaf_of", {pid: i for i, pid in enumerate(self.leaf_ids)})
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
+    @property
+    def root(self) -> int:
+        return len(self.parent) - 1
+
+    @property
+    def c_max(self) -> float:
+        return self.score.item(-1)
 
     def depth(self) -> int:
         """Number of edges on the longest root-to-leaf path."""
-        best = 0
-        for leaf in self.leaf_of.values():
-            best = max(best, len(path_to_root_ids(self, leaf)) - 1)
-        return best
+        parent = self.parent.tolist()
+        depth = [0] * len(parent)
+        for nid in range(len(parent) - 2, -1, -1):
+            depth[nid] = depth[parent[nid]] + 1
+        return max(depth)
 
 
-def path_to_root_ids(tree: EmbeddingTree, node_id: int) -> list[int]:
-    path = [node_id]
-    while tree.nodes[path[-1]].parent is not None:
-        path.append(tree.nodes[path[-1]].parent)
-    return path
-
-
-def path_to_root(tree: EmbeddingTree, prompt_id: str) -> list[int]:
-    """Node ids from the prompt's leaf up to the root (leaf first)."""
+def path_to_root(tree: EmbeddingTree, prompt_id: str,
+                 parent: list[int] | None = None) -> list[int]:
+    """Node ids from the prompt's leaf up to the root (leaf first).  A caller
+    walking many paths passes ``tree.parent.tolist()`` as ``parent``, so that
+    they share one int per node, which dicts keyed on node ids match by
+    identity."""
     if prompt_id not in tree.leaf_of:
         raise UsageError(f"unknown prompt id {prompt_id!r}")
-    return path_to_root_ids(tree, tree.leaf_of[prompt_id])
+    parent = tree.parent.tolist() if parent is None else parent
+    path = [tree.leaf_of[prompt_id]]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path
 
 
 def _cluster_mean(prompts: PromptSet, members: list[int]) -> np.ndarray:
@@ -103,72 +111,40 @@ def _tie_key(min_a: str, min_b: str) -> tuple[str, str]:
     return (min(min_a, min_b), max(min_a, min_b))
 
 
-def _finalize(
-    prompts: PromptSet,
-    merges: list[tuple[int, int, float, np.ndarray]],
-) -> EmbeddingTree:
-    """Assemble nodes from leaf order plus a merge sequence, then clamp scores.
+def _finalize(leaf_ids, children, raw_scores, means: np.ndarray,
+              provenance: dict | None = None) -> EmbeddingTree:
+    """Assemble the tree from its leaves plus a merge sequence, then clamp scores.
 
-    Each merge is (child a, child b, distance, mean embedding of the union).
+    Merge i makes node N+i from ``children[i]`` at distance ``raw_scores[i]``;
+    ``means`` holds every node's mean.
     """
-    nodes: list[TreeNode] = []
-    for i, pid in enumerate(prompts.ids):
-        nodes.append(
-            TreeNode(
-                node_id=i,
-                parent=None,
-                children=None,
-                members=frozenset([pid]),
-                embedding=prompts.embeddings[i].astype(np.float64),
-                raw_score=0.0,
-                score=0.0,
-            )
-        )
-    for a, b, dist, emb in merges:
-        nid = len(nodes)
-        nodes.append(
-            TreeNode(
-                node_id=nid,
-                parent=None,
-                children=(a, b),
-                members=nodes[a].members | nodes[b].members,
-                embedding=emb,
-                raw_score=dist,
-                score=dist,
-            )
-        )
-        nodes[a].parent = nid
-        nodes[b].parent = nid
-    root = len(nodes) - 1
-    inversions = _clamp(nodes, root)
-    leaf_of = {pid: i for i, pid in enumerate(prompts.ids)}
-    return EmbeddingTree(
-        nodes=nodes,
-        root=root,
-        leaf_of=leaf_of,
-        c_max=nodes[root].score,
-        inversion_count=inversions,
-    )
+    n_leaves = len(leaf_ids)
+    n = 2 * n_leaves - 1
+    children = np.array(children, dtype=np.intp).reshape(n_leaves - 1, 2)
+    parent = np.full(n, -1, dtype=np.intp)
+    parent[children] = np.arange(n_leaves, n)[:, None]
+    raw = np.zeros(n)
+    raw[n_leaves:] = raw_scores
+    score, inversions = _clamp(parent, raw, n_leaves)
+    return EmbeddingTree(parent, children, raw, score, tuple(leaf_ids), means, inversions,
+                         provenance or {})
 
 
-def _clamp(nodes: list[TreeNode], root: int) -> int:
-    """Clamp scores top-down and return how many internal nodes changed.
+def _clamp(parent: np.ndarray, raw: np.ndarray, n_leaves: int) -> tuple[np.ndarray, int]:
+    """Scores clamped top-down, and how many internal nodes changed.
 
     Centroid linkage admits score inversions; after the clamp heterogeneity
-    is monotone non-increasing toward the leaves.
+    is monotone non-increasing toward the leaves.  Parents come after their
+    children, so one pass in reverse id order sees each parent first.
     """
+    parent, score = parent.tolist(), raw.tolist()
     inversions = 0
-    order = [root]
-    while order:
-        nid = order.pop()
-        node = nodes[nid]
-        if node.parent is not None and node.raw_score > nodes[node.parent].score:
-            node.score = nodes[node.parent].score
-            if not node.is_leaf:
-                inversions += 1
-        if node.children is not None:
-            order.extend(node.children)
-    return inversions
+    for nid in range(len(score) - 2, -1, -1):
+        cap = score[parent[nid]]
+        if score[nid] > cap:
+            score[nid] = cap
+            inversions += nid >= n_leaves
+    return np.array(score), inversions
 
 
 def build_tree(prompts: PromptSet) -> EmbeddingTree:
@@ -190,7 +166,8 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
     equally near and below its ``nn``).  Rescans average about four per
     merge, so a build costs O(N^2 d) arithmetic plus O(N^2) numpy scans, in
     O(N^2) memory (Muellner's generic algorithm, arXiv:1109.2378).  Children
-    are listed with the cluster holding the smaller id first.
+    are listed with the cluster holding the smaller id first, and each
+    merge's mean goes straight into the tree's mean block.
     """
     n = len(prompts)
     order = sorted(range(n), key=prompts.ids.__getitem__)
@@ -205,19 +182,23 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
         dist[s, s + 1:] = unit_distances(units[s], units[s + 1:])
         _rescan(dist, nn, nn_dist, s)
     live = np.ones(n, dtype=bool)
-    merges: list[tuple[int, int, float, np.ndarray]] = []
+    means = np.empty((2 * n - 1, prompts.dimension))
+    means[:n] = prompts.embeddings
+    children: list[tuple[int, int]] = []
+    distances: list[float] = []
     for nid in range(n, 2 * n - 1):
         i = int(np.argmin(nn_dist))
         j = int(nn[i])
         members[i] = sorted(members[i] + members[j])
-        mean = mean_embedding(rows[members[i]])
-        merges.append((node_of[i], node_of[j], float(nn_dist[i]), mean))
+        means[nid] = mean_embedding(rows[members[i]])
+        children.append((node_of[i], node_of[j]))
+        distances.append(float(nn_dist[i]))
         node_of[i] = nid
         live[j] = False
         nn[j], nn_dist[j] = n, np.inf
         if nid == 2 * n - 2:  # the root is never compared, so its mean may be zero
             break
-        units[i] = unit_rows(mean[None])[0]
+        units[i] = unit_rows(means[nid][None])[0]
         stale = np.flatnonzero((nn == i) | (nn == j))  # i itself: its nn was j
         dist[:j, j] = np.inf
         slots = np.flatnonzero(live)
@@ -231,7 +212,7 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
         nn_dist[below[nearer]] = row[nearer]
         for s in stale.tolist():
             _rescan(dist, nn, nn_dist, s)
-    return _finalize(prompts, merges)
+    return _finalize(prompts.ids, children, distances, means)
 
 
 def _rescan(dist: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray, s: int) -> None:
@@ -250,7 +231,10 @@ def reference_build_tree(prompts: PromptSet) -> EmbeddingTree:
     member_idx = {i: [i] for i in range(n)}
     minid = {i: prompts.ids[i] for i in range(n)}
     alive = list(range(n))
-    merges: list[tuple[int, int, float]] = []
+    means = np.empty((2 * n - 1, prompts.dimension))
+    means[:n] = prompts.embeddings
+    children: list[tuple[int, int]] = []
+    distances: list[float] = []
     next_id = n
     while len(alive) > 1:
         best = None
@@ -265,19 +249,30 @@ def reference_build_tree(prompts: PromptSet) -> EmbeddingTree:
                     best = cand
         d, _, a, b = best
         member_idx[next_id] = member_idx[a] + member_idx[b]
-        merges.append((a, b, d, _cluster_mean(prompts, member_idx[next_id])))
+        means[next_id] = _cluster_mean(prompts, member_idx[next_id])
+        children.append((a, b))
+        distances.append(d)
         minid[next_id] = min(minid[a], minid[b])
         alive = [c for c in alive if c not in (a, b)] + [next_id]
         next_id += 1
-    return _finalize(prompts, merges)
+    return _finalize(prompts.ids, children, distances, means)
+
+
+def _member_sets(tree: EmbeddingTree) -> list[frozenset[str]]:
+    """Each node's set of prompt ids, derived from the children links."""
+    sets = [frozenset([pid]) for pid in tree.leaf_ids]
+    for a, b in tree.children.tolist():
+        sets.append(sets[a] | sets[b])
+    return sets
 
 
 def structurally_equal(t1: EmbeddingTree, t2: EmbeddingTree, score_tol: float = 1e-9) -> bool:
-    """True if the trees agree up to node renumbering."""
+    """True if the trees agree up to node renumbering: the same member sets,
+    each with the same score."""
     if len(t1) != len(t2) or t1.leaf_of.keys() != t2.leaf_of.keys():
         return False
-    s1 = {n.members: n.score for n in t1.nodes}
-    s2 = {n.members: n.score for n in t2.nodes}
+    s1 = dict(zip(_member_sets(t1), t1.score.tolist()))
+    s2 = dict(zip(_member_sets(t2), t2.score.tolist()))
     if s1.keys() != s2.keys():
         return False
     return all(abs(s1[m] - s2[m]) <= score_tol for m in s1)
@@ -298,44 +293,41 @@ def randomize_encodings(prompts: PromptSet, seed: int) -> PromptSet:
 
 
 def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
-    """Copy of the tree with node embeddings recomputed from ``prompts``.
+    """Copy of the tree with node means recomputed from ``prompts``.
 
     Structure and scores are preserved; used in ablation mode where selection
     runs on a random-encoding tree but generation conditions on real means.
-    The tree is numbered as ``build_tree`` numbers it.
     """
     if set(tree.leaf_of) != set(prompts.ids):
         raise UsageError("prompt ids do not match tree leaves")
-    leaves = [prompts.index_of(next(iter(n.members))) for n in tree.nodes[:len(tree.leaf_of)]]
-    block = _node_means(tree.nodes, prompts.embeddings[leaves])
-    nodes = [replace(n, embedding=block[n.node_id]) for n in tree.nodes]
-    return EmbeddingTree(nodes, tree.root, dict(tree.leaf_of), tree.c_max, tree.inversion_count)
+    rows = prompts.embeddings[[prompts.index_of(pid) for pid in tree.leaf_ids]]
+    return replace(tree, means=_node_means(tree.children, tree.leaf_ids, rows), provenance={})
 
 
-def _node_means(nodes: list[TreeNode], leaf_rows: np.ndarray) -> np.ndarray:
-    """Every node's mean by the builder's rule, as one read-only (nodes, d)
-    float64 block.
+def _node_means(children: np.ndarray, leaf_ids, leaf_rows: np.ndarray) -> np.ndarray:
+    """Every node's mean by the builder's rule, as one (nodes, d) float64
+    block.
 
-    The nodes are numbered as ``build_tree`` numbers them: ``leaf_rows`` are
-    the rows of the leaves, nodes 0..L-1, and each later node comes after its
-    children.  As in ``mean_embedding`` over the member rows in sorted-id
-    order, a node whose rows are all equal takes the first of them and any
-    other node sums them in that order.  Each node merges its children's
-    sorted lists of member ranks, as ``build_tree`` does, and its rows are
-    all equal exactly when both children's are and the two children's means
-    are equal, so no member row is compared or sorted again.
+    Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``, and row k
+    of ``children`` holds node N+k's children, ids below its own.  As in
+    ``mean_embedding`` over the member rows in sorted-id order, a node whose
+    rows are all equal takes the first of them and any other node sums them
+    in that order.  Each node merges its children's sorted lists of member
+    ranks, as ``build_tree`` does, and its rows are all equal exactly when
+    both children's are and the two children's means are equal, so no
+    member row is compared or sorted again.
     """
-    n, n_leaves = len(nodes), len(leaf_rows)
+    n_leaves = len(leaf_ids)
+    n = n_leaves + len(children)
     block = np.empty((n, leaf_rows.shape[1]))
     block[:n_leaves] = leaf_rows
-    leaf_at = sorted(range(n_leaves), key=lambda nid: next(iter(nodes[nid].members)))
+    leaf_at = sorted(range(n_leaves), key=leaf_ids.__getitem__)
     ranks: list = [None] * n  # a node's member ranks; dropped once its parent has them
     for rank, nid in enumerate(leaf_at):
         ranks[nid] = [rank]
     leaf_at = np.array(leaf_at, dtype=np.intp)
     equal = [True] * n
-    for node in nodes[n_leaves:]:
-        nid, (a, b) = node.node_id, node.children
+    for nid, (a, b) in enumerate(children.tolist(), n_leaves):
         members = sorted(ranks[a] + ranks[b])
         ranks[nid], ranks[a], ranks[b] = members, None, None
         equal[nid] = equal[a] and equal[b] and bool((block[a] == block[b]).all())
@@ -344,18 +336,16 @@ def _node_means(nodes: list[TreeNode], leaf_rows: np.ndarray) -> np.ndarray:
         else:  # np.sum's reduction without its wrapper; the gathered rows are freed at once
             np.divide(np.add.reduce(block.take(leaf_at.take(members), axis=0), axis=0),
                       len(members), out=block[nid])
-    block.flags.writeable = False
     return block
 
 
-def _merge_distances(block: np.ndarray, internal: list[TreeNode]) -> np.ndarray:
+def _merge_distances(block: np.ndarray, children: np.ndarray) -> np.ndarray:
     """Each internal node's distance between its children's unit means, by
     the kernel ``build_tree`` merges with.  Unit rows are made for about
     256 KB of rows at a time, never for the whole block."""
-    children = np.array([node.children for node in internal], dtype=np.intp)
-    out = np.empty(len(internal))
+    out = np.empty(len(children))
     step = max(1, (1 << 18) // (8 * block.shape[1]))
-    for s in range(0, len(internal), step):
+    for s in range(0, len(children), step):
         a, b = children[s:s + step].T
         out[s:s + step] = unit_distances(unit_rows(block[a]), unit_rows(block[b]))
     return out
@@ -363,25 +353,25 @@ def _merge_distances(block: np.ndarray, internal: list[TreeNode]) -> np.ndarray:
 
 def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
     """Tree JSON, format ``TREE_FORMAT``: one record per node without its
-    embedding, and the leaf rows in one ``leaves`` block, the base64 of
-    little-endian float32 rows in node-id order.  A built tree's leaves are
-    float32 rows, so the block is exact; ``tree_from_json`` derives every
-    other mean from it."""
-    leaves = np.array([n.embedding for n in tree.nodes if n.is_leaf], dtype="<f4")
+    mean, and the leaf rows in one ``leaves`` block, the base64 of
+    little-endian float32 rows in node-id order.  Only a leaf record names
+    its prompt (``members``); an internal node's prompts follow from the
+    links.  A built tree's leaves are float32 rows, so the block is exact;
+    ``tree_from_json`` derives every other mean from it."""
+    n_leaves = len(tree.leaf_ids)
+    parent, score, raw = tree.parent.tolist(), tree.score.tolist(), tree.raw_score.tolist()
+    parent[-1] = None
+    nodes = [{"id": nid, "parent": parent[nid], "children": [], "members": [pid],
+              "score": score[nid], "raw_score": raw[nid]}
+             for nid, pid in enumerate(tree.leaf_ids)]
+    nodes += [{"id": nid, "parent": parent[nid], "children": pair,
+               "score": score[nid], "raw_score": raw[nid]}
+              for nid, pair in enumerate(tree.children.tolist(), n_leaves)]
+    leaves = tree.means[:n_leaves].astype("<f4")
     doc = {
         "format": TREE_FORMAT,
         "dimension": leaves.shape[1],
-        "nodes": [
-            {
-                "id": n.node_id,
-                "parent": n.parent,
-                "children": list(n.children) if n.children else [],
-                "members": sorted(n.members),
-                "score": n.score,
-                "raw_score": n.raw_score,
-            }
-            for n in tree.nodes
-        ],
+        "nodes": nodes,
         "root": tree.root,
         "c_max": tree.c_max,
         "inversion_count": tree.inversion_count,
@@ -401,44 +391,42 @@ def _node_index(value, n: int, what: str) -> int:
     return value
 
 
-def _check_tree(nodes: list[TreeNode], root: int) -> None:
-    """Raise DataError unless the nodes form one tree numbered as
-    ``build_tree`` numbers it.
+def _number(value, what: str):
+    if type(value) not in (int, float):  # nor bool nor str
+        raise DataError(f"malformed tree JSON: {what} {value!r} is not a number")
+    return value
 
-    The leaves must come first and the root last, as the one node without a
-    parent; every child's id must be below its parent's, parent and child
-    links must agree, and each internal node's members must be the disjoint
-    union of its two children's.  Parent ids then rise along every path, so
-    each path ends at the root.  Costs O(nodes + members).
+
+def _check_tree(parent: list[int], children: np.ndarray, root: int) -> None:
+    """Raise DataError unless the links form one tree numbered as
+    ``build_tree`` numbers it, given that the leaves come first.
+
+    The root must be the last node; every child's id must be below its
+    parent's, and every other node must be the child of exactly one node,
+    the one its own ``parent`` names (-1 at the root).  Parent ids then rise
+    along every path, so each path ends at the root.  Costs O(nodes).
     """
-    if root != len(nodes) - 1:
+    n = len(parent)
+    if root != n - 1:
         raise DataError(f"malformed tree JSON: root {root} is not the last node")
-    n_leaves = (len(nodes) + 1) // 2  # of a binary tree with this many nodes
-    for node in nodes:
-        where = f"malformed tree JSON: node {node.node_id}"
-        if (node.children is None) != (node.node_id < n_leaves):
-            raise DataError(f"{where}: the {n_leaves} leaves do not come first")
-        if node.parent is None:
-            if node.node_id != root:
-                raise DataError(f"{where}: has no parent but the root is {root}")
-        else:
-            parent = nodes[node.parent]
-            if parent.children is None or node.node_id not in parent.children:
-                raise DataError(f"{where}: parent {node.parent} does not list it as a child")
-        if node.children is None:
-            if len(node.members) != 1:
-                raise DataError(f"{where}: a leaf needs exactly one member")
-            continue
-        if max(node.children) >= node.node_id:
-            raise DataError(f"{where}: a child's id is not below its own")
-        a, b = (nodes[c] for c in node.children)
-        if a.parent != node.node_id or b.parent != node.node_id:
-            raise DataError(f"{where}: a child does not name it as parent")
-        # Subsets of equal total size are the union exactly when disjoint.
-        if len(a.members) + len(b.members) != len(node.members) or \
-                not (a.members <= node.members and b.members <= node.members) or \
-                not a.members.isdisjoint(b.members):
-            raise DataError(f"{where}: members are not the disjoint union of its children's")
+    ids = np.arange(n - len(children), n)
+    below = children.max(axis=1, initial=-1) < ids
+    if not below.all():
+        raise DataError(f"malformed tree JSON: node {ids[np.argmin(below)]}: "
+                        "a child's id is not below its own")
+    count = np.bincount(children.ravel(), minlength=n)[:-1]
+    if (count != 1).any():
+        nid = int(np.argmax(count != 1))
+        raise DataError(f"malformed tree JSON: node {nid} is listed as a child "
+                        f"{count[nid]} times, not once")
+    derived = np.full(n, -1, dtype=np.intp)
+    derived[children] = ids[:, None]
+    wrong = np.flatnonzero(derived != parent)
+    if wrong.size:
+        nid = int(wrong[0])
+        named = parent[nid] if parent[nid] >= 0 else None
+        raise DataError(f"malformed tree JSON: node {nid} names parent {named}, "
+                        f"not {derived[nid]}, which lists it as a child")
 
 
 def _leaf_rows(doc: dict, n_leaves: int) -> np.ndarray:
@@ -463,11 +451,11 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     """Parse a tree JSON document, raising DataError unless it is one valid tree.
 
     A document in another layout raises TreeFormatError, before anything
-    else is checked.  Internal means are derived from the leaf rows by the
-    builder's rule, into one read-only block whose rows are the node
-    embeddings; merge distances are recomputed from them and clamped again,
-    and every stored score, ``c_max`` and ``inversion_count`` must equal the
-    derived value.
+    else is checked.  Each leaf record must name one prompt, and no two the
+    same.  Internal means are derived from the leaf rows by the builder's
+    rule, into one read-only block; merge distances are recomputed from
+    them and clamped again, and every stored score, ``c_max`` and
+    ``inversion_count`` must equal the derived value.
     """
     try:
         doc = json.loads(text)
@@ -481,55 +469,56 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
         n = len(doc["nodes"])
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
-        nodes: list = [None] * n
+        n_leaves = (n + 1) // 2  # of a binary tree with this many nodes
+        parent: list = [None] * n
+        scores: list = [None] * n  # (raw_score, score) per node
+        children: list = [None] * (n - n_leaves)
+        leaf_ids: list = [None] * n_leaves
         for rec in doc["nodes"]:
             nid = _node_index(rec["id"], n, "id")
-            if nodes[nid] is not None:
+            where = f"node {nid}"
+            if scores[nid] is not None:
                 raise DataError(f"malformed tree JSON: node id {nid} repeats")
-            parent = rec["parent"]
-            children = rec["children"]
-            if children and len(children) != 2:
-                raise DataError(f"malformed tree JSON: node {nid} has {len(children)} children")
-            nodes[nid] = TreeNode(
-                node_id=nid,
-                parent=None if parent is None else _node_index(parent, n, "parent"),
-                children=(_node_index(children[0], n, "child"),
-                          _node_index(children[1], n, "child")) if children else None,
-                members=frozenset(rec["members"]),
-                embedding=None,
-                raw_score=float(rec["raw_score"]),
-                score=float(rec["score"]),
-            )
-        root = _node_index(doc["root"], n, "root")
-        _check_tree(nodes, root)
-        n_leaves = (n + 1) // 2
-        block = _node_means(nodes, _leaf_rows(doc, n_leaves))
-        derived = [0.0] * n_leaves + _merge_distances(block, nodes[n_leaves:]).tolist()
-        stored = [(node.raw_score, node.score) for node in nodes]
-        for node, raw_score in zip(nodes, derived):
-            node.embedding = block[node.node_id]
-            node.raw_score = node.score = raw_score
-        inversions = _clamp(nodes, root)
-        for node, (raw_score, score) in zip(nodes, stored):
-            if raw_score != node.raw_score or score != node.score:
-                raise DataError(f"malformed tree JSON: node {node.node_id} scores "
-                                f"{raw_score!r}/{score!r} are not the derived "
-                                f"{node.raw_score!r}/{node.score!r}")
+            scores[nid] = (_number(rec["raw_score"], f"{where} raw_score"),
+                           _number(rec["score"], f"{where} score"))
+            pair = rec["children"]
+            if bool(pair) != (nid >= n_leaves):
+                raise DataError(f"malformed tree JSON: {where}: the {n_leaves} leaves "
+                                "do not come first")
+            if pair:
+                if len(pair) != 2:
+                    raise DataError(f"malformed tree JSON: {where} has {len(pair)} children")
+                children[nid - n_leaves] = [_node_index(c, n, "child") for c in pair]
+            else:
+                members = rec["members"]
+                if type(members) is not list or len(members) != 1 or type(members[0]) is not str:
+                    raise DataError(f"malformed tree JSON: leaf {nid} members {members!r} "
+                                    "is not a list of one prompt id")
+                leaf_ids[nid] = members[0]
+            p = rec["parent"]
+            parent[nid] = -1 if p is None else _node_index(p, n, "parent")
+        if len(set(leaf_ids)) != n_leaves:
+            raise DataError("malformed tree JSON: two leaves hold one prompt id")
+        children = np.array(children, dtype=np.intp).reshape(-1, 2)
+        _check_tree(parent, children, _node_index(doc["root"], n, "root"))
+        block = _node_means(children, leaf_ids, _leaf_rows(doc, n_leaves))
+        tree = _finalize(leaf_ids, children, _merge_distances(block, children), block,
+                         {k: v for k, v in doc.items() if k not in _TREE_KEYS})
+        stored = np.array(scores, dtype=np.float64)
+        wrong = np.flatnonzero((stored != np.stack([tree.raw_score, tree.score], axis=1)).any(1))
+        if wrong.size:
+            nid = int(wrong[0])
+            raw_score, score = scores[nid]
+            raise DataError(f"malformed tree JSON: node {nid} scores {raw_score!r}/{score!r} "
+                            f"are not the derived {tree.raw_score.item(nid)!r}/"
+                            f"{tree.score.item(nid)!r}")
         c_max = doc["c_max"]
-        if type(c_max) not in (int, float) or c_max != nodes[root].score:
+        if type(c_max) not in (int, float) or c_max != tree.c_max:
             raise DataError(f"malformed tree JSON: c_max {c_max!r} is not the root's score")
         count = doc["inversion_count"]
-        if type(count) is not int or count != inversions:
+        if type(count) is not int or count != tree.inversion_count:
             raise DataError(f"malformed tree JSON: inversion_count {count!r} is not "
                             "the number of clamped scores")
-        leaf_of = {next(iter(node.members)): node.node_id for node in nodes[:n_leaves]}
-        return EmbeddingTree(
-            nodes=nodes,
-            root=root,
-            leaf_of=leaf_of,
-            c_max=nodes[root].score,
-            inversion_count=inversions,
-            provenance={k: v for k, v in doc.items() if k not in _TREE_KEYS},
-        )
+        return tree
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed tree JSON: {e}") from e

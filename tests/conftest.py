@@ -1,50 +1,25 @@
 import numpy as np
 import pytest
 
-from shdiff.tree import EmbeddingTree, TreeNode
+from shdiff.tree import _finalize
 
 
-def manual_tree(node_specs, root):
-    """Assemble an EmbeddingTree from (id, parent, children, members, emb, score) tuples."""
-    nodes = [None] * len(node_specs)
-    for nid, parent, children, members, emb, score in node_specs:
-        nodes[nid] = TreeNode(
-            node_id=nid,
-            parent=parent,
-            children=children,
-            members=frozenset(members),
-            embedding=np.asarray(emb, dtype=np.float64),
-            raw_score=score,
-            score=score,
-        )
-    leaf_of = {next(iter(n.members)): n.node_id for n in nodes if n.children is None}
-    return EmbeddingTree(nodes=nodes, root=root, leaf_of=leaf_of,
-                         c_max=nodes[root].score, inversion_count=0)
+def manual_tree(leaf_ids, children, scores, means):
+    """A tree whose node N+i (N leaves) merges children[i] at score scores[i];
+    ``means`` holds every node's row."""
+    return _finalize(leaf_ids, children, scores, np.asarray(means, dtype=np.float64))
 
 
 @pytest.fixture
 def pair_tree():
     """Two leaves under a root with score 0.49 (shares exactly K/2 steps at tau=1)."""
-    return manual_tree(
-        [
-            (0, 2, None, ["a"], [1.0, 0.0], 0.0),
-            (1, 2, None, ["b"], [0.0, 1.0], 0.0),
-            (2, None, (0, 1), ["a", "b"], [0.5, 0.5], 0.49),
-        ],
-        root=2,
-    )
+    return manual_tree(["a", "b"], [(0, 1)], [0.49], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
 
 @pytest.fixture
 def chain_tree():
     """Three leaves; scores 0.8 at the root and 0.3 at the inner node."""
     return manual_tree(
-        [
-            (0, 4, None, ["a"], [1.0, 0.0], 0.0),
-            (1, 3, None, ["b"], [0.0, 1.0], 0.0),
-            (2, 3, None, ["c"], [0.1, 0.9], 0.0),
-            (3, 4, (1, 2), ["b", "c"], [0.05, 0.95], 0.3),
-            (4, None, (0, 3), ["a", "b", "c"], [0.36666, 0.63333], 0.8),
-        ],
-        root=4,
+        ["a", "b", "c"], [(1, 2), (0, 3)], [0.3, 0.8],
+        [[1.0, 0.0], [0.0, 1.0], [0.1, 0.9], [0.05, 0.95], [0.36666, 0.63333]],
     )

@@ -69,14 +69,7 @@ def test_02_two_prompt_half_share_costs_three_halves_k():
     ok = True
     details = []
     for K in (8, 40, 100):
-        tree = manual_tree(
-            [
-                (0, 2, None, ["a"], [1.0, 0.0], 0.0),
-                (1, 2, None, ["b"], [0.0, 1.0], 0.0),
-                (2, None, (0, 1), ["a", "b"], [0.5, 0.5], 0.49),
-            ],
-            root=2,
-        )
+        tree = manual_tree(["a", "b"], [(0, 1)], [0.49], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         plan = compile_plan(tree, ScheduleParams(K=K, tau=1.0))
         ok = ok and plan.total_evaluations == 3 * K // 2
         ok = ok and plan.savings_fraction == 0.25
@@ -126,15 +119,14 @@ def test_04_node_selection_invariants_on_random_trees():
                 ok = ok and node in path
                 chain = 0
                 cur = node
-                while tree.node(cur).parent is not None:
-                    cur = tree.node(cur).parent
+                while cur != tree.root:
+                    cur = tree.parent[cur]
                     chain += 1
                 depths.append(chain)
             ok = ok and all(d1 >= d0 for d0, d1 in zip(depths, depths[1:]))
             final = select_node(tree, pid, K, params)
             leaf = tree.leaf_of[pid]
-            ok = ok and np.array_equal(tree.node(final).embedding,
-                                       tree.node(leaf).embedding)
+            ok = ok and np.array_equal(tree.means[final], tree.means[leaf])
         if not ok:
             break
     check(

@@ -44,8 +44,8 @@ def duplicate_prompts_file(tmp_path):
 
 
 def node_embeddings(doc):
-    """Every node's embedding of a format-3 tree document, derived on load."""
-    return np.stack([n.embedding for n in tree_from_json(json.dumps(doc)).nodes])
+    """Every node's embedding of a format-4 tree document, derived on load."""
+    return tree_from_json(json.dumps(doc)).means
 
 
 def write_format_2(tree_path, **extra):
@@ -71,7 +71,7 @@ def write_old_layout(tree_path):
 
 
 def edit_leaf_value(doc):
-    """Move one leaf value of a format-3 document up by one float32 ulp."""
+    """Move one leaf value of a format-4 document up by one float32 ulp."""
     rows = np.frombuffer(base64.b64decode(doc["leaves"]), dtype="<f4").copy()
     rows[1] = np.nextafter(rows[1], np.float32(np.inf))
     doc["leaves"] = base64.b64encode(rows.tobytes()).decode()
@@ -251,8 +251,8 @@ class TestPlan:
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
         doc = json.loads(tree_path.read_text())
-        for rec in doc["nodes"]:
-            rec["members"] = sorted("z" if m == "a" else m for m in rec["members"])
+        leaf = next(rec for rec in doc["nodes"] if rec.get("members") == ["a"])
+        leaf["members"] = ["z"]
         tree_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
@@ -549,6 +549,33 @@ class TestSynth:
         assert rc == 0
         assert "wrote 12 embeddings (d=8)" in capsys.readouterr().out
         assert main(["tree", "--input", str(out)]) == 0
+
+    @pytest.mark.parametrize("name", ["synth.jsonl", "synth.bin"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, name):
+        # the write fails, as a full disk would, after part of the set went out
+        out = tmp_path / name
+        out.write_bytes(b"old set\n")
+        fdopen = os.fdopen
+
+        class Failing:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def writelines(self, chunks):
+                self.f.write(next(iter(chunks))[:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: Failing(fdopen(fd, mode)))
+        assert main(["synth", "--clusters", "2", "--per-cluster", "3", "--dim", "4",
+                     "--output", str(out)]) == 3
+        assert out.read_bytes() == b"old set\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_binary_output(self, tmp_path):
         out = tmp_path / "synth.bin"

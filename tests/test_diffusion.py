@@ -326,7 +326,7 @@ def replay_trace(output, tree, world, schedule, seed):
     x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(world.data_dimension)
     for node, k in output.trace:
         noise = stream(seed, TAG_STEP, node, k) if schedule.variant == ANCESTRAL else None
-        x = denoise_step(x, k, world.target_mean(tree.nodes[node].embedding), schedule, world,
+        x = denoise_step(x, k, world.target_mean(tree.means[node]), schedule, world,
                          noise)
     return x
 
@@ -437,8 +437,8 @@ class TestExecutePlan:
         active = {n for step in plan.steps for n in step.active}
         assert plan.total_evaluations > len(active)
         assert len(conditions) == len(active)
-        called = {n.node_id for n in tree.nodes
-                  if any(c is n.embedding for c in conditions)}
+        called = {n for n in range(len(tree))
+                  if any(np.shares_memory(c, tree.means[n]) for c in conditions)}
         assert called == active
 
     def test_repeat_runs_identical(self):
@@ -451,11 +451,11 @@ class TestExecutePlan:
     def test_mean_embedding_semantics(self):
         # fully denoising under an internal node lands on A * (node mean)
         ps, tree, world, sch, _ = toy_setup(std=0.0, jitter=0.3)
-        internal = next(n for n in tree.nodes if not n.is_leaf)
-        x = stream(0, TAG_INIT, internal.node_id).standard_normal(world.data_dimension)
+        internal = tree.root
+        x = stream(0, TAG_INIT, internal).standard_normal(world.data_dimension)
         for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, world.target_mean(internal.embedding), sch, world)
-        assert np.allclose(x, world.target_mean(internal.embedding), atol=1e-6)
+            x = denoise_step(x, k, world.target_mean(tree.means[internal]), sch, world)
+        assert np.allclose(x, world.target_mean(tree.means[internal]), atol=1e-6)
 
     def test_plan_schedule_mismatch(self):
         ps, tree, world, sch, plan = toy_setup(K=12)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,8 +74,7 @@ class TestSelectNode:
     def test_last_step_is_leaf_embedding(self, chain_tree):
         params = ScheduleParams(K=10, tau=1.0)
         node = select_node(chain_tree, "b", 10, params)
-        assert np.array_equal(chain_tree.nodes[node].embedding,
-                              chain_tree.nodes[chain_tree.leaf_of["b"]].embedding)
+        assert np.array_equal(chain_tree.means[node], chain_tree.means[chain_tree.leaf_of["b"]])
 
     def test_tau_zero_always_leaf(self):
         ps = generate_synthetic(2, 3, 8, 0.2, seed=1)
@@ -110,8 +110,8 @@ class TestCompilePlan:
             tree = build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(n)), (None,) * n, emb))
             if trial % 2:
                 # selection is defined for any scores, monotone toward the leaves or not
-                for node in tree.nodes:
-                    node.score = float(rng.choice([0.0, 0.3, rng.uniform(0.0, 2.0)]))
+                tree = replace(tree, score=np.array(
+                    [rng.choice([0.0, 0.3, rng.uniform(0.0, 2.0)]) for _ in range(len(tree))]))
             for variant, tau, K in itertools.product(
                     (PHI_MAIN, PHI_APPENDIX), (0.0, 0.3, 2.0, 1e9), (1, 7, 30)):
                 params = ScheduleParams(K=K, tau=tau, phi_variant=variant)
@@ -127,8 +127,8 @@ class TestCompilePlan:
                             assert src == FRESH
                             continue
                         cur = node
-                        while cur is not None and cur not in prev:
-                            cur = tree.nodes[cur].parent
+                        while cur != -1 and cur not in prev:
+                            cur = tree.parent[cur]
                         assert src == cur
                     prev = step.active
 
@@ -184,8 +184,8 @@ class TestCompilePlan:
                 else:
                     assert src in prev
                     cur = node
-                    while cur is not None and cur != src:
-                        cur = tree.nodes[cur].parent
+                    while cur != -1 and cur != src:
+                        cur = tree.parent[cur]
                     assert cur == src  # ancestor-or-self
             prev = step.active
 

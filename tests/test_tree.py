@@ -1,12 +1,15 @@
 import base64
 import hashlib
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance
+from shdiff.cli import main
+from shdiff.diffusion import ToyWorld, make_schedule, run_standard
+from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance, save_prompt_set
 from shdiff.errors import DataError, UsageError
 from shdiff.tree import (
     TREE_FORMAT,
@@ -44,28 +47,61 @@ def clustered_prompt_set(clusters, per_cluster, d, jitter, seed):
     return prompt_set(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
+def chain_prompt_set(n):
+    """Row i is e0 plus a growing offset along its own axis e(i+1), so each
+    merge adds the next prompt to one cluster: a chain of depth n - 1."""
+    rows = np.zeros((n, n + 1))
+    rows[:, 0] = 1.0
+    rows[np.arange(n), np.arange(1, n + 1)] = 0.5 + np.arange(n) / n
+    return prompt_set(rows)
+
+
+def member_sets(tree):
+    """Each node's prompt ids, gathered by walking up from every leaf."""
+    sets = [set() for _ in range(len(tree))]
+    for pid, node in tree.leaf_of.items():
+        while node != -1:
+            sets[node].add(pid)
+            node = tree.parent[node]
+    return sets
+
+
+ARRAYS = ("parent", "children", "raw_score", "score", "means")
+
+
+def assert_same_tree(t1, t2):
+    """Bit-for-bit equal arrays of the same dtype and shape, all read-only,
+    and the same leaves."""
+    for name in ARRAYS:
+        a1, a2 = getattr(t1, name), getattr(t2, name)
+        assert (a1.dtype, a1.shape) == (a2.dtype, a2.shape), name
+        assert a1.tobytes() == a2.tobytes(), name
+        assert not a1.flags.writeable and not a2.flags.writeable, name
+    assert t1.leaf_ids == t2.leaf_ids and t1.leaf_of == t2.leaf_of
+    assert (t1.c_max, t1.inversion_count) == (t2.c_max, t2.inversion_count)
+
+
 class TestBuildTree:
     def test_single_prompt(self):
         t = build_tree(prompt_set([[1.0, 0.0]]))
-        assert len(t) == 1 and t.root == 0
-        assert t.c_max == 0.0 and t.nodes[0].score == 0.0
+        assert len(t) == 1 and t.root == 0 and t.depth() == 0
+        assert t.c_max == 0.0 and t.score[0] == 0.0
 
     def test_two_identical(self):
         t = build_tree(prompt_set([[0.6, 0.8], [0.6, 0.8]]))
         assert len(t) == 3
-        assert t.nodes[t.root].score == 0.0
+        assert t.score[t.root] == 0.0
         assert t.inversion_count == 0
 
     def test_four_point_structure(self):
         vecs = np.array([[1.0, 0.0], [0.99, 0.141], [0.0, 1.0], [0.141, 0.99]])
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         t = build_tree(prompt_set(vecs))
-        members = {n.members for n in t.nodes if not n.is_leaf}
-        assert frozenset({"p0", "p1"}) in members
-        assert frozenset({"p2", "p3"}) in members
-        root = t.nodes[t.root]
-        for child in root.children:
-            assert t.nodes[child].score <= root.score
+        members = member_sets(t)[4:]
+        assert {"p0", "p1"} in members
+        assert {"p2", "p3"} in members
+        for child in t.children[-1]:
+            assert t.score[child] <= t.score[t.root]
         assert structurally_equal(t, reference_build_tree(prompt_set(vecs)))
 
     def test_zero_norm_root_mean_allowed(self):
@@ -73,58 +109,56 @@ class TestBuildTree:
         # prompts still build.
         t = build_tree(prompt_set([[1.0, 0.0], [-1.0, 0.0]]))
         assert t.c_max == 2.0
-        assert not np.any(t.nodes[t.root].embedding)
+        assert not np.any(t.means[t.root])
 
     def test_duplicated_set_all_zero(self):
         t = build_tree(prompt_set([[0.3, 0.4, 0.5]] * 6))
         assert t.c_max == 0.0
-        assert all(n.score == 0.0 for n in t.nodes)
+        assert not t.score.any()
 
     def test_node_counts_and_partitions(self):
         ps = random_prompt_set(9, 5, seed=3)
         t = build_tree(ps)
         assert len(t) == 2 * 9 - 1
-        internal = [n for n in t.nodes if not n.is_leaf]
-        assert len(internal) == 8
-        for n in internal:
-            a, b = n.children
-            assert t.nodes[a].members | t.nodes[b].members == n.members
-            assert not (t.nodes[a].members & t.nodes[b].members)
-        assert t.nodes[t.root].members == set(ps.ids)
+        assert t.children.shape == (8, 2)
+        members = member_sets(t)
+        for nid, (a, b) in enumerate(t.children, 9):
+            assert members[a] | members[b] == members[nid]
+            assert not (members[a] & members[b])
+        assert members[t.root] == set(ps.ids)
 
     def test_score_monotone_after_clamp(self):
         for seed in range(10):
             t = build_tree(random_prompt_set(12, 4, seed=seed))
-            for n in t.nodes:
-                if n.parent is not None:
-                    assert n.score <= t.nodes[n.parent].score
+            assert (t.score[:-1] <= t.score[t.parent[:-1]]).all()
 
     def test_internal_embedding_is_member_mean(self):
         for seed in range(5):
             ps = random_prompt_set(10, 6, seed=100 + seed)
             t = build_tree(ps)
-            for n in t.nodes:
-                idx = [ps.index_of(pid) for pid in n.members]
+            for nid, members in enumerate(member_sets(t)):
+                idx = [ps.index_of(pid) for pid in members]
                 mean = ps.embeddings[idx].astype(np.float64).mean(axis=0)
-                assert np.allclose(n.embedding, mean, rtol=1e-12, atol=1e-15)
+                assert np.allclose(t.means[nid], mean, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("shape, digest", [
-        ((16, 32, 64, 0.1, 7), "d87e6feb4f11499c022ffd870e34e15a1fa2c52b9b906fd049ecb7203420d9f3"),
-        ((16, 16, 768, 0.03, 8), "5e715b37d032e03407ed4035a0cc6efb9051265e6663b6864d0811763cae112a"),
+        ((16, 32, 64, 0.1, 7), "66633e3df2a21b08efe96acd4653a2221990b2a3f28c6e4c4770aeac14dd40e1"),
+        ((16, 16, 768, 0.03, 8), "56078ae47c5eaf820bc704b7778c74a08726ec5d170cc6544d6a19d0b6d40ddd"),
     ], ids=["N512-d64", "N256-d768"])
     def test_tree_json_pinned(self, shape, digest):
-        # Format-3 digests of the trees the full-matrix argmin builder made;
-        # every faster builder must write the same bytes.
+        # Format-4 digests of the trees the full-matrix argmin builder made;
+        # every faster builder must write the same bytes.  They are the
+        # format-3 files (d87e6feb..., 5e715b37...) with "format" 4 and
+        # without the internal records' "members".
         text = tree_to_json(build_tree(clustered_prompt_set(*shape)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_raw_score_is_merge_distance(self):
         ps = random_prompt_set(6, 3, seed=8)
         t = build_tree(ps)
-        root = t.nodes[t.root]
-        a, b = root.children
-        expected = cosine_distance(t.nodes[a].embedding, t.nodes[b].embedding)
-        assert root.raw_score == pytest.approx(expected, rel=1e-12)
+        a, b = t.children[-1]
+        expected = cosine_distance(t.means[a], t.means[b])
+        assert t.raw_score[t.root] == pytest.approx(expected, rel=1e-12)
 
 
 class TestReference:
@@ -141,8 +175,7 @@ class TestReference:
         angles = [0.0, 0.3, 0.9]
         vecs = [[np.cos(a), np.sin(a)] for a in angles]
         t = reference_build_tree(prompt_set(vecs))
-        first_merge = t.nodes[3]
-        assert first_merge.members == {"p0", "p1"}
+        assert member_sets(t)[3] == {"p0", "p1"}
 
     def test_matches_production_on_exact_ties(self):
         # Repeats of a few sign vectors under shuffled, non-sequential ids
@@ -166,7 +199,7 @@ class TestReference:
         # smallest id p1 is below p3.
         ps = prompt_set([[1, 0, 0], [1, 1, 2], [1, -1, 2], [1, 2, 0]])
         t = build_tree(ps)
-        assert [t.nodes[nid].members for nid in (4, 5)] == [{"p1", "p2"}, {"p0", "p1", "p2"}]
+        assert member_sets(t)[4:6] == [{"p1", "p2"}, {"p0", "p1", "p2"}]
         assert structurally_equal(t, reference_build_tree(ps), score_tol=0.0)
 
     def test_matches_production_on_random_sets(self):
@@ -221,11 +254,13 @@ class TestReembed:
         ps = random_prompt_set(6, 4, seed=11)
         abl = build_tree(randomize_encodings(ps, seed=2))
         hybrid = reembed(abl, ps)
-        assert [n.score for n in hybrid.nodes] == [n.score for n in abl.nodes]
-        for n in hybrid.nodes:
-            idx = [ps.index_of(pid) for pid in n.members]
+        assert np.array_equal(hybrid.score, abl.score)
+        assert np.array_equal(hybrid.children, abl.children)
+        for nid, members in enumerate(member_sets(hybrid)):
+            idx = [ps.index_of(pid) for pid in members]
             mean = ps.embeddings[idx].astype(np.float64).mean(axis=0)
-            assert np.allclose(n.embedding, mean, rtol=1e-12, atol=1e-15)
+            assert np.allclose(hybrid.means[nid], mean, rtol=1e-12, atol=1e-15)
+        assert not hybrid.means.flags.writeable
 
     def test_id_mismatch(self):
         ps = random_prompt_set(4, 4, seed=11)
@@ -243,10 +278,7 @@ class TestTreeJson:
         back = tree_from_json(tree_to_json(t))
         assert structurally_equal(t, back, score_tol=0.0)
         assert back.root == t.root
-        assert back.c_max == t.c_max
-        assert back.inversion_count == t.inversion_count
-        for n, n2 in zip(t.nodes, back.nodes):
-            assert np.array_equal(n.embedding, n2.embedding)
+        assert_same_tree(t, back)
         assert t.provenance == back.provenance == {}
 
     def test_embeddings_roundtrip_bit_exact(self):
@@ -255,10 +287,9 @@ class TestTreeJson:
         t = build_tree(prompt_set([[-0.0, tiny, big], [0.1, -tiny, 1.0 / 3.0],
                                    [-0.0, tiny, big], [big, -0.0, -big], [1.0, 2.0, 3.0]]))
         back = tree_from_json(tree_to_json(t))
-        for n, n2 in zip(t.nodes, back.nodes):
-            assert np.array_equal(n.embedding.view(np.uint64), n2.embedding.view(np.uint64))
-            assert n2.embedding.dtype == np.float64 and not n2.embedding.flags.writeable
-            assert (n.raw_score, n.score) == (n2.raw_score, n2.score)
+        assert np.array_equal(t.means.view(np.uint64), back.means.view(np.uint64))
+        assert back.means.dtype == np.float64 and not back.means.flags.writeable
+        assert_same_tree(t, back)
 
     def test_inversions_survive_reload(self):
         trees = [build_tree(random_prompt_set(12, 3, seed=s)) for s in range(40)]
@@ -272,14 +303,18 @@ class TestTreeJson:
         text = tree_to_json(t)
         assert "\n" not in text
         doc = json.loads(text)
-        assert doc["format"] == TREE_FORMAT == 3 and doc["dimension"] == 3
+        assert doc["format"] == TREE_FORMAT == 4 and doc["dimension"] == 3
         assert "embeddings" not in doc
         assert all("embedding" not in rec for rec in doc["nodes"])
+        # only leaves name their prompt, which the benchmark's leaf map reads
+        assert [rec.get("members") for rec in doc["nodes"]] == \
+            [["p0"], ["p1"], ["p2"], ["p3"], None, None, None]
         raw = base64.b64decode(doc["leaves"])
-        assert raw == np.stack([n.embedding for n in t.nodes[:4]]).astype("<f4").tobytes()
+        assert raw == t.means[:4].astype("<f4").tobytes()
 
     @pytest.mark.parametrize("fmt", [{}, {"format": None}, {"format": 1}, {"format": 2},
-                                     {"format": "2"}], ids=["missing", "null", "1", "2", "'2'"])
+                                     {"format": "2"}, {"format": 3}],
+                             ids=["missing", "null", "1", "2", "'2'", "3"])
     def test_other_format_is_stale(self, fmt):
         # checked first: nothing else in the document is looked at
         doc = json.loads(tree_to_json(build_tree(random_prompt_set(4, 3, seed=1))))
@@ -292,6 +327,62 @@ class TestTreeJson:
         t = build_tree(random_prompt_set(5, 3, seed=2))
         extra = {"input_sha256": "ab" * 32, "normalize": False, "note": [1, None]}
         assert tree_from_json(tree_to_json(t, extra)).provenance == extra
+
+
+class TestChainTree:
+    """A chain-shaped set, the deepest tree N prompts can make.  Files and
+    loaded trees hold each prompt id once, so they stay linear in N."""
+
+    N = 128
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        ps = chain_prompt_set(self.N)
+        tree = build_tree(ps)
+        return ps, tree, tree_to_json(tree)
+
+    def test_depth(self, chain):
+        assert chain[1].depth() == self.N - 1
+
+    def test_roundtrip_bit_for_bit(self, chain):
+        _, tree, text = chain
+        back = tree_from_json(text)
+        assert_same_tree(tree, back)
+        assert tree_to_json(back) == text
+
+    def test_file_holds_each_prompt_once(self, chain):
+        nodes = json.loads(chain[2])["nodes"]
+        assert sum(len(rec.get("members", ())) for rec in nodes) == self.N
+
+    def test_benchmark_leaf_map(self, chain):
+        # how the benchmark maps a prompt to its leaf, from the file alone
+        nodes = json.loads(chain[2])["nodes"]
+        assert {r["members"][0]: r["id"] for r in nodes if not r["children"]} == chain[1].leaf_of
+
+    def test_arrays_read_only(self, chain):
+        for tree in (chain[1], tree_from_json(chain[2])):
+            for name in ARRAYS:
+                with pytest.raises(ValueError):
+                    getattr(tree, name)[0] = 0
+            with pytest.raises(FrozenInstanceError):
+                tree.parent = tree.parent.copy()
+
+    def test_simulate_tau_zero_is_standard(self, chain, tmp_path, capsys):
+        ps, _, _ = chain
+        prompts, tree_path, out = (tmp_path / n for n in ("p.jsonl", "t.json", "s.jsonl"))
+        save_prompt_set(ps, str(prompts))
+        assert main(["tree", "--input", str(prompts), "--output", str(tree_path)]) == 0
+        assert main(["simulate", "--input", str(prompts), "--tree", str(tree_path), "--k", "10",
+                     "--tau", "0", "--seed", "5", "--output", str(out)]) == 0
+        assert "rebuilding" not in capsys.readouterr().err
+        tree = tree_from_json(tree_path.read_bytes())
+        world = ToyWorld.create(self.N + 1, self.N + 1, 1.0)
+        standard = run_standard(tree, world, make_schedule(10), 5).outputs
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in rows] == list(ps.ids)
+        for r in rows:
+            assert r["trace"] == [list(t) for t in standard[r["id"]].trace]
+            assert r["sample"] == standard[r["id"]].sample.astype(np.float32).tolist()
 
 
 @st.composite
@@ -317,12 +408,8 @@ def small_sets(draw):
 def test_roundtrip_property(ps):
     t = build_tree(ps)
     back = tree_from_json(tree_to_json(t))
-    assert [n.embedding.tobytes() for n in back.nodes] == [n.embedding.tobytes() for n in t.nodes]
-    assert [(n.raw_score, n.score) for n in back.nodes] == [(n.raw_score, n.score) for n in t.nodes]
-    assert (back.c_max, back.inversion_count) == (t.c_max, t.inversion_count)
-    block = back.nodes[0].embedding.base
-    assert block.shape == (len(t), ps.dimension) and not block.flags.writeable
-    assert all(n.embedding.base is block for n in back.nodes)
+    assert_same_tree(t, back)
+    assert back.means.shape == (len(t), ps.dimension)
 
 
 def six_prompt_tree_doc():
@@ -393,16 +480,16 @@ def _set(node, key, value):
 
 
 def _self_loop(doc):
-    # links agree locally (parent and both children are itself, no members);
-    # its children are not below it and it comes after the root
-    doc["nodes"].append(dict(doc["nodes"][6], id=11, parent=11, children=[11, 11], members=[]))
+    # links agree locally (parent and both children are itself); its
+    # children are not below it and it comes after the root
+    doc["nodes"].append(dict(doc["nodes"][6], id=11, parent=11, children=[11, 11]))
 
 
-def _overlap(doc):
-    # leaves 0 and 3 both hold p0; every union still matches, sizes do not
-    doc["nodes"][3]["members"] = ["p0"]
-    for node in (8, 10):
-        doc["nodes"][node]["members"].remove("p3")
+def _as_text(node, key):
+    # the stored value exactly, as a JSON string
+    def corrupt(doc):
+        doc["nodes"][node][key] = repr(doc["nodes"][node][key])
+    return corrupt
 
 
 CORRUPTIONS = {
@@ -413,17 +500,24 @@ CORRUPTIONS = {
     "repeated id": _set(0, "id", 1),
     "id not an int": _set(0, "id", "0"),
     "links disagree": _set(6, "children", [1, 3]),
+    "child listed twice": _set(6, "children", [1, 1]),
     "three children": _set(6, "children", [1, 2, 3]),
     "second root": _set(8, "parent", None),
     "root names another node": lambda doc: doc.update(root=9),
     "leaf with two members": _set(0, "members", ["p0", "p3"]),
-    "members not the union": _set(7, "members", ["p1", "p2"]),
-    "members overlap": _overlap,
-    "members overlap, sizes add up": _set(3, "members", ["p0"]),
+    "leaf with its member twice": _set(0, "members", ["p0", "p0"]),
+    "leaf member an int": _set(0, "members", [0]),
+    "leaf members a string": _set(0, "members", "p0"),
+    "leaf without members": lambda doc: doc["nodes"][0].pop("members"),
+    "two leaves hold one prompt": _set(3, "members", ["p0"]),
     "score above parent": _set(6, "score", 5.0),
     "score nan": _set(6, "score", float("nan")),
     "raw score infinite": _set(6, "raw_score", float("inf")),
     "raw score one ulp up": _ulp_up(6, "raw_score"),
+    "score a string": _as_text(6, "score"),
+    "raw score a string": _as_text(6, "raw_score"),
+    "leaf score false": _set(2, "score", False),
+    "leaf raw score false": _set(2, "raw_score", False),
     "score one ulp up": _ulp_up(8, "score"),
     "leaf score not zero": _set(2, "score", 0.25),
     # passes every check of the stored numbers alone
@@ -456,7 +550,7 @@ CORRUPTIONS = {
 class TestTreeJsonValidation:
     def test_built_tree_passes(self):
         doc = six_prompt_tree_doc()
-        assert len(tree_from_json(json.dumps(doc)).nodes) == 11
+        assert len(tree_from_json(json.dumps(doc))) == 11
 
     @pytest.mark.parametrize("defect", sorted(CORRUPTIONS))
     def test_defect_is_data_error(self, defect):
