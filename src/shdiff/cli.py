@@ -13,32 +13,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-from collections.abc import Iterable
 
 import numpy as np
 
 from . import diffusion, metrics, planner, tree as tree_mod
-from .embeddings import encode_prompt_set, generate_synthetic, load_prompt_set
+from .embeddings import atomic_write, generate_synthetic, load_prompt_set, save_prompt_set
 from .errors import DataError, UsageError
-
-
-def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
-    """Write data, or each string an iterable yields in turn, to a temp file
-    beside path and rename it over path; if anything raises, path is left
-    as it was and the temp file is removed."""
-    mode = "wb" if isinstance(data, bytes) else "w"
-    chunks = (data,) if isinstance(data, (str, bytes)) else data
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".shdiff-tmp-")
-    try:
-        with os.fdopen(fd, mode) as f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _file_sha256(path: str) -> str:
@@ -125,7 +105,7 @@ def cmd_tree(args) -> int:
         built_from = prompts
     tree = tree_mod.build_tree(built_from)
     if args.output:
-        _atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args)))
+        atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args)))
     label = " (ablation: random encodings)" if ablation else ""
     print(f"N: {len(prompts)}{label}")
     print(f"depth: {tree.depth()}")
@@ -140,7 +120,7 @@ def cmd_plan(args) -> int:
     params = planner.ScheduleParams(K=args.k, tau=args.tau, phi_variant=args.phi)
     plan = planner.compile_plan(tree, params)
     if args.output:
-        _atomic_write(args.output, planner.plan_to_json(plan))
+        atomic_write(args.output, planner.plan_to_json(plan))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")
     return 0
 
@@ -176,13 +156,13 @@ def cmd_simulate(args) -> int:
     params = planner.ScheduleParams(K=schedule.K, tau=args.tau, phi_variant=args.phi)
     plan, result, run_metrics = metrics.run_once(prompts, tree, world, schedule, params, seed)
     # One line at a time, so the file is never held in memory whole.
-    _atomic_write(args.output, (json.dumps({
+    atomic_write(args.output, (json.dumps({
         "id": pid,
         "sample": result.outputs[pid].sample.astype(np.float32).tolist(),
         "trace": [[node, k] for node, k in result.outputs[pid].trace],
     }) + "\n" for pid in prompts.ids))
     mpath = args.metrics or (os.path.splitext(args.output)[0] + ".metrics.json")
-    _atomic_write(mpath, metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
+    atomic_write(mpath, metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")
     print(f"quality_mse: {run_metrics.mean_squared_error_to_target:.6g}")
     return 0
@@ -201,7 +181,7 @@ def cmd_sweep(args) -> int:
     rows = metrics.sweep_tau(prompts, tree, world, schedule, taus, seed, phi_variant=args.phi)
     csv_text = metrics.sweep_csv(rows, schedule.K, len(prompts))
     if args.output:
-        _atomic_write(args.output, csv_text)
+        atomic_write(args.output, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -210,8 +190,7 @@ def cmd_sweep(args) -> int:
 def cmd_synth(args) -> int:
     prompts = generate_synthetic(args.clusters, args.per_cluster, args.dim,
                                  args.jitter, args.seed)
-    fmt = "binary" if args.output.endswith(".bin") else "jsonl"
-    _atomic_write(args.output, encode_prompt_set(prompts, fmt))
+    save_prompt_set(prompts, args.output, "binary" if args.output.endswith(".bin") else "jsonl")
     print(f"wrote {len(prompts)} embeddings (d={prompts.dimension}) to {args.output}")
     return 0
 
@@ -226,6 +205,15 @@ def _add_common(p, with_tau=True):
     if with_tau:
         p.add_argument("--tau", type=float, default=1.0)
         p.add_argument("--phi", choices=["main", "appendix"], default="main")
+
+
+def _add_world(p):
+    """The world and schedule options of ``simulate`` and ``sweep``."""
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--world", help="world config JSON")
+    p.add_argument("--schedule", choices=["cosine", "linear-beta"], default=None)
+    p.add_argument("--variant", choices=["deterministic", "ancestral"], default=None)
+    p.add_argument("--target-std", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,22 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="execute a plan against the toy world")
     _add_common(p)
-    p.add_argument("--k", type=int, default=None)
+    _add_world(p)
     p.add_argument("--tree", help="cached tree JSON")
-    p.add_argument("--world", help="world config JSON")
-    p.add_argument("--schedule", choices=["cosine", "linear-beta"], default=None)
-    p.add_argument("--variant", choices=["deterministic", "ancestral"], default=None)
-    p.add_argument("--target-std", type=float, default=1.0)
     p.add_argument("--metrics", help="metrics JSON path")
 
     p = sub.add_parser("sweep", help="run a tau sweep and emit CSV")
     _add_common(p, with_tau=False)
     p.add_argument("--phi", choices=["main", "appendix"], default="main")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--world", help="world config JSON")
-    p.add_argument("--schedule", choices=["cosine", "linear-beta"], default=None)
-    p.add_argument("--variant", choices=["deterministic", "ancestral"], default=None)
-    p.add_argument("--target-std", type=float, default=1.0)
+    _add_world(p)
     p.add_argument("--sweep", required=True, help="comma-separated tau values")
 
     p = sub.add_parser("synth", help="generate a synthetic prompt set")
@@ -292,10 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

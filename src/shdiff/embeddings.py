@@ -7,8 +7,10 @@ done in 64-bit, rounding back to 32-bit only at serialization boundaries.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from collections.abc import Iterator
+import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +146,26 @@ def _jsonl_lines(prompts: PromptSet) -> Iterator[str]:
         yield json.dumps(rec) + "\n"
 
 
+def atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
+    """Write data, or each string an iterable yields in turn, to a temp file
+    beside path and rename it over path; if anything raises, path is left
+    as it was and the temp file is removed."""
+    mode = "wb" if isinstance(data, bytes) else "w"
+    chunks = (data,) if isinstance(data, (str, bytes)) else data
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".shdiff-tmp-")
+    try:
+        with os.fdopen(fd, mode) as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
-    data = encode_prompt_set(prompts, fmt)
-    with open(path, "wb" if isinstance(data, bytes) else "w") as f:
-        f.writelines((data,) if isinstance(data, bytes) else data)
+    atomic_write(path, encode_prompt_set(prompts, fmt))
 
 
 _NUMBER_TYPES = {int, float, bool}  # what json.loads gives for a number, true or false

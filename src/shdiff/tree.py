@@ -6,10 +6,11 @@ matrix of distances between live clusters plus each cluster's nearest
 neighbour, computes one row per merge and rescans only the clusters whose
 neighbour changed: O(N^2 d) in all.  ``reference_build_tree`` recomputes
 every cluster mean and pair distance each round and serves as the
-brute-force oracle.  Both take means from
-``embeddings.mean_embedding`` over member rows in sorted-id order and
-distances from the one cosine kernel in ``embeddings``; the tests require
-their trees to be ``structurally_equal``.
+brute-force oracle.  Both take means over member rows in sorted-id order,
+the builder by merging its children's member lists (``_mean_merger``, which
+the loader and ``reembed`` run too) and the oracle through
+``embeddings.mean_embedding``, and distances from the one cosine kernel in
+``embeddings``; the tests require their trees to be ``structurally_equal``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .rng import TAG_RANDENC, stream
 REFERENCE_MAX_N = 64
 
 # Version of the tree JSON layout; a document in any other layout is stale.
-TREE_FORMAT = 4
+TREE_FORMAT = 5
 
 
 class TreeFormatError(DataError):
@@ -172,9 +173,7 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
     n = len(prompts)
     order = sorted(range(n), key=prompts.ids.__getitem__)
     node_of = list(order)
-    members = [[s] for s in range(n)]  # slots, which sort in id order
-    rows = prompts.embeddings[order]
-    units = unit_rows(rows)
+    units = unit_rows(prompts.embeddings[order])
     dist = np.empty((n, n))
     nn = np.full(n, n)  # n: no slot above
     nn_dist = np.full(n, np.inf)
@@ -182,15 +181,13 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
         dist[s, s + 1:] = unit_distances(units[s], units[s + 1:])
         _rescan(dist, nn, nn_dist, s)
     live = np.ones(n, dtype=bool)
-    means = np.empty((2 * n - 1, prompts.dimension))
-    means[:n] = prompts.embeddings
+    means, merge = _mean_merger(prompts.ids, prompts.embeddings, n - 1)
     children: list[tuple[int, int]] = []
     distances: list[float] = []
     for nid in range(n, 2 * n - 1):
         i = int(np.argmin(nn_dist))
         j = int(nn[i])
-        members[i] = sorted(members[i] + members[j])
-        means[nid] = mean_embedding(rows[members[i]])
+        merge(nid, node_of[i], node_of[j])
         children.append((node_of[i], node_of[j]))
         distances.append(float(nn_dist[i]))
         node_of[i] = nid
@@ -304,21 +301,21 @@ def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
     return replace(tree, means=_node_means(tree.children, tree.leaf_ids, rows), provenance={})
 
 
-def _node_means(children: np.ndarray, leaf_ids, leaf_rows: np.ndarray) -> np.ndarray:
-    """Every node's mean by the builder's rule, as one (nodes, d) float64
-    block.
+def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
+    """A (leaves + n_merges, d) float64 block holding the leaf rows, and
+    ``merge(nid, a, b)``, which writes node nid's mean from its children a
+    and b by the builder's rule.
 
-    Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``, and row k
-    of ``children`` holds node N+k's children, ids below its own.  As in
-    ``mean_embedding`` over the member rows in sorted-id order, a node whose
-    rows are all equal takes the first of them and any other node sums them
-    in that order.  Each node merges its children's sorted lists of member
-    ranks, as ``build_tree`` does, and its rows are all equal exactly when
-    both children's are and the two children's means are equal, so no
-    member row is compared or sorted again.
+    Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``, and each
+    merge comes after its children's.  As in ``mean_embedding`` over the
+    member rows in sorted-id order, a node whose rows are all equal takes
+    the first of them and any other node sums them in that order.  A node
+    merges its children's sorted lists of member ranks, and its rows are all
+    equal exactly when both children's are and the two children's means are
+    equal, so no member row is compared or sorted again.
     """
     n_leaves = len(leaf_ids)
-    n = n_leaves + len(children)
+    n = n_leaves + n_merges
     block = np.empty((n, leaf_rows.shape[1]))
     block[:n_leaves] = leaf_rows
     leaf_at = sorted(range(n_leaves), key=leaf_ids.__getitem__)
@@ -327,7 +324,8 @@ def _node_means(children: np.ndarray, leaf_ids, leaf_rows: np.ndarray) -> np.nda
         ranks[nid] = [rank]
     leaf_at = np.array(leaf_at, dtype=np.intp)
     equal = [True] * n
-    for nid, (a, b) in enumerate(children.tolist(), n_leaves):
+
+    def merge(nid: int, a: int, b: int) -> None:
         members = sorted(ranks[a] + ranks[b])
         ranks[nid], ranks[a], ranks[b] = members, None, None
         equal[nid] = equal[a] and equal[b] and bool((block[a] == block[b]).all())
@@ -336,6 +334,15 @@ def _node_means(children: np.ndarray, leaf_ids, leaf_rows: np.ndarray) -> np.nda
         else:  # np.sum's reduction without its wrapper; the gathered rows are freed at once
             np.divide(np.add.reduce(block.take(leaf_at.take(members), axis=0), axis=0),
                       len(members), out=block[nid])
+    return block, merge
+
+
+def _node_means(children: np.ndarray, leaf_ids, leaf_rows: np.ndarray) -> np.ndarray:
+    """Every node's mean by the builder's rule, as one (nodes, d) float64
+    block; row k of ``children`` holds node N+k's children."""
+    block, merge = _mean_merger(leaf_ids, leaf_rows, len(children))
+    for nid, (a, b) in enumerate(children.tolist(), len(leaf_ids)):
+        merge(nid, a, b)
     return block
 
 
@@ -352,29 +359,23 @@ def _merge_distances(block: np.ndarray, children: np.ndarray) -> np.ndarray:
 
 
 def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
-    """Tree JSON, format ``TREE_FORMAT``: one record per node without its
-    mean, and the leaf rows in one ``leaves`` block, the base64 of
-    little-endian float32 rows in node-id order.  Only a leaf record names
-    its prompt (``members``); an internal node's prompts follow from the
-    links.  A built tree's leaves are float32 rows, so the block is exact;
+    """Tree JSON, format ``TREE_FORMAT``: one record per node with its
+    children, and the leaf rows in one ``leaves`` block, the base64 of
+    little-endian float32 rows in node-id order.  A leaf record names its
+    prompt (``members``) and an internal record its merge distance
+    (``raw_score``); everything else follows from the links and the rows.
+    A built tree's leaves are float32 rows, so the block is exact;
     ``tree_from_json`` derives every other mean from it."""
     n_leaves = len(tree.leaf_ids)
-    parent, score, raw = tree.parent.tolist(), tree.score.tolist(), tree.raw_score.tolist()
-    parent[-1] = None
-    nodes = [{"id": nid, "parent": parent[nid], "children": [], "members": [pid],
-              "score": score[nid], "raw_score": raw[nid]}
+    nodes = [{"id": nid, "children": [], "members": [pid]}
              for nid, pid in enumerate(tree.leaf_ids)]
-    nodes += [{"id": nid, "parent": parent[nid], "children": pair,
-               "score": score[nid], "raw_score": raw[nid]}
-              for nid, pair in enumerate(tree.children.tolist(), n_leaves)]
+    nodes += [{"id": nid, "children": pair, "raw_score": raw}
+              for nid, (pair, raw) in enumerate(zip(tree.children.tolist(),
+                                                    tree.raw_score[n_leaves:].tolist()), n_leaves)]
     leaves = tree.means[:n_leaves].astype("<f4")
     doc = {
         "format": TREE_FORMAT,
-        "dimension": leaves.shape[1],
         "nodes": nodes,
-        "root": tree.root,
-        "c_max": tree.c_max,
-        "inversion_count": tree.inversion_count,
         "leaves": base64.b64encode(leaves.tobytes()).decode("ascii"),
     }
     if extra:
@@ -382,7 +383,7 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
     return json.dumps(doc)  # without indent, so that the C encoder runs
 
 
-_TREE_KEYS = ("format", "dimension", "nodes", "root", "c_max", "inversion_count", "leaves")
+_TREE_KEYS = ("format", "nodes", "leaves")
 
 
 def _node_index(value, n: int, what: str) -> int:
@@ -397,18 +398,15 @@ def _number(value, what: str):
     return value
 
 
-def _check_tree(parent: list[int], children: np.ndarray, root: int) -> None:
-    """Raise DataError unless the links form one tree numbered as
+def _check_tree(children: np.ndarray, n: int) -> None:
+    """Raise DataError unless the links form one tree of n nodes numbered as
     ``build_tree`` numbers it, given that the leaves come first.
 
-    The root must be the last node; every child's id must be below its
-    parent's, and every other node must be the child of exactly one node,
-    the one its own ``parent`` names (-1 at the root).  Parent ids then rise
-    along every path, so each path ends at the root.  Costs O(nodes).
+    Every child's id must be below its parent's, and every node but the
+    last must be the child of exactly one node.  Parent ids then rise along
+    every path, so each path ends at the last node, the root.  Costs
+    O(nodes).
     """
-    n = len(parent)
-    if root != n - 1:
-        raise DataError(f"malformed tree JSON: root {root} is not the last node")
     ids = np.arange(n - len(children), n)
     below = children.max(axis=1, initial=-1) < ids
     if not below.all():
@@ -419,27 +417,17 @@ def _check_tree(parent: list[int], children: np.ndarray, root: int) -> None:
         nid = int(np.argmax(count != 1))
         raise DataError(f"malformed tree JSON: node {nid} is listed as a child "
                         f"{count[nid]} times, not once")
-    derived = np.full(n, -1, dtype=np.intp)
-    derived[children] = ids[:, None]
-    wrong = np.flatnonzero(derived != parent)
-    if wrong.size:
-        nid = int(wrong[0])
-        named = parent[nid] if parent[nid] >= 0 else None
-        raise DataError(f"malformed tree JSON: node {nid} names parent {named}, "
-                        f"not {derived[nid]}, which lists it as a child")
 
 
 def _leaf_rows(doc: dict, n_leaves: int) -> np.ndarray:
-    """The (leaves, dimension) float32 rows of the document's ``leaves``
-    block, a view of the decoded bytes.  The base64 text is popped from the
-    document, so it is freed once decoded."""
-    d = doc["dimension"]
-    if type(d) is not int or d < 1:
-        raise DataError(f"malformed tree JSON: dimension {d!r} is not a positive int")
+    """The (leaves, d) float32 rows of the document's ``leaves`` block, a
+    view of the decoded bytes; d is the block's length over 4 N.  The base64
+    text is popped from the document, so it is freed once decoded."""
     raw = base64.b64decode(doc.pop("leaves"), validate=True)
-    if len(raw) != n_leaves * d * 4:
+    d, rest = divmod(len(raw), 4 * n_leaves)
+    if d < 1 or rest:
         raise DataError(f"malformed tree JSON: leaves block holds {len(raw)} bytes, "
-                        f"not {n_leaves} x {d} float32 values")
+                        f"not {n_leaves} rows of one or more float32 values")
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, d)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
@@ -454,8 +442,9 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     else is checked.  Each leaf record must name one prompt, and no two the
     same.  Internal means are derived from the leaf rows by the builder's
     rule, into one read-only block; merge distances are recomputed from
-    them and clamped again, and every stored score, ``c_max`` and
-    ``inversion_count`` must equal the derived value.
+    them, and every stored ``raw_score`` must equal the derived value.
+    Parents, clamped scores and the inversion count are derived as for a
+    built tree.
     """
     try:
         doc = json.loads(text)
@@ -470,17 +459,12 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
         n_leaves = (n + 1) // 2  # of a binary tree with this many nodes
-        parent: list = [None] * n
-        scores: list = [None] * n  # (raw_score, score) per node
         children: list = [None] * (n - n_leaves)
+        raw_scores: list = [None] * (n - n_leaves)
         leaf_ids: list = [None] * n_leaves
         for rec in doc["nodes"]:
             nid = _node_index(rec["id"], n, "id")
             where = f"node {nid}"
-            if scores[nid] is not None:
-                raise DataError(f"malformed tree JSON: node id {nid} repeats")
-            scores[nid] = (_number(rec["raw_score"], f"{where} raw_score"),
-                           _number(rec["score"], f"{where} score"))
             pair = rec["children"]
             if bool(pair) != (nid >= n_leaves):
                 raise DataError(f"malformed tree JSON: {where}: the {n_leaves} leaves "
@@ -489,36 +473,28 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
                 if len(pair) != 2:
                     raise DataError(f"malformed tree JSON: {where} has {len(pair)} children")
                 children[nid - n_leaves] = [_node_index(c, n, "child") for c in pair]
+                raw_scores[nid - n_leaves] = _number(rec["raw_score"], f"{where} raw_score")
             else:
                 members = rec["members"]
                 if type(members) is not list or len(members) != 1 or type(members[0]) is not str:
                     raise DataError(f"malformed tree JSON: leaf {nid} members {members!r} "
                                     "is not a list of one prompt id")
                 leaf_ids[nid] = members[0]
-            p = rec["parent"]
-            parent[nid] = -1 if p is None else _node_index(p, n, "parent")
+        if None in leaf_ids or None in children:  # n ids in 0..n-1, so one repeats
+            raise DataError("malformed tree JSON: a node id repeats")
         if len(set(leaf_ids)) != n_leaves:
             raise DataError("malformed tree JSON: two leaves hold one prompt id")
         children = np.array(children, dtype=np.intp).reshape(-1, 2)
-        _check_tree(parent, children, _node_index(doc["root"], n, "root"))
+        _check_tree(children, n)
         block = _node_means(children, leaf_ids, _leaf_rows(doc, n_leaves))
         tree = _finalize(leaf_ids, children, _merge_distances(block, children), block,
                          {k: v for k, v in doc.items() if k not in _TREE_KEYS})
-        stored = np.array(scores, dtype=np.float64)
-        wrong = np.flatnonzero((stored != np.stack([tree.raw_score, tree.score], axis=1)).any(1))
+        wrong = np.flatnonzero(np.array(raw_scores, dtype=np.float64) != tree.raw_score[n_leaves:])
         if wrong.size:
-            nid = int(wrong[0])
-            raw_score, score = scores[nid]
-            raise DataError(f"malformed tree JSON: node {nid} scores {raw_score!r}/{score!r} "
-                            f"are not the derived {tree.raw_score.item(nid)!r}/"
-                            f"{tree.score.item(nid)!r}")
-        c_max = doc["c_max"]
-        if type(c_max) not in (int, float) or c_max != tree.c_max:
-            raise DataError(f"malformed tree JSON: c_max {c_max!r} is not the root's score")
-        count = doc["inversion_count"]
-        if type(count) is not int or count != tree.inversion_count:
-            raise DataError(f"malformed tree JSON: inversion_count {count!r} is not "
-                            "the number of clamped scores")
+            nid = n_leaves + int(wrong[0])
+            raise DataError(f"malformed tree JSON: node {nid} raw_score "
+                            f"{raw_scores[wrong[0]]!r} is not the derived "
+                            f"{tree.raw_score.item(nid)!r}")
         return tree
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed tree JSON: {e}") from e

@@ -44,7 +44,7 @@ def duplicate_prompts_file(tmp_path):
 
 
 def node_embeddings(doc):
-    """Every node's embedding of a format-4 tree document, derived on load."""
+    """Every node's embedding of a format-5 tree document, derived on load."""
     return tree_from_json(json.dumps(doc)).means
 
 
@@ -64,14 +64,14 @@ def write_old_layout(tree_path):
     each node's embedding as a JSON list, written with indent=1."""
     doc = json.loads(tree_path.read_text())
     rows = node_embeddings(doc)
-    del doc["format"], doc["leaves"], doc["dimension"]
+    del doc["format"], doc["leaves"]
     for rec, row in zip(doc["nodes"], rows):
         rec["embedding"] = row.tolist()
     tree_path.write_text(json.dumps(doc, indent=1))
 
 
 def edit_leaf_value(doc):
-    """Move one leaf value of a format-4 document up by one float32 ulp."""
+    """Move one leaf value of a format-5 document up by one float32 ulp."""
     rows = np.frombuffer(base64.b64decode(doc["leaves"]), dtype="<f4").copy()
     rows[1] = np.nextafter(rows[1], np.float32(np.inf))
     doc["leaves"] = base64.b64encode(rows.tobytes()).decode()
@@ -291,15 +291,15 @@ class TestPlan:
     def test_bad_tau_exit_2(self, prompts_file):
         assert main(["plan", "--input", prompts_file, "--tau", "-1"]) == 2
 
-    @pytest.mark.parametrize("parents", [{2: 99}, {4: 5, 5: 4}],
-                             ids=["parent out of range", "parent cycle"])
-    def test_corrupt_tree_exit_3(self, prompts_file, tmp_path, capsys, parents):
+    @pytest.mark.parametrize("links", [{4: [0, 99]}, {4: [0, 5], 5: [2, 4]}],
+                             ids=["child out of range", "child cycle"])
+    def test_corrupt_tree_exit_3(self, prompts_file, tmp_path, capsys, links):
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
         doc = json.loads(tree_path.read_text())
         assert [n["children"] for n in doc["nodes"][4:]] == [[0, 1], [2, 3], [4, 5]]
-        for node, parent in parents.items():
-            doc["nodes"][node]["parent"] = parent
+        for node, children in links.items():
+            doc["nodes"][node]["children"] = children
         tree_path.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["plan", "--input", prompts_file, "--tree", str(tree_path),
@@ -391,8 +391,8 @@ class TestSimulate:
         assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
         assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("edit", [edit_leaf_value, ulp_up("raw_score"), ulp_up("score")],
-                             ids=["leaf value", "raw_score", "score"])
+    @pytest.mark.parametrize("edit", [edit_leaf_value, ulp_up("raw_score")],
+                             ids=["leaf value", "raw_score"])
     def test_one_ulp_tree_edit_exit_3(self, prompts_file, tmp_path, capsys, edit):
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
@@ -550,8 +550,11 @@ class TestSynth:
         assert "wrote 12 embeddings (d=8)" in capsys.readouterr().out
         assert main(["tree", "--input", str(out)]) == 0
 
-    @pytest.mark.parametrize("name", ["synth.jsonl", "synth.bin"])
-    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, name):
+    @pytest.mark.parametrize("name, via", [
+        ("synth.jsonl", "cli"), ("synth.bin", "cli"),
+        ("synth.jsonl", "save_prompt_set"), ("synth.bin", "save_prompt_set"),
+    ], ids=["synth.jsonl", "synth.bin", "synth.jsonl-save_prompt_set", "synth.bin-save_prompt_set"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, name, via):
         # the write fails, as a full disk would, after part of the set went out
         out = tmp_path / name
         out.write_bytes(b"old set\n")
@@ -572,8 +575,13 @@ class TestSynth:
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: Failing(fdopen(fd, mode)))
-        assert main(["synth", "--clusters", "2", "--per-cluster", "3", "--dim", "4",
-                     "--output", str(out)]) == 3
+        if via == "cli":
+            assert main(["synth", "--clusters", "2", "--per-cluster", "3", "--dim", "4",
+                         "--output", str(out)]) == 3
+        else:
+            fmt = "binary" if name.endswith(".bin") else "jsonl"
+            with pytest.raises(OSError):
+                save_prompt_set(generate_synthetic(2, 3, 4, 0.05, 0), str(out), fmt)
         assert out.read_bytes() == b"old set\n"
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
