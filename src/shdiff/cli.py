@@ -155,12 +155,16 @@ def cmd_simulate(args) -> int:
     tree = _plan_tree(args, prompts, seed)
     params = planner.ScheduleParams(K=schedule.K, tau=args.tau, phi_variant=args.phi)
     plan, result, run_metrics = metrics.run_once(prompts, tree, world, schedule, params, seed)
+    # Each span's "[node, k]" items are written as text once and joined per
+    # prompt, which gives the bytes of json.dumps of the row's dict.
+    span_text = {node: f"[{node}, " + f"], [{node}, ".join(map(str, range(start, stop))) + "]"
+                 for node, (start, stop, _) in plan.spans.items()}
     # One line at a time, so the file is never held in memory whole.
-    atomic_write(args.output, (json.dumps({
-        "id": pid,
-        "sample": result.outputs[pid].sample.astype(np.float32).tolist(),
-        "trace": [[node, k] for node, k in result.outputs[pid].trace],
-    }) + "\n" for pid in prompts.ids))
+    atomic_write(args.output, (
+        f'{{"id": {json.dumps(pid)}, '
+        f'"sample": {json.dumps(result.outputs[pid].sample.astype(np.float32).tolist())}, '
+        f'"trace": [{", ".join(span_text[node] for node in plan.paths[pid])}]}}\n'
+        for pid in prompts.ids))
     mpath = args.metrics or (os.path.splitext(args.output)[0] + ".metrics.json")
     atomic_write(mpath, metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -225,7 +226,12 @@ def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray,
 class GenerationOutput:
     prompt_id: str
     sample: np.ndarray = field(repr=False)
-    nodes: tuple[int, ...]  # node id conditioning each step k = 1, 2, ...
+    runs: tuple[tuple[int, int], ...]  # (node id, steps it conditions) in step order
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """Node id conditioning each step k = 1, 2, ..."""
+        return tuple(chain.from_iterable(repeat(n, steps) for n, steps in self.runs))
 
     @property
     def trace(self) -> tuple[tuple[int, int], ...]:
@@ -243,13 +249,12 @@ def _validate(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
               schedule: NoiseSchedule) -> None:
     if plan.K != schedule.K:
         raise UsageError(f"plan K={plan.K} does not match schedule K={schedule.K}")
-    if set(plan.assignment) - set(tree.leaf_of):
+    if set(plan.paths) - set(tree.leaf_of):
         raise UsageError("plan references prompts missing from the tree")
     n_nodes = len(tree)
-    for step in plan.steps:
-        for node in step.active:
-            if not 0 <= node < n_nodes:
-                raise UsageError(f"plan references unknown node {node}")
+    for node in plan.spans:
+        if not 0 <= node < n_nodes:
+            raise UsageError(f"plan references unknown node {node}")
     if tree.means.shape[1] != world.embedding_dimension:
         raise UsageError("tree embedding dimension does not match world condition map")
 
@@ -260,48 +265,53 @@ def _key_pairs(*parts) -> list[tuple[int, int]]:
     return list(zip(lo.tolist(), hi.tolist()))
 
 
+def _step_keys(plan: SharePlan, master_seed: int) -> list[tuple[int, int]]:
+    """The TAG_STEP key of every (node, k) the plan evaluates, in span order."""
+    spans = plan.spans
+    nodes = np.repeat(list(spans), [s.stop - s.start for s in spans.values()])
+    ks = np.concatenate([np.arange(s.start, s.stop) for s in spans.values()])
+    return _key_pairs(master_seed, TAG_STEP, nodes, ks)
+
+
 def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
                  schedule: NoiseSchedule, master_seed: int) -> ExecutionResult:
     """Run the shared-step plan; each (node, step) is evaluated exactly once.
 
+    Each span is a chain of ``denoise_step`` calls from its source's final
+    state, or from a fresh draw, and spans run in descending node id: a
+    source is an ancestor, so its id is above the spans continuing it.
     Fresh states draw initial noise from the stream keyed (seed, node); step
     noise comes from (seed, node, k).  Keys depend only on canonical node
     ids, so output does not depend on the order nodes are evaluated in.
     One generator is rekeyed before each draw, which draws exactly what a
-    fresh ``stream`` with that key would.  The target mean of each node the
-    plan activates is computed once.
+    fresh ``stream`` with that key would.
     """
     _validate(plan, tree, world, schedule)
     m = world.data_dimension
-    calls = 0
-    prev: dict[int, np.ndarray] = {}
-    active = {n for step in plan.steps for n in step.active}
-    mu = {n: world.target_mean(tree.means[n]) for n in active}
-    gen = stream(master_seed)  # every draw below rekeys it first
+    fresh = [n for n, span in plan.spans.items() if span.source == FRESH]
+    init_keys = dict(zip(fresh, _key_pairs(master_seed, TAG_INIT, fresh)))
     ancestral = schedule.variant == ANCESTRAL
-    for step in plan.steps:
-        nodes = sorted(step.active)
-        fresh = [n for n in nodes if step.inherit[n] == FRESH]
-        init_keys = dict(zip(fresh, _key_pairs(master_seed, TAG_INIT, fresh)))
-        if ancestral:
-            noise_keys = dict(zip(nodes, _key_pairs(master_seed, TAG_STEP, nodes, step.k)))
-        cur = {}
-        for node in nodes:
-            src = step.inherit[node]
-            if src == FRESH:
-                rekey(gen, *init_keys[node])
-                x_in = gen.standard_normal(m)
-            else:
-                x_in = prev[src]
+    step_keys = iter(_step_keys(plan, master_seed) if ancestral else ())
+    gen = stream(master_seed)  # every draw below rekeys it first
+    final: dict[int, np.ndarray] = {}
+    calls = 0
+    for node, (start, stop, source) in plan.spans.items():
+        if source == FRESH:
+            rekey(gen, *init_keys[node])
+            x = gen.standard_normal(m)
+        else:
+            x = final[source]
+        mu = world.target_mean(tree.means[node])
+        for k in range(start, stop):
             if ancestral:
-                rekey(gen, *noise_keys[node])
-            cur[node] = denoise_step(x_in, step.k, mu[node], schedule, world,
-                                     gen if ancestral else None)
-        # Only step k-1 states can be inherited, so the frontier is all we keep.
-        prev = cur
-        calls += len(prev)
-    outputs = {pid: GenerationOutput(pid, prev[nodes[-1]], nodes)
-               for pid, nodes in plan.assignment.items()}
+                rekey(gen, *next(step_keys))
+            x = denoise_step(x, k, mu, schedule, world, gen if ancestral else None)
+        final[node] = x
+        calls += stop - start
+    spans = plan.spans
+    outputs = {pid: GenerationOutput(pid, final[path[-1]],
+                                     tuple((n, spans[n].stop - spans[n].start) for n in path))
+               for pid, path in plan.paths.items()}
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
 
 
@@ -327,7 +337,7 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
                 noise = stream(master_seed, TAG_STEP, leaf, k)
             x = denoise_step(x, k, mu, schedule, world, noise)
             calls += 1
-        outputs[pid] = GenerationOutput(pid, x, (leaf,) * k_stop)
+        outputs[pid] = GenerationOutput(pid, x, ((leaf, k_stop),))
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
 
 

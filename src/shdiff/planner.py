@@ -1,15 +1,22 @@
 """Schedule threshold, adaptive node selection, and plan compilation.
 
-The planner turns an embedding tree into an explicit per-step execution plan:
-which tree nodes are evaluated at each diffusion step, which earlier state
-each newly active node inherits, and how many denoiser evaluations the plan
-needs versus the K*N baseline.
+The planner turns an embedding tree into an execution plan: the one span of
+steps each selected tree node conditions, which earlier state each span
+continues, and how many denoiser evaluations the plan needs versus the K*N
+baseline.  The per-step assignment and active sets are views derived from
+the spans.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import UsageError
 from .tree import EmbeddingTree, path_to_root
@@ -55,9 +62,19 @@ def phi(k: int, params: ScheduleParams) -> float:
 
 @dataclass(frozen=True)
 class PlanStep:
+    """One step of ``SharePlan.steps``, a view derived from the spans."""
+
     k: int
     active: frozenset[int]
     inherit: dict[int, int | str]  # node -> source node active at k-1, or FRESH
+
+
+class Span(NamedTuple):
+    """The steps ``start..stop-1`` one node conditions, for every prompt below it."""
+
+    start: int
+    stop: int
+    source: int | str  # node whose final state the span continues, or FRESH
 
 
 @dataclass(frozen=True)
@@ -65,11 +82,30 @@ class SharePlan:
     K: int
     tau: float
     phi_variant: str
-    steps: tuple[PlanStep, ...]
-    assignment: dict[str, tuple[int, ...]]  # prompt id -> node id per step
+    spans: dict[int, Span]  # node -> its span, nodes in descending id
+    paths: dict[str, tuple[int, ...]]  # prompt id -> its span nodes, root first
     total_evaluations: int
     baseline_evaluations: int
     savings_fraction: float
+
+    @cached_property
+    def assignment(self) -> dict[str, tuple[int, ...]]:
+        """Prompt id -> node id per step."""
+        spans = self.spans
+        return {pid: tuple(chain.from_iterable(
+                    repeat(n, spans[n].stop - spans[n].start) for n in path))
+                for pid, path in self.paths.items()}
+
+    @cached_property
+    def steps(self) -> tuple[PlanStep, ...]:
+        """Per step, the active nodes and the state each one starts from."""
+        inherit: list[dict[int, int | str]] = [{} for _ in range(self.K)]
+        for n, (start, stop, source) in self.spans.items():
+            inherit[start - 1][n] = source
+            for i in range(start, stop - 1):  # steps start+1..stop-1
+                inherit[i][n] = n
+        return tuple(PlanStep(k=k, active=frozenset(d), inherit=d)
+                     for k, d in enumerate(inherit, 1))
 
 
 def _select_on_path(scores: list[float], phi_k: float) -> int:
@@ -92,28 +128,6 @@ def _select_on_path(scores: list[float], phi_k: float) -> int:
     return best_i
 
 
-def _select_all_steps(path_root_first: list, scores: list[float],
-                      phis: list[float]) -> tuple[int, ...]:
-    """The node selected at each phi, in one walk.
-
-    phi never rises with k (it is a rounded linear ramp), so the eligible
-    prefix only grows: extend it while the last eligible node's score is
-    >= phi_k and keep the first strict minimum seen.  Each entry equals
-    ``path_root_first[_select_on_path(scores, phi_k)]`` for any scores,
-    monotone or not.
-    """
-    out = []
-    end = 1  # the root is always eligible
-    best_i = 0
-    for phi_k in phis:
-        while end < len(scores) and scores[end - 1] >= phi_k:
-            if scores[end] < scores[best_i]:
-                best_i = end
-            end += 1
-        out.append(path_root_first[best_i])
-    return tuple(out)
-
-
 def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: ScheduleParams) -> int:
     """Tree node whose mean embedding conditions step k for this prompt."""
     path = path_to_root(tree, prompt_id)[::-1]  # root first
@@ -121,35 +135,51 @@ def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: SchedulePar
 
 
 def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
-    """Compile the full per-step assignment, active sets, and inherit edges.
+    """Compile the plan as one span of steps per selected node.
 
-    Selection on a shared root-first prefix depends only on that prefix, so
-    every prompt on node n at step k was on the same node at step k-1: the
-    nearest node at or above n active at k-1.  Each inherit edge is
-    therefore a prompt's previous node.
+    phi never rises with k, and clamped scores never rise toward a leaf, so
+    along every path each node is selected for one run of steps, the same
+    for every prompt below it.  A node whose score equals its parent's is
+    never selected; any other node holds the steps with
+    ``score[n] < phi_k <= score[parent]`` (the root has no upper bound), and
+    a node of score 0 also holds the ``phi_k <= 0`` tail.  A span starting
+    at step 1 is FRESH; any other continues the nearest ancestor whose span
+    ends just before it, which is each prompt's previous node.
     """
-    prompt_ids = sorted(tree.leaf_of)
-    k_count = params.K
-    assignment: dict[str, tuple[int, ...]] = {}
-    phis = [phi(k, params) for k in range(1, k_count + 1)]
     parent, score = tree.parent.tolist(), tree.score.tolist()
-    for pid in prompt_ids:
-        path = path_to_root(tree, pid, parent)[::-1]
-        assignment[pid] = _select_all_steps(path, [score[n] for n in path], phis)
-    steps: list[PlanStep] = []
+    n_leaves = len(tree.leaf_ids)
+    if not (np.all(tree.score[:-1] <= tree.score[tree.parent[:-1]])
+            and np.all(tree.score[:n_leaves] == 0.0)):
+        # NaN fails both comparisons
+        raise UsageError("a plan needs scores that never rise toward a leaf and are 0 at leaves")
+    k_count = params.K
+    neg_phis = [-phi(k, params) for k in range(1, k_count + 1)]  # ascending
+    spans: dict[int, Span] = {}
+    holder = [-1] * len(parent)  # nearest node at or above each node holding a span
     total = 0
-    for ki in range(k_count):
-        inherit: dict[int, int | str] = {
-            nodes[ki]: nodes[ki - 1] if ki else FRESH for nodes in assignment.values()}
-        steps.append(PlanStep(k=ki + 1, active=frozenset(inherit), inherit=inherit))
-        total += len(inherit)
-    baseline = k_count * len(prompt_ids)
+    for nid in range(len(parent) - 1, -1, -1):
+        p, s = parent[nid], score[nid]
+        start = 0 if p < 0 else bisect_left(neg_phis, -score[p])
+        stop = k_count if s == 0.0 else bisect_left(neg_phis, -s)
+        if start < stop and (p < 0 or s < score[p]):
+            spans[nid] = Span(start + 1, stop + 1, holder[p] if start else FRESH)
+            holder[nid] = nid
+            total += stop - start
+        elif p >= 0:
+            holder[nid] = holder[p]
+    paths: dict[str, tuple[int, ...]] = {}
+    for pid in sorted(tree.leaf_of):
+        path = [holder[tree.leaf_of[pid]]]  # the node holding step K
+        while spans[path[-1]].source != FRESH:
+            path.append(spans[path[-1]].source)
+        paths[pid] = tuple(reversed(path))
+    baseline = k_count * n_leaves
     return SharePlan(
         K=k_count,
         tau=params.tau,
         phi_variant=params.phi_variant,
-        steps=tuple(steps),
-        assignment=assignment,
+        spans=spans,
+        paths=paths,
         total_evaluations=total,
         baseline_evaluations=baseline,
         savings_fraction=1.0 - total / baseline,
@@ -159,7 +189,7 @@ def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
 def savings_report(plan: SharePlan) -> dict:
     """Pure summary of a compiled plan."""
     per_step = [len(s.active) for s in plan.steps]
-    distinct_nodes = max(len(set(nodes)) for nodes in plan.assignment.values())
+    distinct_nodes = max(map(len, plan.paths.values()))  # a node holds one span
     return {
         "per_step_active_counts": per_step,
         "total": plan.total_evaluations,

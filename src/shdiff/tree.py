@@ -466,6 +466,8 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
             nid = _node_index(rec["id"], n, "id")
             where = f"node {nid}"
             pair = rec["children"]
+            if type(pair) is not list:
+                raise DataError(f"malformed tree JSON: {where} children {pair!r} is not a list")
             if bool(pair) != (nid >= n_leaves):
                 raise DataError(f"malformed tree JSON: {where}: the {n_leaves} leaves "
                                 "do not come first")

@@ -343,14 +343,21 @@ class TestSimulate:
         if existing is not None:
             out.write_bytes(existing)
         written = []
+        real_write = cli.atomic_write
 
-        def dumps(obj):
-            if len(written) == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            written.append(obj["id"])
-            return json.dumps(obj)
+        def atomic_write(path, data):
+            if path != str(out):
+                return real_write(path, data)
 
-        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+            def lines():  # fail when the third line is taken, however it was encoded
+                for line in data:
+                    if len(written) == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    written.append(json.loads(line)["id"])
+                    yield line
+            return real_write(path, lines())
+
+        monkeypatch.setattr(cli, "atomic_write", atomic_write)
         assert main(["simulate", "--input", prompts_file, "--output", str(out),
                      "--metrics", str(tmp_path / "m.json"), "--k", "10"]) == 3
         assert written == ["a", "b"]

@@ -99,7 +99,7 @@ class TestSchedule:
 
 
 @pytest.mark.parametrize("make", [lambda: make_schedule(5), lambda: ToyWorld.create(3, 3, 1.0),
-                                  lambda: GenerationOutput("p", np.zeros(2), (0, 0))],
+                                  lambda: GenerationOutput("p", np.zeros(2), ((0, 2),))],
                          ids=["NoiseSchedule", "ToyWorld", "GenerationOutput"])
 def test_compared_and_hashed_by_identity(make):
     # array fields have no single truth value, so field-wise == would raise
@@ -392,6 +392,27 @@ class TestExecutePlan:
                 assert ta[:shared] == tb[:shared]
                 if shared < len(a):
                     assert ta[shared] != tb[shared]
+
+    @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1e9])
+    def test_denoiser_runs_once_per_planned_evaluation(self, monkeypatch, variant, tau):
+        # as the benchmark's traced check: count every denoise_step call and
+        # name its node by mu, which is the node's mean under the identity map
+        ps, tree, world, sch, plan = toy_setup(K=15, tau=tau, variant=variant, jitter=0.3)
+        node_of = {tree.means[n].tobytes(): n for n in range(len(tree))}
+        assert len(node_of) == len(tree)  # every node's mean tells it apart
+        calls = []
+        real_step = diffusion.denoise_step
+
+        def counted(x_k, k, mu, *rest):
+            calls.append((node_of[mu.tobytes()], k))
+            return real_step(x_k, k, mu, *rest)
+
+        monkeypatch.setattr(diffusion, "denoise_step", counted)
+        res = execute_plan(plan, tree, world, sch, master_seed=5)
+        planned = sorted((n, step.k) for step in plan.steps for n in step.active)
+        assert sorted(calls) == planned
+        assert len(calls) == res.denoiser_calls == plan.total_evaluations
 
     def test_trace_length_and_finiteness(self):
         ps, tree, world, sch, plan = toy_setup()

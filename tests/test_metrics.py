@@ -31,7 +31,7 @@ from shdiff.tree import build_tree
 
 def fake_result(samples: dict[str, np.ndarray]) -> ExecutionResult:
     outputs = {
-        pid: GenerationOutput(pid, np.asarray(v, dtype=np.float64), (0,))
+        pid: GenerationOutput(pid, np.asarray(v, dtype=np.float64), ((0, 1),))
         for pid, v in samples.items()
     }
     return ExecutionResult(outputs=outputs, denoiser_calls=0)

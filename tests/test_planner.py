@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
@@ -109,12 +111,23 @@ class TestCompilePlan:
             emb = pool[rng.integers(0, len(pool), n)].astype(np.float32)
             tree = build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(n)), (None,) * n, emb))
             if trial % 2:
-                # selection is defined for any scores, monotone toward the leaves or not
-                tree = replace(tree, score=np.array(
-                    [rng.choice([0.0, 0.3, rng.uniform(0.0, 2.0)]) for _ in range(len(tree))]))
+                # a score that rises toward a leaf; only replace() makes such a tree
+                score = np.array([rng.choice([0.0, 0.3, rng.uniform(0.0, 2.0)])
+                                  for _ in range(len(tree))])
+                below = int(rng.integers(0, len(tree) - 1))
+                score[below] = score[tree.parent[below]] + 0.5
+                tree = replace(tree, score=score)
             for variant, tau, K in itertools.product(
                     (PHI_MAIN, PHI_APPENDIX), (0.0, 0.3, 2.0, 1e9), (1, 7, 30)):
                 params = ScheduleParams(K=K, tau=tau, phi_variant=variant)
+                if trial % 2:
+                    with pytest.raises(UsageError, match="never rise toward a leaf"):
+                        compile_plan(tree, params)
+                    # selection stays defined for any scores, monotone or not
+                    for pid in tree.leaf_of:
+                        assert all(0 <= select_node(tree, pid, k, params) < len(tree)
+                                   for k in range(1, K + 1))
+                    continue
                 plan = compile_plan(tree, params)
                 for pid in tree.leaf_of:
                     assert list(plan.assignment[pid]) == \
@@ -131,6 +144,19 @@ class TestCompilePlan:
                             cur = tree.parent[cur]
                         assert src == cur
                     prev = step.active
+
+    @pytest.mark.parametrize("edit", ["leaf score above 0", "root score nan"])
+    def test_scores_must_be_monotone_and_zero_at_leaves(self, chain_tree, edit):
+        # a leaf at 0.3 under a 0.3 parent never rises, but no node would hold
+        # the steps with phi_k <= 0.3 for that prompt
+        score = chain_tree.score.copy()
+        if edit == "leaf score above 0":
+            score[1] = 0.3
+        else:
+            score[-1] = np.nan
+        tree = replace(chain_tree, score=score)
+        with pytest.raises(UsageError, match="never rise toward a leaf and are 0 at leaves"):
+            compile_plan(tree, ScheduleParams(K=10, tau=1.0))
 
     def test_two_prompt_half_share(self, pair_tree):
         for K in (8, 40, 100):
@@ -268,3 +294,77 @@ class TestReportAndJson:
         assert doc["total_evaluations"] == plan.total_evaluations == 12
         assert doc["baseline_evaluations"] == plan.baseline_evaluations == 16
         assert doc["savings_fraction"] == plan.savings_fraction == 0.25
+
+
+def duplicate_row_tree():
+    """Twelve prompts drawn from four rows: at tau 0 every final node is the
+    zero-score merge of a row's copies, not a leaf."""
+    rng = np.random.default_rng(5)
+    pool = rng.standard_normal((4, 6))
+    emb = pool[rng.integers(0, 4, 12)].astype(np.float32)
+    return build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(12)), (None,) * 12, emb))
+
+
+class TestPlanJsonPinned:
+    # sha256 of plan_to_json as the per-(prompt, step) planner wrote it; the
+    # plan file must not depend on how a plan is compiled
+    @pytest.mark.parametrize("shape, params, digest", [
+        ("ancestral-deep", ScheduleParams(K=200, tau=1.0),
+         "e299b56fe3c9041f9e527cf3c41907b7345647d386828f11efe0a0ca95e6b9bb"),
+        ("duplicate rows", ScheduleParams(K=10, tau=0.0),
+         "2773b74025a8a79ced49c61d578e57979b189afd2299e2768010d5a014056684"),
+        ("duplicate rows", ScheduleParams(K=10, tau=0.5, phi_variant=PHI_APPENDIX),
+         "c5874ac0da96b39353ac1f501e29c03389e684865e32f4df07b21507c61e7915"),
+    ])
+    def test_digest(self, shape, params, digest):
+        if shape == "ancestral-deep":  # N=512, d=64, as the benchmark's workload
+            tree = build_tree(generate_synthetic(16, 32, 64, 0.1, seed=3))
+        else:
+            tree = duplicate_row_tree()
+        plan = compile_plan(tree, params)
+        if params.tau == 0.0:
+            assert min(nodes[-1] for nodes in plan.assignment.values()) >= len(tree.leaf_ids)
+        assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest
+
+
+@st.composite
+def duplicate_row_trees(draw):
+    """Trees over 1..12 prompts whose rows come from a small pool, so that
+    duplicates give zero-score internal nodes."""
+    n = draw(st.integers(1, 12))
+    pool = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (draw(st.integers(1, n)), 3))
+    rows = [draw(st.integers(0, len(pool) - 1)) for _ in range(n)]
+    return build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(n)), (None,) * n,
+                                pool[rows].astype(np.float32)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tree=duplicate_row_trees(), K=st.integers(1, 50),
+       tau=st.sampled_from([0.0, 1e-12, "c_max", 1e9]),
+       variant=st.sampled_from([PHI_MAIN, PHI_APPENDIX]))
+def test_plan_is_per_step_selection(tree, K, tau, variant):
+    """The span plan equals select_node per (prompt, step), and each state
+    comes from the nearest ancestor-or-self active a step earlier."""
+    params = ScheduleParams(K=K, tau=tree.c_max if tau == "c_max" else tau, phi_variant=variant)
+    plan = compile_plan(tree, params)
+    parent = tree.parent.tolist()
+    expected = {pid: tuple(select_node(tree, pid, k, params) for k in range(1, K + 1))
+                for pid in sorted(tree.leaf_of)}
+    assert plan.assignment == expected
+    for pid, nodes in expected.items():  # span nodes are the runs of the assignment
+        assert plan.paths[pid] == tuple(n for i, n in enumerate(nodes) if i == 0 or nodes[i - 1] != n)
+    prev = None
+    for k, step in enumerate(plan.steps, 1):
+        assert step.k == k
+        assert step.active == {nodes[k - 1] for nodes in expected.values()}
+        for node, src in step.inherit.items():
+            if prev is None:
+                assert src == FRESH
+                continue
+            cur = node
+            while cur not in prev:
+                cur = parent[cur]
+            assert src == cur
+        prev = step.active
+    assert plan.total_evaluations == sum(len(s.active) for s in plan.steps)

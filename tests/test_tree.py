@@ -524,6 +524,12 @@ CORRUPTIONS = {
     "embeddings missing": lambda doc: doc.pop("leaves"),
     "leaves block empty": lambda doc: doc.update(leaves=""),
     "no nodes": lambda doc: doc.update(nodes=[], root=0),
+    # a leaf's children must be the list []
+    "leaf children null": _set(2, "children", None),
+    "leaf children 0": _set(2, "children", 0),
+    "leaf children an object": _set(2, "children", {}),
+    "leaf children a string": _set(2, "children", ""),
+    "leaf children false": _set(2, "children", False),
 }
 
 
@@ -538,3 +544,16 @@ class TestTreeJsonValidation:
         CORRUPTIONS[defect](doc)
         with pytest.raises(DataError):
             tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("defect", sorted(CORRUPTIONS))
+    def test_defect_exits_3_through_simulate(self, defect, tmp_path, capsys):
+        doc = six_prompt_tree_doc()
+        CORRUPTIONS[defect](doc)
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps(doc))
+        prompts = tmp_path / "p.jsonl"
+        save_prompt_set(prompt_set(np.random.default_rng(3).standard_normal((6, 3))), str(prompts))
+        assert main(["simulate", "--input", str(prompts), "--tree", str(tree_path),
+                     "--k", "5", "--output", str(tmp_path / "s.jsonl")]) == 3
+        assert "malformed tree JSON" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
