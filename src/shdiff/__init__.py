@@ -40,7 +40,6 @@ from .planner import (
     SharePlan,
     compile_plan,
     phi,
-    savings_report,
     select_node,
 )
 from .tree import (

@@ -34,6 +34,20 @@ def _require_input(path: str) -> None:
         raise UsageError(f"input file not found: {path}")
 
 
+def _check_outputs(args) -> None:
+    """Raise UsageError if an output path names an input or another output,
+    which writing it would replace."""
+    taken = {os.path.realpath(path): f"--{name}" for name in ("input", "tree", "world")
+             if (path := getattr(args, name, None))}
+    for name in ("output", "metrics"):
+        path = getattr(args, name, None)
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise UsageError(f"--{name} {path} is the same file as {taken[real]}")
+            taken[real] = f"--{name}"
+
+
 def _load_prompts(args) -> "tuple":
     _require_input(args.input)
     try:
@@ -165,8 +179,8 @@ def cmd_simulate(args) -> int:
         f'"sample": {json.dumps(result.outputs[pid].sample.astype(np.float32).tolist())}, '
         f'"trace": [{", ".join(span_text[node] for node in plan.paths[pid])}]}}\n'
         for pid in prompts.ids))
-    mpath = args.metrics or (os.path.splitext(args.output)[0] + ".metrics.json")
-    atomic_write(mpath, metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
+    atomic_write(args.metrics,
+                 metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")
     print(f"quality_mse: {run_metrics.mean_squared_error_to_target:.6g}")
     return 0
@@ -269,9 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate":
         args.output = args.output or "samples.jsonl"
+        args.metrics = args.metrics or os.path.splitext(args.output)[0] + ".metrics.json"
     if getattr(args, "schedule", None) == "linear-beta":
         args.schedule = diffusion.CURVE_LINEAR_BETA
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -50,23 +50,7 @@ class NoiseSchedule:
     K: int
     variant: str
     curve: str
-    alpha_bar: np.ndarray = field(repr=False)  # (K+1,), alpha_bar[0] = 1
-    beta: np.ndarray = field(repr=False)  # (K+1,), beta[0] unused
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    coefficients: tuple[Coefficients, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        """Build the per-t coefficient table, with the arrays made read-only
-        so that it cannot go stale.  sqrt is correctly rounded, so the
-        array-wide roots have the bits of per-step np.sqrt calls."""
-        for arr in (self.alpha_bar, self.beta, self.a, self.b, self.sigma):
-            arr.flags.writeable = False
-        ab = self.alpha_bar
-        columns = (ab, np.sqrt(ab), np.sqrt(1.0 - ab), self.a, self.b, self.sigma)
-        object.__setattr__(self, "coefficients", tuple(
-            map(Coefficients._make, zip(*(c.tolist() for c in columns)))))
+    coefficients: tuple[Coefficients, ...] = field(repr=False)  # per t = 0..K
 
 
 def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSINE) -> NoiseSchedule:
@@ -74,7 +58,9 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
 
     The cosine curve follows alpha_bar(u) = cos^2(((u + 0.008)/1.008) * pi/2)
     normalized so alpha_bar[0] = 1; betas are clipped at 0.999 and alpha_bar
-    rebuilt by cumulative product so it stays strictly inside (0, 1].
+    rebuilt by cumulative product so it stays strictly inside (0, 1].  The
+    roots are taken column-wise; sqrt is correctly rounded, so they have the
+    bits of per-step np.sqrt calls.
     """
     if not 1 <= K <= MAX_K:
         raise UsageError(f"K must be in 1..{MAX_K}")
@@ -105,8 +91,15 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
     sigma = np.sqrt(sigma2)
     if variant == DETERMINISTIC:
         sigma = np.zeros(K + 1)
-    return NoiseSchedule(K=K, variant=variant, curve=curve, alpha_bar=alpha_bar,
-                         beta=beta, a=a, b=b, sigma=sigma)
+    columns = (alpha_bar, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar), a, b, sigma)
+    return NoiseSchedule(K, variant, curve, tuple(
+        map(Coefficients._make, zip(*(c.tolist() for c in columns)))))
+
+
+def _valid_std(std: float) -> bool:
+    """True if std is >= 0 and its square, which every step uses, is finite."""
+    std = float(std)
+    return std >= 0 and math.isfinite(std * std)
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
@@ -133,8 +126,8 @@ class ToyWorld:
             if not np.all(np.isfinite(A)):
                 raise UsageError("condition map must be finite")
             A.flags.writeable = False
-        if not (np.isfinite(self.target_std) and self.target_std >= 0):
-            raise UsageError("target_std must be finite and >= 0")
+        if not _valid_std(self.target_std):
+            raise UsageError("target_std must be >= 0 with a finite square")
 
     @property
     def data_dimension(self) -> int:
@@ -229,14 +222,10 @@ class GenerationOutput:
     runs: tuple[tuple[int, int], ...]  # (node id, steps it conditions) in step order
 
     @property
-    def nodes(self) -> tuple[int, ...]:
-        """Node id conditioning each step k = 1, 2, ..."""
-        return tuple(chain.from_iterable(repeat(n, steps) for n, steps in self.runs))
-
-    @property
     def trace(self) -> tuple[tuple[int, int], ...]:
-        """(node_id, k) per step."""
-        return tuple(zip(self.nodes, range(1, len(self.nodes) + 1)))
+        """(node id conditioning step k, k) per step k = 1, 2, ..."""
+        return tuple(zip(chain.from_iterable(repeat(n, steps) for n, steps in self.runs),
+                         count(1)))
 
 
 @dataclass(frozen=True)
@@ -382,8 +371,9 @@ def world_from_json(text: str | bytes,
         doc = json.loads(text)
         m = _world_int(doc["data_dimension"], "data_dimension", _WORLD_SIZES)
         std = doc["target_std"]
-        if type(std) not in (int, float) or not (math.isfinite(std) and std >= 0):
-            raise DataError(f"malformed world JSON: target_std {std!r} is not a finite number >= 0")
+        if type(std) not in (int, float) or not _valid_std(std):
+            raise DataError(f"malformed world JSON: target_std {std!r} is not a number >= 0 "
+                            "with a finite square")
         cmap = doc["condition_map"]
         sched = doc["schedule"]
         seed = _world_int(doc["master_seed"], "master_seed")

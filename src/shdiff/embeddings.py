@@ -12,6 +12,7 @@ import struct
 import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -66,9 +67,6 @@ class PromptSet:
             return self._index[prompt_id]
         except KeyError:
             raise UsageError(f"unknown prompt id {prompt_id!r}") from None
-
-    def embedding_of(self, prompt_id: str) -> np.ndarray:
-        return self.embeddings[self.index_of(prompt_id)]
 
     def normalized(self) -> "PromptSet":
         """Return a copy with every embedding scaled to unit L2 norm."""
@@ -227,20 +225,18 @@ def _load_jsonl(path: str) -> PromptSet:
     return PromptSet(tuple(ids), tuple(texts), np.array(rows, dtype=np.float32))
 
 
-def _load_binary(path: str) -> PromptSet:
+def _load_binary(path: str, f: BinaryIO) -> PromptSet:
+    """The rest of an SHDF file, read from ``f`` just past its magic bytes."""
     size = 4 + struct.calcsize("<HQI")
-    with open(path, "rb") as f:
-        header = f.read(size)
-        if len(header) < 4 or header[:4] != BINARY_MAGIC:
-            raise DataError(f"{path}: bad magic bytes, not a {BINARY_MAGIC.decode()} file")
-        if len(header) < size:
-            raise DataError(f"{path}: header holds {len(header)} bytes, not {size}")
-        version, n, d = struct.unpack("<HQI", header[4:])
-        if version != BINARY_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        if d == 0:  # n empty rows would fit any n, and n ids cost memory
-            raise DataError(f"{path}: dimension 0")
-        payload = f.read()
+    header = BINARY_MAGIC + f.read(size - 4)
+    if len(header) < size:
+        raise DataError(f"{path}: header holds {len(header)} bytes, not {size}")
+    version, n, d = struct.unpack("<HQI", header[4:])
+    if version != BINARY_VERSION:
+        raise DataError(f"{path}: unsupported version {version}")
+    if d == 0:  # n empty rows would fit any n, and n ids cost memory
+        raise DataError(f"{path}: dimension 0")
+    payload = f.read()
     expected = n * d * 4
     if len(payload) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
@@ -250,19 +246,13 @@ def _load_binary(path: str) -> PromptSet:
     return PromptSet(ids, (None,) * n, emb.astype(np.float32))
 
 
-def load_prompt_set(path: str, fmt: str | None = None) -> PromptSet:
-    """Load a prompt set from JSONL or the SHDF binary format.
-
-    With fmt=None the format is sniffed from the leading magic bytes.
-    """
-    if fmt is None:
-        with open(path, "rb") as f:
-            fmt = "binary" if f.read(4) == BINARY_MAGIC else "jsonl"
-    if fmt == "jsonl":
-        return _load_jsonl(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise UsageError(f"unknown format {fmt!r}")
+def load_prompt_set(path: str) -> PromptSet:
+    """Load a prompt set: the SHDF binary format if the file starts with its
+    magic bytes, else JSONL."""
+    with open(path, "rb") as f:
+        if f.read(4) == BINARY_MAGIC:
+            return _load_binary(path, f)
+    return _load_jsonl(path)
 
 
 def generate_synthetic(
@@ -281,8 +271,8 @@ def generate_synthetic(
     """
     if clusters < 1 or per_cluster < 1 or dimension < 1:
         raise UsageError("clusters, per_cluster, and dimension must be >= 1")
-    if jitter < 0:
-        raise UsageError("jitter must be >= 0")
+    if not 0 <= jitter < float("inf"):  # NaN fails both comparisons
+        raise UsageError("jitter must be finite and >= 0")
     centers = np.empty((clusters, dimension), dtype=np.float64)
     for c in range(clusters):
         v = stream(seed, TAG_CENTER, c).standard_normal(dimension)

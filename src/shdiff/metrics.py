@@ -27,22 +27,16 @@ class RunMetrics:
     baseline_evaluations: int
 
 
-def squared_errors(result: ExecutionResult, world: ToyWorld,
-                   prompts: PromptSet) -> dict[str, float]:
-    """Per-prompt squared distance between final sample and target mean A*y."""
-    errors = {}
-    for pid in prompts.ids:
+def quality_mse(result: ExecutionResult, world: ToyWorld, prompts: PromptSet) -> float:
+    """Mean over prompts of the squared distance between final sample and
+    target mean A*y."""
+    errors = []
+    for pid, y in zip(prompts.ids, prompts.embeddings):
         if pid not in result.outputs:
             raise UsageError(f"missing output for prompt {pid!r}")
-        mu = world.target_mean(prompts.embedding_of(pid).astype(np.float64))
-        diff = result.outputs[pid].sample - mu
-        errors[pid] = float(np.dot(diff, diff))
-    return errors
-
-
-def quality_mse(result: ExecutionResult, world: ToyWorld, prompts: PromptSet) -> float:
-    errs = squared_errors(result, world, prompts)
-    return float(np.mean(list(errs.values())))
+        diff = result.outputs[pid].sample - world.target_mean(y.astype(np.float64))
+        errors.append(float(np.dot(diff, diff)))
+    return float(np.mean(errors))
 
 
 def diversity_pairwise_cosine(result: ExecutionResult, sample_cap: int = 100,

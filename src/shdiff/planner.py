@@ -186,19 +186,6 @@ def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:
     )
 
 
-def savings_report(plan: SharePlan) -> dict:
-    """Pure summary of a compiled plan."""
-    per_step = [len(s.active) for s in plan.steps]
-    distinct_nodes = max(map(len, plan.paths.values()))  # a node holds one span
-    return {
-        "per_step_active_counts": per_step,
-        "total": plan.total_evaluations,
-        "baseline": plan.baseline_evaluations,
-        "savings_fraction": plan.savings_fraction,
-        "max_distinct_nodes_per_prompt": distinct_nodes,
-    }
-
-
 def plan_to_json(plan: SharePlan) -> str:
     doc = {
         "K": plan.K,

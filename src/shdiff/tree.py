@@ -82,15 +82,11 @@ class EmbeddingTree:
         return max(depth)
 
 
-def path_to_root(tree: EmbeddingTree, prompt_id: str,
-                 parent: list[int] | None = None) -> list[int]:
-    """Node ids from the prompt's leaf up to the root (leaf first).  A caller
-    walking many paths passes ``tree.parent.tolist()`` as ``parent``, so that
-    they share one int per node, which dicts keyed on node ids match by
-    identity."""
+def path_to_root(tree: EmbeddingTree, prompt_id: str) -> list[int]:
+    """Node ids from the prompt's leaf up to the root (leaf first)."""
     if prompt_id not in tree.leaf_of:
         raise UsageError(f"unknown prompt id {prompt_id!r}")
-    parent = tree.parent.tolist() if parent is None else parent
+    parent = tree.parent.tolist()
     path = [tree.leaf_of[prompt_id]]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])

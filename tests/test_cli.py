@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -547,7 +548,74 @@ def test_k_above_bound_exit_2(prompts_file, tmp_path, capsys, command, k):
     assert "K must be in 1..2147483647" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_target_std_exit_2(prompts_file, tmp_path, capsys, command):
+    # 1e200 is finite, but its square, which every step uses, is not
+    argv = [command, "--input", prompts_file, "--k", "10", "--target-std", "1e200",
+            "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--sweep", "1"]
+    assert main(argv) == 2
+    assert "target_std must be >= 0 with a finite square" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class TestOutputsOverwriteInputs:
+    """An output path that names an input, or the other output, is a usage
+    error before anything is read or written, however the path is spelled."""
+
+    CASES = [
+        ("tree", "--output", "input"),
+        ("plan", "--output", "input"),
+        ("plan", "--output", "tree"),
+        ("simulate", "--output", "input"),
+        ("simulate", "--output", "tree"),
+        ("simulate", "--output", "world"),
+        ("simulate", "--metrics", "input"),
+        ("simulate", "--metrics", "tree"),
+        ("simulate", "--metrics", "world"),
+        ("simulate", "--metrics", "samples"),
+        ("sweep", "--output", "input"),
+        ("sweep", "--output", "world"),
+    ]
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["same path", "directory link"])
+    @pytest.mark.parametrize("command, option, target", CASES,
+                             ids=[" ".join(case) for case in CASES])
+    def test_exit_2_inputs_unchanged(self, prompts_file, tmp_path, capsys,
+                                     command, option, target, via_link):
+        files = {"input": Path(prompts_file), "tree": tmp_path / "tree.json",
+                 "world": tmp_path / "world.json", "samples": tmp_path / "samples.jsonl"}
+        assert main(["tree", "--input", prompts_file, "--output", str(files["tree"])]) == 0
+        files["world"].write_text(
+            world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        before = {name: files[name].read_bytes() for name in ("input", "tree", "world")}
+        path = files[target]
+        if via_link:  # the same file, reached through a linked directory
+            (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+            path = tmp_path / "alias" / path.name
+        argv = [command, "--input", prompts_file]
+        if target in ("tree", "world"):
+            argv += [f"--{target}", str(files[target])]
+        if option == "--metrics":
+            argv += ["--output", str(files["samples"])]
+        argv += [option, str(path)] + (["--sweep", "1"] if command == "sweep" else [])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "is the same file as" in capsys.readouterr().err
+        assert {name: files[name].read_bytes() for name in before} == before
+        assert not files["samples"].exists()
+
+
 class TestSynth:
+    @pytest.mark.parametrize("jitter", ["nan", "inf", "-1"])
+    def test_bad_jitter_exit_2(self, tmp_path, capsys, jitter):
+        out = tmp_path / "synth.jsonl"
+        assert main(["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4",
+                     "--jitter", jitter, "--output", str(out)]) == 2
+        assert "jitter must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jsonl_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "synth.jsonl"
         rc = main(["synth", "--clusters", "3", "--per-cluster", "4",
@@ -634,6 +702,7 @@ WORLD_DEFECTS = {
     "target_std nan": _world_set("target_std", float("nan")),
     "target_std inf": _world_set("target_std", float("inf")),
     "target_std negative": _world_set("target_std", -0.5),
+    "target_std 1e200": _world_set("target_std", 1e200),
     "master_seed a string": _world_set("master_seed", "4"),
     "not an object": lambda doc: [doc],
 }

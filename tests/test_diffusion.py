@@ -54,43 +54,85 @@ def mc_epsilon_regression(world, x_query, alpha_bar, condition, n=100_000, seed=
     return pred, se
 
 
+# sha256 of repr(make_schedule(K, variant, curve).coefficients).  Every
+# sample's bytes depend on these bits; they were computed when the table was
+# still built from arrays the schedule stored.
+SCHEDULE_TABLE_SHA256 = {
+    (1, DETERMINISTIC, CURVE_COSINE):
+        "83519a495ca925e63625fbb12e7af70abc0036055a4694e4069ace958acf58ea",
+    (1, DETERMINISTIC, CURVE_LINEAR_BETA):
+        "ea8f597cf15c9bdef5a6f66bf6debce981027aaca9b82d00abbf39f3a39c0b2c",
+    (1, ANCESTRAL, CURVE_COSINE):
+        "83519a495ca925e63625fbb12e7af70abc0036055a4694e4069ace958acf58ea",
+    (1, ANCESTRAL, CURVE_LINEAR_BETA):
+        "ea8f597cf15c9bdef5a6f66bf6debce981027aaca9b82d00abbf39f3a39c0b2c",
+    (40, DETERMINISTIC, CURVE_COSINE):
+        "53043f2166417e3fe6545bc865f7e591d374abf479466125da5e3b27967345ed",
+    (40, DETERMINISTIC, CURVE_LINEAR_BETA):
+        "d3ba3743e72a6ba44bdf2243d46b3b3446aab4eea74aa078316e0aec33d628d2",
+    (40, ANCESTRAL, CURVE_COSINE):
+        "fc65b59f68f07841eb313b5fd68746127e3d32e55903b1a869771e26c2deb6d0",
+    (40, ANCESTRAL, CURVE_LINEAR_BETA):
+        "aaf2b9f41417a76032d58ba4a3005556d625d006da467492eedc80c256284a0a",
+    (200, DETERMINISTIC, CURVE_COSINE):
+        "9b766e1659d9d485f446ac3e1061958e7ca54ca9df7da6c440ffd7df9d54161e",
+    (200, DETERMINISTIC, CURVE_LINEAR_BETA):
+        "596b1a78278d1ce50827f210fd393f69d47f6e4b1729444a24a23a581fd376d1",
+    (200, ANCESTRAL, CURVE_COSINE):
+        "8c121e4dfa18ab100e3eba40c87edb717c809df286272b282d552b466119ee4f",
+    (200, ANCESTRAL, CURVE_LINEAR_BETA):
+        "8b5ccdc186750b4de755fbdc258f5a892f7a834b3c3aabf2cfaec70a017f1463",
+    (1000, DETERMINISTIC, CURVE_COSINE):
+        "6db2a250969ed04ca89e6c64264af3a0bee8d855b5c28822aa445aa5d3a3291a",
+    (1000, DETERMINISTIC, CURVE_LINEAR_BETA):
+        "12f4d30b78e727b13519b2a323371aca0bd999d11c1f2381058df4c007b99dea",
+    (1000, ANCESTRAL, CURVE_COSINE):
+        "680db02f90e8a7e9f31cf583301032dc1480ccc5055b741aa8321a86f1c3982b",
+    (1000, ANCESTRAL, CURVE_LINEAR_BETA):
+        "f29b16228a0fdbc56a00703ab4df6fd17bf4c0191837ce904c30331f248a45dc",
+}
+
+
+def column(sch, name):
+    """One coefficient of every noise level t = 0..K, as an array."""
+    return np.array([getattr(row, name) for row in sch.coefficients])
+
+
 class TestSchedule:
+    @pytest.mark.parametrize("key", sorted(SCHEDULE_TABLE_SHA256), ids=str)
+    def test_table_pinned(self, key):
+        table = repr(make_schedule(*key).coefficients).encode()
+        assert hashlib.sha256(table).hexdigest() == SCHEDULE_TABLE_SHA256[key]
+
     @pytest.mark.parametrize("curve", [CURVE_COSINE, CURVE_LINEAR_BETA])
     def test_alpha_bar_endpoints(self, curve):
         sch = make_schedule(40, DETERMINISTIC, curve)
-        assert sch.alpha_bar[0] == 1.0
-        assert 0.0 < sch.alpha_bar[40] < 0.05
+        assert sch.coefficients[0].alpha_bar == 1.0
+        assert 0.0 < sch.coefficients[40].alpha_bar < 0.05
 
     @pytest.mark.parametrize("curve", [CURVE_COSINE, CURVE_LINEAR_BETA])
     def test_alpha_bar_strictly_decreasing(self, curve):
-        ab = make_schedule(50, DETERMINISTIC, curve).alpha_bar
+        ab = column(make_schedule(50, DETERMINISTIC, curve), "alpha_bar")
         assert np.all(np.diff(ab) < 0)
 
     def test_linear_beta_1000_steps(self):
         sch = make_schedule(1000, DETERMINISTIC, CURVE_LINEAR_BETA)
-        assert sch.alpha_bar[1000] < 5e-5
+        assert sch.coefficients[1000].alpha_bar < 5e-5
 
     def test_deterministic_sigma_zero(self):
         sch = make_schedule(20, DETERMINISTIC, CURVE_COSINE)
-        assert np.all(sch.sigma == 0.0)
+        assert np.all(column(sch, "sigma") == 0.0)
 
     def test_ancestral_first_step_sigma_zero(self):
-        sch = make_schedule(20, ANCESTRAL, CURVE_COSINE)
-        assert sch.sigma[1] == 0.0
-        assert np.all(sch.sigma[2:] > 0.0)
+        sigma = column(make_schedule(20, ANCESTRAL, CURVE_COSINE), "sigma")
+        assert sigma[1] == 0.0
+        assert np.all(sigma[2:] > 0.0)
 
     def test_coefficients_finite(self):
         for K in (1, 2, 40, 1000):
             sch = make_schedule(K, ANCESTRAL, CURVE_COSINE)
-            for arr in (sch.a, sch.b, sch.sigma, sch.alpha_bar):
-                assert np.all(np.isfinite(arr))
-
-    @pytest.mark.parametrize("name", ["alpha_bar", "beta", "a", "b", "sigma"])
-    def test_arrays_read_only(self, name):
-        for variant in (DETERMINISTIC, ANCESTRAL):
-            arr = getattr(make_schedule(5, variant), name)
-            with pytest.raises(ValueError):
-                arr[1] = 0.5
+            assert len(sch.coefficients) == K + 1
+            assert np.all(np.isfinite(np.array(sch.coefficients)))
 
     def test_bad_k(self):
         for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
@@ -250,11 +292,12 @@ class TestDenoiseStep:
         y = np.array([1.0, 0.0])
         x = np.array([0.3, 0.7])
         t = det.K - 3 + 1
-        eps = analytic_epsilon(w, x, det.alpha_bar[t], w.target_mean(y))
-        expected = det.a[t] * x - det.b[t] * eps
+        row = det.coefficients[t]
+        eps = analytic_epsilon(w, x, row.alpha_bar, w.target_mean(y))
+        expected = row.a * x - row.b * eps
         # sigma[1] == 0 at the clean end; emulate by a zeroed-sigma schedule
         from dataclasses import replace
-        zero = replace(det, sigma=np.zeros(det.K + 1))
+        zero = replace(det, coefficients=tuple(c._replace(sigma=0.0) for c in det.coefficients))
         assert np.allclose(denoise_step(x, 3, w.target_mean(y), zero, w, stream(0, 9)), expected)
 
     def test_calibration_against_gaussian_target(self):
@@ -306,8 +349,8 @@ def coefficient_grid_digest():
                                  sch, world, noise))
         for t in range(1, K + 1):
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
-                add(analytic_epsilon(world, xs[t - 1].astype(x_type), sch.alpha_bar[t],
-                                     mus[t - 1].astype(mu_type)))
+                add(analytic_epsilon(world, xs[t - 1].astype(x_type),
+                                     sch.coefficients[t].alpha_bar, mus[t - 1].astype(mu_type)))
     return h.hexdigest()
 
 
@@ -497,8 +540,8 @@ class TestTruncatedStandard:
         full = run_standard(tree, world, sch, master_seed=0)
         trunc = run_standard(tree, world, sch, master_seed=0, max_steps=5)
         assert trunc.denoiser_calls == 5 * len(ps)
-        for pid in ps.ids:
-            mu = world.target_mean(ps.embedding_of(pid).astype(np.float64))
+        for pid, y in zip(ps.ids, ps.embeddings):
+            mu = world.target_mean(y.astype(np.float64))
             assert np.linalg.norm(full.outputs[pid].sample - mu) < 1e-8
             assert np.linalg.norm(trunc.outputs[pid].sample - mu) > 1e-3
 

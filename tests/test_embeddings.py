@@ -183,10 +183,11 @@ class TestIO:
         assert len(ps) == 4 and ps.dimension == 8
 
     def test_binary_bad_magic(self, tmp_path):
+        # without the magic bytes the file is read as JSONL
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(DataError, match="magic"):
-            load_prompt_set(str(path), "binary")
+        with pytest.raises(DataError, match=r"bad\.bin:1: malformed JSON"):
+            load_prompt_set(str(path))
 
     def test_binary_truncated(self, tmp_path):
         path = tmp_path / "short.bin"
@@ -258,4 +259,4 @@ class TestPromptSet:
     def test_unknown_id(self):
         ps = PromptSet(("a",), (None,), np.array([[1.0, 0.0]], dtype=np.float32))
         with pytest.raises(UsageError):
-            ps.embedding_of("zzz")
+            ps.index_of("zzz")

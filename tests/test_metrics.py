@@ -21,7 +21,6 @@ from shdiff.metrics import (
     metrics_to_json,
     quality_mse,
     run_once,
-    squared_errors,
     sweep_csv,
     sweep_tau,
 )
@@ -50,8 +49,6 @@ class TestQuality:
         w = ToyWorld(np.eye(2), 0.0)
         res = fake_result({"a": np.array([1.0, 2.0]),   # off by (0, 2): err 4
                            "b": np.array([1.0, 1.0])})  # off by (1, 0): err 1
-        errs = squared_errors(res, w, ps)
-        assert errs == {"a": 4.0, "b": 1.0}
         assert quality_mse(res, w, ps) == 2.5
 
     def test_missing_output(self):

@@ -17,7 +17,6 @@ from shdiff.planner import (
     compile_plan,
     phi,
     plan_to_json,
-    savings_report,
     select_node,
 )
 from shdiff.tree import build_tree, path_to_root, randomize_encodings, reembed
@@ -262,25 +261,26 @@ class TestReportAndJson:
         ps = generate_synthetic(2, 4, 8, 0.2, seed=4)
         tree = build_tree(ps)
         plan = compile_plan(tree, ScheduleParams(K=10, tau=1.0))
-        rep = savings_report(plan)
-        assert rep["total"] == plan.total_evaluations
-        assert rep["baseline"] == 10 * 8
-        assert rep["savings_fraction"] == plan.savings_fraction
-        assert len(rep["per_step_active_counts"]) == 10
+        assert plan.total_evaluations == sum(len(s.active) for s in plan.steps)
+        assert plan.baseline_evaluations == 10 * 8
+        assert plan.savings_fraction == 1.0 - plan.total_evaluations / (10 * 8)
+        assert len(plan.steps) == 10
 
     def test_tau_zero_report(self):
         ps = generate_synthetic(2, 2, 8, 0.2, seed=4)
         plan = compile_plan(build_tree(ps), ScheduleParams(K=10, tau=0.0))
-        assert savings_report(plan)["savings_fraction"] == 0.0
+        assert plan.savings_fraction == 0.0
+        assert plan.total_evaluations == plan.baseline_evaluations == 10 * 4
 
     def test_distinct_nodes_per_prompt(self, chain_tree):
         # Prompt b visits root, inner node and leaf: three nodes, although
         # the tree is only two edges deep.
         plan = compile_plan(chain_tree, ScheduleParams(K=10, tau=1.0))
-        assert savings_report(plan)["max_distinct_nodes_per_prompt"] == 3
+        assert max(map(len, plan.paths.values())) == 3
+        assert len(plan.paths["b"]) == 3
         assert chain_tree.depth() == 2
         plan = compile_plan(chain_tree, ScheduleParams(K=10, tau=0.0))
-        assert savings_report(plan)["max_distinct_nodes_per_prompt"] == 1
+        assert max(map(len, plan.paths.values())) == 1
 
     def test_plan_to_json_fields(self, pair_tree):
         plan = compile_plan(pair_tree, ScheduleParams(K=8, tau=1.0))
