@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,6 +47,11 @@ def _check_outputs(args) -> None:
             if real in taken:
                 raise UsageError(f"--{name} {path} is the same file as {taken[real]}")
             taken[real] = f"--{name}"
+
+
+def _seed(args, file_seed: int = 0) -> int:
+    """The master seed: --seed when given, else the world file's, else 0."""
+    return file_seed if args.seed is None else args.seed
 
 
 def _load_prompts(args) -> "tuple":
@@ -112,7 +118,7 @@ def cmd_tree(args) -> int:
         raise UsageError("--output cannot be combined with --ablation: "
                          "no command reads an ablation tree")
     prompts = _load_prompts(args)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     if ablation:
         built_from = tree_mod.randomize_encodings(prompts, seed)
     else:
@@ -130,7 +136,7 @@ def cmd_tree(args) -> int:
 
 def cmd_plan(args) -> int:
     prompts = _load_prompts(args)
-    tree = _plan_tree(args, prompts, args.seed if args.seed is not None else 0)
+    tree = _plan_tree(args, prompts, _seed(args))
     params = planner.ScheduleParams(K=args.k, tau=args.tau, phi_variant=args.phi)
     plan = planner.compile_plan(tree, params)
     if args.output:
@@ -140,27 +146,24 @@ def cmd_plan(args) -> int:
 
 
 def _resolve_world(args, prompts):
+    """The world, schedule and seed of ``simulate`` and ``sweep``: the world
+    file's values, or the defaults without one, each overridden by its flag."""
     d = prompts.dimension
     if args.world:
         _require_input(args.world)
         with open(args.world, "rb") as f:
-            world, schedule, seed = diffusion.world_from_json(f.read(), d)
-        if args.seed is not None:
-            seed = args.seed
-        if args.k is not None or args.schedule is not None or args.variant is not None:
-            schedule = diffusion.make_schedule(
-                args.k if args.k is not None else schedule.K,
-                args.variant if args.variant is not None else schedule.variant,
-                args.schedule if args.schedule is not None else schedule.curve,
-            )
-        return world, schedule, seed
-    world = diffusion.ToyWorld.create(d, d, args.target_std)
-    schedule = diffusion.make_schedule(
-        args.k if args.k is not None else 40,
-        args.variant if args.variant is not None else diffusion.DETERMINISTIC,
-        args.schedule if args.schedule is not None else diffusion.CURVE_COSINE,
-    )
-    return world, schedule, args.seed if args.seed is not None else 0
+            world, (k, variant, curve), file_seed = diffusion.world_from_json(f.read(), d)
+        seed = _seed(args, file_seed)
+    else:
+        world = diffusion.ToyWorld.create(d, d, 1.0)
+        k, variant, curve = 40, diffusion.DETERMINISTIC, diffusion.CURVE_COSINE
+        seed = _seed(args)
+    if args.target_std is not None:
+        world = replace(world, target_std=args.target_std)
+    schedule = diffusion.make_schedule(k if args.k is None else args.k,
+                                       variant if args.variant is None else args.variant,
+                                       curve if args.schedule is None else args.schedule)
+    return world, schedule, seed
 
 
 def cmd_simulate(args) -> int:
@@ -231,7 +234,7 @@ def _add_world(p):
     p.add_argument("--world", help="world config JSON")
     p.add_argument("--schedule", choices=["cosine", "linear-beta"], default=None)
     p.add_argument("--variant", choices=["deterministic", "ancestral"], default=None)
-    p.add_argument("--target-std", type=float, default=1.0)
+    p.add_argument("--target-std", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

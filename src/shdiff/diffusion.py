@@ -348,8 +348,8 @@ def world_to_json(world: ToyWorld, schedule: NoiseSchedule, master_seed: int) ->
     )
 
 
-# Sizes a world file may ask for.  Larger ones make numpy fail with a range
-# error (or allocate terabytes) instead of reaching a check.
+# Data dimensions a world file may ask for.  Larger ones make numpy fail with
+# a range error (or allocate terabytes) instead of reaching a check.
 _WORLD_SIZES = range(1, 2**31)
 
 
@@ -361,8 +361,9 @@ def _world_int(value, what: str, allowed: range | None = None) -> int:
 
 
 def world_from_json(text: str | bytes,
-                    embedding_dimension: int) -> tuple[ToyWorld, NoiseSchedule, int]:
-    """Parse a world config, raising DataError unless every field is valid.
+                    embedding_dimension: int) -> tuple[ToyWorld, tuple[int, str, str], int]:
+    """Parse a world config into its world, schedule (K, variant, curve) and
+    master seed, raising DataError unless every field is valid.
 
     An identity map whose data dimension is not the embedding dimension is a
     UsageError: the file is valid, it just does not fit this prompt set.
@@ -377,7 +378,7 @@ def world_from_json(text: str | bytes,
         cmap = doc["condition_map"]
         sched = doc["schedule"]
         seed = _world_int(doc["master_seed"], "master_seed")
-        K = _world_int(sched["K"], "schedule.K", _WORLD_SIZES)
+        K = _world_int(sched["K"], "schedule.K", range(1, MAX_K + 1))
         variant, curve = sched["variant"], sched["curve"]
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise DataError(f"malformed world JSON: {e}") from e
@@ -395,4 +396,4 @@ def world_from_json(text: str | bytes,
     else:
         raise DataError(f"malformed world JSON: condition_map {cmap!r} is neither "
                         '"identity" nor {"seed": int}')
-    return world, make_schedule(K, variant, curve), seed
+    return world, (K, variant, curve), seed

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,30 @@ def chain_tree():
         ["a", "b", "c"], [(1, 2), (0, 3)], [0.3, 0.8],
         [[1.0, 0.0], [0.0, 1.0], [0.1, 0.9], [0.05, 0.95], [0.36666, 0.63333]],
     )
+
+
+def expand_plan_json(text):
+    """The plan JSON that format 2 replaced, rebuilt from a format-2 document:
+    per prompt its node at every step, and per step the active nodes and the
+    state each one starts from."""
+    doc = json.loads(text)
+    assert doc["format"] == 2
+    spans = {n: (start, stop, source) for n, start, stop, source in doc["spans"]}
+    inherit = [{} for _ in range(doc["K"])]
+    for n, (start, stop, source) in spans.items():
+        for k in range(start, stop):
+            inherit[k - 1][n] = source if k == start else n
+    return json.dumps({
+        "K": doc["K"],
+        "tau": doc["tau"],
+        "phi_variant": doc["phi_variant"],
+        "assignment": [{"id": rec["id"], "nodes": [n for n in rec["nodes"]
+                                                   for _ in range(*spans[n][:2])]}
+                       for rec in doc["paths"]],
+        "steps": [{"k": k, "active": sorted(d),
+                   "inherit": {str(n): src for n, src in sorted(d.items())}}
+                  for k, d in enumerate(inherit, 1)],
+        "total_evaluations": doc["total_evaluations"],
+        "baseline_evaluations": doc["baseline_evaluations"],
+        "savings_fraction": doc["savings_fraction"],
+    }, indent=1)

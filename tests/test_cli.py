@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shdiff import cli
+from conftest import expand_plan_json
+from shdiff import cli, diffusion
 from shdiff.cli import main
 from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, world_to_json
 from shdiff.embeddings import PromptSet, generate_synthetic, load_prompt_set, save_prompt_set
 from shdiff.metrics import run_once, sweep_csv
-from shdiff.planner import ScheduleParams, compile_plan
+from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
 
 
@@ -149,6 +150,18 @@ class TestPlan:
         doc = json.loads(out.read_text())
         assert doc["baseline_evaluations"] == 40
         assert doc["total_evaluations"] == 20
+
+    def test_plan_file_reads_no_per_step_view(self, prompts_file, tmp_path, monkeypatch):
+        def per_step_view(plan):
+            raise AssertionError("the plan file was written from a per-step view")
+
+        for view in ("steps", "assignment"):
+            monkeypatch.setattr(SharePlan, view, property(per_step_view))
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--input", prompts_file, "--output", str(out),
+                     "--k", "10", "--tau", "1.0"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["format"] == 2 and len(doc["paths"]) == 4
 
     def test_tau_zero_prints_no_savings(self, prompts_file, capsys):
         assert main(["plan", "--input", prompts_file, "--k", "10",
@@ -458,11 +471,16 @@ class TestSimulate:
         assert main(["plan", *ablation, "--output", str(plan)]) == 0
         assert main(["simulate", *ablation, "--target-std", "0.5",
                      "--output", str(out), "--metrics", str(met)]) == 0
-        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (plan, out, met)] == [
+        # the plan digest is of the format-1 file, rebuilt from the format-2 one
+        plan_text = expand_plan_json(plan.read_text()).encode()
+        assert [hashlib.sha256(b).hexdigest()
+                for b in (plan_text, out.read_bytes(), met.read_bytes())] == [
             "5634d2bd432798f1d320077a7bfda26a241555a238cf21298c6e3d1f6523b81e",
             "9f20984bef3e95717e1ad0ffa71846164d9ca3e4c163b74bb98c0f69e3f8662a",
             "0a3970d7022957824dc7796b8acebc5e0c05885fe8d9ea0be5648244e8cebd36",
         ]
+        assert hashlib.sha256(plan.read_bytes()).hexdigest() == \
+            "da071868a2ebd6a040756d643c69434f5e2f1fcdbde1839ecb633651695d2866"  # format 2
 
 
 class TestSweep:
@@ -537,15 +555,15 @@ def test_tree_with_ablation_exit_2(prompts_file, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
-@pytest.mark.parametrize("k", [2**31, 2**63])
+@pytest.mark.parametrize("k", [MAX_K + 1, 2**31, 2**63])
 def test_k_above_bound_exit_2(prompts_file, tmp_path, capsys, command, k):
-    # Only rejected values are tried: an accepted K near the bound would
+    # Only rejected values are tried: an accepted K at the bound would
     # allocate K-long arrays.
     argv = [command, "--input", prompts_file, "--k", str(k), "--output", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--sweep", "1"]
     assert main(argv) == 2
-    assert "K must be in 1..2147483647" in capsys.readouterr().err
+    assert f"K must be in 1..{MAX_K}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -696,6 +714,7 @@ WORLD_DEFECTS = {
     "data_dimension float": _world_set("data_dimension", 3.0),
     "schedule.K a list": _world_set("schedule", "K", [5]),
     "schedule.K 2**31": _world_set("schedule", "K", 2**31),
+    "schedule.K above MAX_K": _world_set("schedule", "K", MAX_K + 1),
     "schedule variant unknown": _world_set("schedule", "variant", "euler"),
     "condition_map a list": _world_set("condition_map", [1, 2]),
     "condition_map seed missing": _world_set("condition_map", {}),
@@ -720,6 +739,25 @@ class TestWorldFile:
         assert rc == 3
         assert "error: malformed world JSON" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_override_file(self, prompts_file, tmp_path, monkeypatch):
+        # each flag given replaces the file's value, as if the file held it
+        def run(std, *flags):
+            world_path = tmp_path / f"world-{std}.json"
+            world_path.write_text(world_to_json(ToyWorld.create(3, 3, std), make_schedule(12), 4))
+            out = tmp_path / "samples.jsonl"
+            assert main(["simulate", "--input", prompts_file, "--world", str(world_path),
+                         "--output", str(out), "--variant", "ancestral", *flags]) == 0
+            return out.read_bytes()
+
+        assert run(0.5, "--target-std", "3.0") == run(3.0) != run(0.5)
+        assert run(3.0, "--target-std", "0.5") == run(0.5)
+        calls = []
+        real = diffusion.make_schedule
+        monkeypatch.setattr(diffusion, "make_schedule", lambda *a: calls.append(a) or real(*a))
+        samples = run(0.5, "--k", "10")
+        assert calls == [(10, ANCESTRAL, "cosine")]  # the file's K=12 is never built
+        assert len(json.loads(samples.splitlines()[0])["trace"]) == 10
 
     def test_nested_too_deep_exit_3(self, prompts_file, tmp_path, capsys):
         world_path = tmp_path / "world.json"

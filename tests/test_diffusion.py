@@ -22,7 +22,7 @@ from shdiff.diffusion import (
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
-from shdiff.planner import ScheduleParams, compile_plan
+from shdiff.planner import MAX_K, ScheduleParams, compile_plan
 from shdiff.rng import TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
 
@@ -135,8 +135,8 @@ class TestSchedule:
             assert np.all(np.isfinite(np.array(sch.coefficients)))
 
     def test_bad_k(self):
-        for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
-            with pytest.raises(UsageError):
+        for k in (0, MAX_K + 1, 2**31, 2**63):  # rejected before anything K-long exists
+            with pytest.raises(UsageError, match=f"K must be in 1..{MAX_K}"):
                 make_schedule(k)
 
 
@@ -555,7 +555,7 @@ class TestWorldJson:
         assert seed == 42
         assert np.array_equal(w2.condition_map, w.condition_map)
         assert w2.target_std == 0.7
-        assert sch2.K == 8 and sch2.variant == ANCESTRAL and sch2.curve == CURVE_LINEAR_BETA
+        assert sch2 == (8, ANCESTRAL, CURVE_LINEAR_BETA)
 
     def test_roundtrip_random_map(self):
         w = ToyWorld.create(3, 6, 1.0, map_seed=9)

@@ -7,8 +7,8 @@ file may also lose a key or have a value replaced by one of another type; a
 prompt set may get a wrong dimension or a NaN, and a JSONL set a duplicate id.
 A stale or mismatching tree is rebuilt (exit 0); a malformed file is a data
 error (exit 3).  Replacement integers stay below 1000 or at the extremes: a
-world may ask for any size up to 2**31 - 1, and mid-sized ones cost real
-memory and time rather than exposing a check.
+world may ask for a data dimension up to 2**31 - 1 and a K up to 100,000, and
+mid-sized ones cost real memory and time rather than exposing a check.
 """
 
 import json

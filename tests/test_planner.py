@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expand_plan_json
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
 from shdiff.planner import (
     FRESH,
+    MAX_K,
     PHI_APPENDIX,
     PHI_MAIN,
     ScheduleParams,
@@ -43,6 +45,9 @@ class TestPhi:
         vals = [phi(k, p) for k in range(1, 26)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_k_cap_accepted(self):
+        assert ScheduleParams(K=MAX_K, tau=1.0).K == MAX_K == 100_000
+
     def test_out_of_range(self):
         p = ScheduleParams(K=10, tau=1.0)
         with pytest.raises(UsageError):
@@ -56,8 +61,8 @@ class TestPhi:
         assert phi(10, p) == 0.0
 
     def test_bad_params(self):
-        for k in (0, 2**31, 2**63):  # rejected before anything K-long exists
-            with pytest.raises(UsageError):
+        for k in (0, MAX_K + 1, 2**31, 2**63):  # rejected before anything K-long exists
+            with pytest.raises(UsageError, match=f"K must be in 1..{MAX_K}"):
                 ScheduleParams(K=k, tau=1.0)
         for tau in (-0.5, float("inf"), float("nan")):
             with pytest.raises(UsageError, match="tau must be finite and >= 0"):
@@ -285,12 +290,14 @@ class TestReportAndJson:
     def test_plan_to_json_fields(self, pair_tree):
         plan = compile_plan(pair_tree, ScheduleParams(K=8, tau=1.0))
         doc = json.loads(plan_to_json(plan))
+        assert list(doc) == ["format", "K", "tau", "phi_variant", "spans", "paths",
+                             "total_evaluations", "baseline_evaluations", "savings_fraction"]
+        assert doc["format"] == 2
         assert doc["K"] == 8 and doc["tau"] == 1.0 and doc["phi_variant"] == "main"
-        assert {rec["id"]: tuple(rec["nodes"]) for rec in doc["assignment"]} == plan.assignment
-        assert [s["k"] for s in doc["steps"]] == [s.k for s in plan.steps]
-        assert [frozenset(s["active"]) for s in doc["steps"]] == [s.active for s in plan.steps]
-        inherit = [{int(n): src for n, src in s["inherit"].items()} for s in doc["steps"]]
-        assert inherit == [s.inherit for s in plan.steps]
+        # the root conditions steps 1..4 for both prompts, each leaf steps 5..8
+        assert doc["spans"] == [[2, 1, 5, "FRESH"], [1, 5, 9, 2], [0, 5, 9, 2]]
+        assert doc["spans"] == [[n, *span] for n, span in plan.spans.items()]
+        assert doc["paths"] == [{"id": "a", "nodes": [2, 0]}, {"id": "b", "nodes": [2, 1]}]
         assert doc["total_evaluations"] == plan.total_evaluations == 12
         assert doc["baseline_evaluations"] == plan.baseline_evaluations == 16
         assert doc["savings_fraction"] == plan.savings_fraction == 0.25
@@ -305,9 +312,20 @@ def duplicate_row_tree():
     return build_tree(PromptSet(tuple(f"p{i:02d}" for i in range(12)), (None,) * 12, emb))
 
 
+def pinned_plan(shape, params):
+    if shape == "ancestral-deep":  # N=512, d=64, as the benchmark's workload
+        tree = build_tree(generate_synthetic(16, 32, 64, 0.1, seed=3))
+    else:
+        tree = duplicate_row_tree()
+    plan = compile_plan(tree, params)
+    if params.tau == 0.0:
+        assert min(path[-1] for path in plan.paths.values()) >= len(tree.leaf_ids)
+    return plan
+
+
 class TestPlanJsonPinned:
-    # sha256 of plan_to_json as the per-(prompt, step) planner wrote it; the
-    # plan file must not depend on how a plan is compiled
+    # sha256 of the format-1 plan JSON as the per-(prompt, step) planner wrote
+    # it, rebuilt from format 2; the plan must not depend on how it is compiled
     @pytest.mark.parametrize("shape, params, digest", [
         ("ancestral-deep", ScheduleParams(K=200, tau=1.0),
          "e299b56fe3c9041f9e527cf3c41907b7345647d386828f11efe0a0ca95e6b9bb"),
@@ -317,14 +335,38 @@ class TestPlanJsonPinned:
          "c5874ac0da96b39353ac1f501e29c03389e684865e32f4df07b21507c61e7915"),
     ])
     def test_digest(self, shape, params, digest):
-        if shape == "ancestral-deep":  # N=512, d=64, as the benchmark's workload
-            tree = build_tree(generate_synthetic(16, 32, 64, 0.1, seed=3))
-        else:
-            tree = duplicate_row_tree()
-        plan = compile_plan(tree, params)
-        if params.tau == 0.0:
-            assert min(nodes[-1] for nodes in plan.assignment.values()) >= len(tree.leaf_ids)
-        assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest
+        text = expand_plan_json(plan_to_json(pinned_plan(shape, params)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # sha256 of plan_to_json itself, format 2
+    @pytest.mark.parametrize("shape, params, digest", [
+        ("ancestral-deep", ScheduleParams(K=200, tau=1.0),
+         "b2f1c6712f170223768e7e105601accfa0690ee975adc76ea90033953707db0c"),
+        ("duplicate rows", ScheduleParams(K=10, tau=0.0),
+         "3384ffbb73b7dd942e0944483d673c1dfd33ea5c516150bc5cf879ce5cf5f28f"),
+        ("duplicate rows", ScheduleParams(K=10, tau=0.5, phi_variant=PHI_APPENDIX),
+         "a05d46c9b37e9f1c7826c23e22b2efce435bc84228e8f529b9baa0887ec11773"),
+    ])
+    def test_format_2_digest(self, shape, params, digest):
+        text = plan_to_json(pinned_plan(shape, params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def views_json(plan):
+    """The format-1 plan JSON, written from the per-step views."""
+    return json.dumps({
+        "K": plan.K,
+        "tau": plan.tau,
+        "phi_variant": plan.phi_variant,
+        "assignment": [{"id": pid, "nodes": list(nodes)}
+                       for pid, nodes in sorted(plan.assignment.items())],
+        "steps": [{"k": s.k, "active": sorted(s.active),
+                   "inherit": {str(n): src for n, src in sorted(s.inherit.items())}}
+                  for s in plan.steps],
+        "total_evaluations": plan.total_evaluations,
+        "baseline_evaluations": plan.baseline_evaluations,
+        "savings_fraction": plan.savings_fraction,
+    }, indent=1)
 
 
 @st.composite
@@ -344,8 +386,9 @@ def duplicate_row_trees(draw):
        tau=st.sampled_from([0.0, 1e-12, "c_max", 1e9]),
        variant=st.sampled_from([PHI_MAIN, PHI_APPENDIX]))
 def test_plan_is_per_step_selection(tree, K, tau, variant):
-    """The span plan equals select_node per (prompt, step), and each state
-    comes from the nearest ancestor-or-self active a step earlier."""
+    """The span plan equals select_node per (prompt, step), each state comes
+    from the nearest ancestor-or-self active a step earlier, and the plan
+    JSON rebuilds the per-step views."""
     params = ScheduleParams(K=K, tau=tree.c_max if tau == "c_max" else tau, phi_variant=variant)
     plan = compile_plan(tree, params)
     parent = tree.parent.tolist()
@@ -368,3 +411,5 @@ def test_plan_is_per_step_selection(tree, K, tau, variant):
             assert src == cur
         prev = step.active
     assert plan.total_evaluations == sum(len(s.active) for s in plan.steps)
+    # the plan file holds the spans and paths only, and they give back the views
+    assert expand_plan_json(plan_to_json(plan)) == views_json(plan)
