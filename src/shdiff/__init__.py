@@ -11,12 +11,14 @@ from .diffusion import (
     ExecutionResult,
     GenerationOutput,
     NoiseSchedule,
+    StepTable,
     ToyWorld,
     analytic_epsilon,
     denoise_step,
     execute_plan,
     make_schedule,
     run_standard,
+    step_table,
 )
 from .embeddings import (
     PromptSet,

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shdiff import diffusion
 from shdiff.diffusion import (
@@ -17,6 +19,7 @@ from shdiff.diffusion import (
     execute_plan,
     make_schedule,
     run_standard,
+    step_table,
     world_from_json,
     world_to_json,
 )
@@ -280,8 +283,9 @@ class TestDenoiseStep:
         x = np.array([8.0, -5.0])
         mu = w.target_mean(y)
         start = np.linalg.norm(x - mu)
+        steps = step_table(sch, w)
         for k in range(1, 11):
-            x = denoise_step(x, k, mu, sch, w)
+            x = denoise_step(x, k, mu, steps)
         # last step has alpha_bar_prev == 1, so the point mass is hit exactly
         assert np.allclose(x, mu, atol=1e-12)
         assert np.linalg.norm(x - mu) < start
@@ -298,7 +302,8 @@ class TestDenoiseStep:
         # sigma[1] == 0 at the clean end; emulate by a zeroed-sigma schedule
         from dataclasses import replace
         zero = replace(det, coefficients=tuple(c._replace(sigma=0.0) for c in det.coefficients))
-        assert np.allclose(denoise_step(x, 3, w.target_mean(y), zero, w, stream(0, 9)), expected)
+        z = stream(0, 9).standard_normal(2)
+        assert np.allclose(denoise_step(x, 3, w.target_mean(y), step_table(zero, w), z), expected)
 
     def test_calibration_against_gaussian_target(self):
         # full deterministic runs from fresh noise land on N(mu, s^2 I)
@@ -309,10 +314,11 @@ class TestDenoiseStep:
         y = np.linspace(-1.0, 1.0, m)
         mu = w.target_mean(y)
         finals = np.empty((1000, m))
+        steps = step_table(sch, w)
         for i in range(1000):
             x = stream(123, TAG_INIT, i).standard_normal(m)
             for k in range(1, 101):
-                x = denoise_step(x, k, mu, sch, w)
+                x = denoise_step(x, k, mu, steps)
             finals[i] = x
         mean_err = np.abs(finals.mean(axis=0) - mu)
         assert np.all(mean_err < 3 * s / np.sqrt(1000))
@@ -340,13 +346,16 @@ def coefficient_grid_digest():
             (0.0, 0.5, 1.0, 1), (1, 2, 40, 200)):
         sch = make_schedule(K, variant, curve)
         world = ToyWorld(np.eye(m), std)
+        steps = step_table(sch, world)
         xs = rng.standard_normal((K, m)) * 3.0
         mus = rng.standard_normal((K, m))
         for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
             for k in range(1, K + 1):
-                noise = stream(23, TAG_STEP, 0, k) if variant == ANCESTRAL else None
+                noise = None
+                if variant == ANCESTRAL:
+                    noise = stream(23, TAG_STEP, 0, k).standard_normal(m)
                 add(denoise_step(xs[k - 1].astype(x_type), k, mus[k - 1].astype(mu_type),
-                                 sch, world, noise))
+                                 steps, noise))
         for t in range(1, K + 1):
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
                 add(analytic_epsilon(world, xs[t - 1].astype(x_type),
@@ -359,6 +368,83 @@ class TestCoefficientTable:
         assert coefficient_grid_digest() == COEFFICIENT_GRID_SHA256
 
 
+def per_call_step(x_k, k, mu, schedule, world, noise):
+    """denoise_step as it was before the step table: every call converts its
+    inputs and derives its scalars as Python floats, in _epsilon's order."""
+    t = schedule.K - k + 1
+    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t]
+    x_k = np.asarray(x_k, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    s2 = world.target_std ** 2
+    gain = root_ab * s2 / (ab * s2 + 1.0 - ab)
+    x0_hat = mu + gain * (x_k - root_ab * mu)
+    eps_hat = (x_k - root_ab * x0_hat) / root_one_minus_ab
+    if schedule.variant == DETERMINISTIC:
+        prev = schedule.coefficients[t - 1]
+        x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
+        return prev.root_ab * x0_hat + prev.root_one_minus_ab * eps_hat
+    mean = a * x_k - b * eps_hat
+    if sigma == 0.0:
+        return mean
+    return mean + sigma * noise
+
+
+def vectors(m, dtype):
+    width = np.dtype(dtype).itemsize * 8
+    return hnp.arrays(dtype, m, elements=st.floats(-1e6, 1e6, width=width))
+
+
+@st.composite
+def step_cases(draw):
+    K = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 6))
+    return (draw(st.integers(1, K)),
+            make_schedule(K, draw(st.sampled_from([DETERMINISTIC, ANCESTRAL])),
+                          draw(st.sampled_from([CURVE_COSINE, CURVE_LINEAR_BETA]))),
+            ToyWorld(None, draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e150])), None, m),
+            draw(vectors(m, draw(st.sampled_from([np.float32, np.float64])))),
+            draw(vectors(m, draw(st.sampled_from([np.float32, np.float64])))),
+            draw(vectors(m, np.float64)))
+
+
+class TestStepTable:
+    @given(step_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_per_call_scalars(self, case):
+        k, schedule, world, x, mu, noise = case
+        got = denoise_step(x, k, mu, step_table(schedule, world), noise)
+        want = per_call_step(x, k, mu, schedule, world, noise)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_step_outside_schedule(self, k):
+        world = ToyWorld(None, 1.0, None, 2)
+        steps = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), world)
+        with pytest.raises(UsageError, match=f"step {k} outside 1..8"):
+            denoise_step(np.zeros(2), k, np.zeros(2), steps)
+
+    def test_ancestral_step_needs_noise(self):
+        steps = step_table(make_schedule(8, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, None, 2))
+        with pytest.raises(UsageError, match="needs noise"):
+            denoise_step(np.zeros(2), 1, np.zeros(2), steps)
+        assert steps.rows[8].sigma is None  # the last step adds no noise, so it needs none
+        assert np.all(np.isfinite(denoise_step(np.zeros(2), 8, np.zeros(2), steps)))
+
+    def test_alpha_bar_checked_when_built(self):
+        from dataclasses import replace
+        sch = make_schedule(8, DETERMINISTIC, CURVE_COSINE)
+        table = list(sch.coefficients)
+        table[3] = table[3]._replace(alpha_bar=1.0)
+        with pytest.raises(UsageError, match="alpha_bar"):
+            step_table(replace(sch, coefficients=tuple(table)), ToyWorld(None, 1.0, None, 2))
+
+    def test_scalars_are_read_only(self):
+        steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, None, 2))
+        with pytest.raises(ValueError):
+            steps.rows[1].gain[()] = 0.0
+
+
 def replay_trace(output, tree, world, schedule, seed):
     """Independent oracle: rerun one prompt's own trace with no sharing.
 
@@ -366,11 +452,14 @@ def replay_trace(output, tree, world, schedule, seed):
     denoising step per traced (node, k), drawing ancestral noise from the
     (seed, node, k) stream, exactly as a lone run along that trace would.
     """
-    x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(world.data_dimension)
+    m = world.data_dimension
+    steps = step_table(schedule, world)
+    x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(m)
     for node, k in output.trace:
-        noise = stream(seed, TAG_STEP, node, k) if schedule.variant == ANCESTRAL else None
-        x = denoise_step(x, k, world.target_mean(tree.means[node]), schedule, world,
-                         noise)
+        noise = None
+        if schedule.variant == ANCESTRAL:
+            noise = stream(seed, TAG_STEP, node, k).standard_normal(m)
+        x = denoise_step(x, k, world.target_mean(tree.means[node]), steps, noise)
     return x
 
 
@@ -517,8 +606,9 @@ class TestExecutePlan:
         ps, tree, world, sch, _ = toy_setup(std=0.0, jitter=0.3)
         internal = tree.root
         x = stream(0, TAG_INIT, internal).standard_normal(world.data_dimension)
+        steps = step_table(sch, world)
         for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, world.target_mean(tree.means[internal]), sch, world)
+            x = denoise_step(x, k, world.target_mean(tree.means[internal]), steps)
         assert np.allclose(x, world.target_mean(tree.means[internal]), atol=1e-6)
 
     def test_plan_schedule_mismatch(self):
