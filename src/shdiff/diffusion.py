@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .planner import FRESH, MAX_K, SharePlan
-from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, rekey, stream, stream_keys
+from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, rekey, stream, stream_key, stream_keys
 from .tree import EmbeddingTree
 
 ANCESTRAL = "ancestral"
@@ -34,23 +34,14 @@ CURVE_LINEAR_BETA = "linear_beta"
 _BETA_MAX = 0.999
 
 
-class Coefficients(NamedTuple):
-    """The scalars of one noise level t, as Python floats."""
-
-    alpha_bar: float
-    root_ab: float  # sqrt(alpha_bar)
-    root_one_minus_ab: float  # sqrt(1 - alpha_bar)
-    a: float
-    b: float
-    sigma: float
-
-
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class NoiseSchedule:
     K: int
     variant: str
     curve: str
-    coefficients: tuple[Coefficients, ...] = field(repr=False)  # per t = 0..K
+    # Row t = 0..K holds level t's alpha_bar, sqrt(alpha_bar),
+    # sqrt(1 - alpha_bar), a, b and sigma; read-only float64, shape (K+1, 6).
+    coefficients: np.ndarray = field(repr=False)
 
 
 def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSINE) -> NoiseSchedule:
@@ -91,9 +82,10 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
     sigma = np.sqrt(sigma2)
     if variant == DETERMINISTIC:
         sigma = np.zeros(K + 1)
-    columns = (alpha_bar, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar), a, b, sigma)
-    return NoiseSchedule(K, variant, curve, tuple(
-        map(Coefficients._make, zip(*(c.tolist() for c in columns)))))
+    table = np.stack([alpha_bar, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar), a, b, sigma],
+                     axis=1)
+    table.flags.writeable = False
+    return NoiseSchedule(K, variant, curve, table)
 
 
 def _valid_std(std: float) -> bool:
@@ -233,8 +225,9 @@ def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
     schedule's Python floats with the expressions a per-step computation
     would use, so a step reads the same bits."""
     s2 = world.target_std ** 2
-    table = schedule.coefficients
-    roots = [(_scalar(c.root_ab), _scalar(c.root_one_minus_ab)) for c in table]  # per level t
+    table = schedule.coefficients.tolist()  # rows of Python floats, per level t
+    roots = [(_scalar(root_ab), _scalar(root_one_minus_ab))
+             for _, root_ab, root_one_minus_ab, *_ in table]
     rows: list[Step | None] = [None]
     for t in range(schedule.K, 0, -1):  # step k = K - t + 1
         ab, root_ab, _, a, b, sigma = table[t]
@@ -301,20 +294,6 @@ def _validate(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
         raise UsageError("tree embedding dimension does not match world condition map")
 
 
-def _key_pairs(*parts) -> list[tuple[int, int]]:
-    """``stream_keys`` over a batch, as (lo, hi) pairs of Python ints."""
-    lo, hi = stream_keys(*parts)
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
-def _step_keys(plan: SharePlan, master_seed: int) -> list[tuple[int, int]]:
-    """The TAG_STEP key of every (node, k) the plan evaluates, in span order."""
-    spans = plan.spans
-    nodes = np.repeat(list(spans), [s.stop - s.start for s in spans.values()])
-    ks = np.concatenate([np.arange(s.start, s.stop) for s in spans.values()])
-    return _key_pairs(master_seed, TAG_STEP, nodes, ks)
-
-
 def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
                  schedule: NoiseSchedule, master_seed: int) -> ExecutionResult:
     """Run the shared-step plan; each (node, step) is evaluated exactly once.
@@ -326,35 +305,41 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     noise comes from (seed, node, k).  Keys depend only on canonical node
     ids, so output does not depend on the order nodes are evaluated in.
     One generator is rekeyed before each draw, which draws exactly what a
-    fresh ``stream`` with that key would.
+    fresh ``stream`` with that key would.  The step keys come from one
+    ``stream_keys`` call, and each span reads its own slice of them.
     """
     _validate(plan, tree, world, schedule)
     steps = step_table(schedule, world)
     m = world.data_dimension
-    fresh = [n for n, span in plan.spans.items() if span.source == FRESH]
-    init_keys = dict(zip(fresh, _key_pairs(master_seed, TAG_INIT, fresh)))
+    spans = plan.spans
     ancestral = schedule.variant == ANCESTRAL
-    step_keys = iter(_step_keys(plan, master_seed) if ancestral else ())
+    if ancestral:  # the TAG_STEP key words of every (node, k), in span order
+        lengths = [s.stop - s.start for s in spans.values()]
+        step_lo, step_hi = stream_keys(
+            master_seed, TAG_STEP, np.repeat(list(spans), lengths),
+            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]))
     gen = stream(master_seed)  # every draw below rekeys it first
     noise_row = np.empty(m)  # each step's draw; denoise_step keeps no reference to it
     final: dict[int, np.ndarray] = {}
     calls = 0
-    for node, (start, stop, source) in plan.spans.items():
+    for node, (start, stop, source) in spans.items():
         if source == FRESH:
-            rekey(gen, *init_keys[node])
+            rekey(gen, *stream_key(master_seed, TAG_INIT, node))
             x = gen.standard_normal(m)
         else:
             x = final[source]
         mu = world.target_mean(tree.means[node])
+        if ancestral:  # this span's keys as Python ints; calls is the span's offset
+            keys = zip(step_lo[calls:calls + stop - start].tolist(),
+                       step_hi[calls:calls + stop - start].tolist())
         for k in range(start, stop):
             noise = None
             if ancestral:
-                rekey(gen, *next(step_keys))
+                rekey(gen, *next(keys))
                 noise = gen.standard_normal(out=noise_row)
             x = denoise_step(x, k, mu, steps, noise)
         final[node] = x
         calls += stop - start
-    spans = plan.spans
     outputs = {pid: GenerationOutput(pid, final[path[-1]],
                                      tuple((n, spans[n].stop - spans[n].start) for n in path))
                for pid, path in plan.paths.items()}
@@ -406,9 +391,11 @@ def world_to_json(world: ToyWorld, schedule: NoiseSchedule, master_seed: int) ->
     )
 
 
-# Data dimensions a world file may ask for.  Larger ones make numpy fail with
-# a range error (or allocate terabytes) instead of reaching a check.
-_WORLD_SIZES = range(1, 2**31)
+# Largest data dimension a world file may ask for.  A seeded map holds
+# data_dimension x d float64s: at 2**14 it is 96 MiB for d=768, made in 0.53 s,
+# and a K=40 simulate of 8 prompts takes 0.32 s at d=8 and 1.0 s at d=768
+# (Python 3.11, numpy 2.4, a shared 2-core machine).
+MAX_DATA_DIMENSION = 2**14
 
 
 def _world_int(value, what: str, allowed: range | None = None) -> int:
@@ -428,7 +415,7 @@ def world_from_json(text: str | bytes,
     """
     try:
         doc = json.loads(text)
-        m = _world_int(doc["data_dimension"], "data_dimension", _WORLD_SIZES)
+        m = _world_int(doc["data_dimension"], "data_dimension", range(1, MAX_DATA_DIMENSION + 1))
         std = doc["target_std"]
         if type(std) not in (int, float) or not _valid_std(std):
             raise DataError(f"malformed world JSON: target_std {std!r} is not a number >= 0 "

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +13,10 @@ import pytest
 from conftest import expand_plan_json
 from shdiff import cli, diffusion
 from shdiff.cli import main
-from shdiff.diffusion import ANCESTRAL, ToyWorld, execute_plan, make_schedule, world_to_json
-from shdiff.embeddings import PromptSet, generate_synthetic, load_prompt_set, save_prompt_set
+from shdiff.diffusion import (ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_plan,
+                              make_schedule, world_to_json)
+from shdiff.embeddings import (MAX_SYNTH_ENTRIES, MAX_SYNTH_RECORDS, PromptSet,
+                               generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
@@ -634,6 +637,33 @@ class TestSynth:
         assert "jitter must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("per_cluster, dim", [
+        (MAX_SYNTH_RECORDS, 1), (2**6, MAX_SYNTH_ENTRIES // 2**6)], ids=["records", "entries"])
+    def test_size_cap_accepted(self, tmp_path, capsys, per_cluster, dim):
+        out = tmp_path / "synth.bin"
+        assert main(["synth", "--clusters", "1", "--per-cluster", str(per_cluster),
+                     "--dim", str(dim), "--jitter", "0", "--output", str(out)]) == 0
+        assert f"wrote {per_cluster} embeddings (d={dim})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("clusters, per_cluster, dim", [
+        (1, MAX_SYNTH_RECORDS + 1, 1), (2, MAX_SYNTH_RECORDS // 2 + 1, 1),
+        (1, 1, MAX_SYNTH_ENTRIES + 1), (2**6, 1, MAX_SYNTH_ENTRIES // 2**6 + 1),
+        (1, 1, 2 * 10**12),
+    ], ids=["records", "records-2-clusters", "entries", "entries-64-clusters", "dim-2e12"])
+    def test_size_above_cap_exit_2(self, tmp_path, capsys, clusters, per_cluster, dim):
+        out = tmp_path / "synth.bin"
+        tracemalloc.start()
+        try:
+            rc = main(["synth", "--clusters", str(clusters), "--per-cluster", str(per_cluster),
+                       "--dim", str(dim), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "a synthetic set holds at most" in capsys.readouterr().err
+        assert peak < 2**20  # rejected before any record is made
+        assert not out.exists()
+
     def test_jsonl_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "synth.jsonl"
         rc = main(["synth", "--clusters", "3", "--per-cluster", "4",
@@ -712,6 +742,8 @@ def _world_set(*path_and_value):
 WORLD_DEFECTS = {
     "data_dimension -1": _world_set("data_dimension", -1),
     "data_dimension float": _world_set("data_dimension", 3.0),
+    "data_dimension above MAX_DATA_DIMENSION":
+        lambda doc: {**doc, "data_dimension": MAX_DATA_DIMENSION + 1, "condition_map": {"seed": 3}},
     "schedule.K a list": _world_set("schedule", "K", [5]),
     "schedule.K 2**31": _world_set("schedule", "K", 2**31),
     "schedule.K above MAX_K": _world_set("schedule", "K", MAX_K + 1),
@@ -739,6 +771,16 @@ class TestWorldFile:
         assert rc == 3
         assert "error: malformed world JSON" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_data_dimension_cap_accepted(self, prompts_file, tmp_path):
+        doc = json.loads(world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        world_path = tmp_path / "world.json"
+        world_path.write_text(json.dumps(
+            {**doc, "data_dimension": MAX_DATA_DIMENSION, "condition_map": {"seed": 3}}))
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", prompts_file, "--world", str(world_path),
+                     "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text().splitlines()[0])["sample"]) == MAX_DATA_DIMENSION
 
     def test_flags_override_file(self, prompts_file, tmp_path, monkeypatch):
         # each flag given replaces the file's value, as if the file held it

@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import tracemalloc
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from shdiff.diffusion import (
     DETERMINISTIC,
     CURVE_COSINE,
     CURVE_LINEAR_BETA,
+    MAX_DATA_DIMENSION,
     GenerationOutput,
     ToyWorld,
     analytic_epsilon,
@@ -24,7 +28,7 @@ from shdiff.diffusion import (
     world_to_json,
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
-from shdiff.errors import UsageError
+from shdiff.errors import DataError, UsageError
 from shdiff.planner import MAX_K, ScheduleParams, compile_plan
 from shdiff.rng import TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
@@ -57,9 +61,22 @@ def mc_epsilon_regression(world, x_query, alpha_bar, condition, n=100_000, seed=
     return pred, se
 
 
-# sha256 of repr(make_schedule(K, variant, curve).coefficients).  Every
-# sample's bytes depend on these bits; they were computed when the table was
-# still built from arrays the schedule stored.
+class Coefficients(NamedTuple):
+    """One row of ``NoiseSchedule.coefficients``, as the schedule stored it
+    before it held one array."""
+
+    alpha_bar: float
+    root_ab: float
+    root_one_minus_ab: float
+    a: float
+    b: float
+    sigma: float
+
+
+# sha256 of the repr of make_schedule(K, variant, curve).coefficients as a
+# tuple of Coefficients rows of Python floats.  Every sample's bytes depend
+# on these bits; they were computed when the schedule still stored one
+# array per column.
 SCHEDULE_TABLE_SHA256 = {
     (1, DETERMINISTIC, CURVE_COSINE):
         "83519a495ca925e63625fbb12e7af70abc0036055a4694e4069ace958acf58ea",
@@ -98,20 +115,22 @@ SCHEDULE_TABLE_SHA256 = {
 
 def column(sch, name):
     """One coefficient of every noise level t = 0..K, as an array."""
-    return np.array([getattr(row, name) for row in sch.coefficients])
+    return sch.coefficients[:, Coefficients._fields.index(name)]
 
 
 class TestSchedule:
     @pytest.mark.parametrize("key", sorted(SCHEDULE_TABLE_SHA256), ids=str)
     def test_table_pinned(self, key):
-        table = repr(make_schedule(*key).coefficients).encode()
+        rows = make_schedule(*key).coefficients.tolist()
+        table = repr(tuple(map(Coefficients._make, rows))).encode()
         assert hashlib.sha256(table).hexdigest() == SCHEDULE_TABLE_SHA256[key]
 
     @pytest.mark.parametrize("curve", [CURVE_COSINE, CURVE_LINEAR_BETA])
     def test_alpha_bar_endpoints(self, curve):
         sch = make_schedule(40, DETERMINISTIC, curve)
-        assert sch.coefficients[0].alpha_bar == 1.0
-        assert 0.0 < sch.coefficients[40].alpha_bar < 0.05
+        ab = column(sch, "alpha_bar")
+        assert ab[0] == 1.0
+        assert 0.0 < ab[40] < 0.05
 
     @pytest.mark.parametrize("curve", [CURVE_COSINE, CURVE_LINEAR_BETA])
     def test_alpha_bar_strictly_decreasing(self, curve):
@@ -120,7 +139,7 @@ class TestSchedule:
 
     def test_linear_beta_1000_steps(self):
         sch = make_schedule(1000, DETERMINISTIC, CURVE_LINEAR_BETA)
-        assert sch.coefficients[1000].alpha_bar < 5e-5
+        assert column(sch, "alpha_bar")[1000] < 5e-5
 
     def test_deterministic_sigma_zero(self):
         sch = make_schedule(20, DETERMINISTIC, CURVE_COSINE)
@@ -135,7 +154,15 @@ class TestSchedule:
         for K in (1, 2, 40, 1000):
             sch = make_schedule(K, ANCESTRAL, CURVE_COSINE)
             assert len(sch.coefficients) == K + 1
-            assert np.all(np.isfinite(np.array(sch.coefficients)))
+            assert np.all(np.isfinite(sch.coefficients))
+
+    @pytest.mark.parametrize("K", [1, 40])
+    def test_coefficients_one_read_only_array(self, K):
+        table = make_schedule(K, ANCESTRAL, CURVE_COSINE).coefficients
+        assert isinstance(table, np.ndarray)
+        assert table.shape == (K + 1, 6) and table.dtype == np.float64
+        with pytest.raises(ValueError):
+            table[1, 0] = 0.5
 
     def test_bad_k(self):
         for k in (0, MAX_K + 1, 2**31, 2**63):  # rejected before anything K-long exists
@@ -296,12 +323,13 @@ class TestDenoiseStep:
         y = np.array([1.0, 0.0])
         x = np.array([0.3, 0.7])
         t = det.K - 3 + 1
-        row = det.coefficients[t]
+        row = Coefficients._make(det.coefficients[t].tolist())
         eps = analytic_epsilon(w, x, row.alpha_bar, w.target_mean(y))
         expected = row.a * x - row.b * eps
         # sigma[1] == 0 at the clean end; emulate by a zeroed-sigma schedule
-        from dataclasses import replace
-        zero = replace(det, coefficients=tuple(c._replace(sigma=0.0) for c in det.coefficients))
+        table = det.coefficients.copy()
+        table[:, Coefficients._fields.index("sigma")] = 0.0
+        zero = replace(det, coefficients=table)
         z = stream(0, 9).standard_normal(2)
         assert np.allclose(denoise_step(x, 3, w.target_mean(y), step_table(zero, w), z), expected)
 
@@ -359,7 +387,8 @@ def coefficient_grid_digest():
         for t in range(1, K + 1):
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
                 add(analytic_epsilon(world, xs[t - 1].astype(x_type),
-                                     sch.coefficients[t].alpha_bar, mus[t - 1].astype(mu_type)))
+                                     column(sch, "alpha_bar")[t].item(),
+                                     mus[t - 1].astype(mu_type)))
     return h.hexdigest()
 
 
@@ -372,7 +401,7 @@ def per_call_step(x_k, k, mu, schedule, world, noise):
     """denoise_step as it was before the step table: every call converts its
     inputs and derives its scalars as Python floats, in _epsilon's order."""
     t = schedule.K - k + 1
-    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t]
+    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t].tolist()
     x_k = np.asarray(x_k, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     s2 = world.target_std ** 2
@@ -380,7 +409,7 @@ def per_call_step(x_k, k, mu, schedule, world, noise):
     x0_hat = mu + gain * (x_k - root_ab * mu)
     eps_hat = (x_k - root_ab * x0_hat) / root_one_minus_ab
     if schedule.variant == DETERMINISTIC:
-        prev = schedule.coefficients[t - 1]
+        prev = Coefficients._make(schedule.coefficients[t - 1].tolist())
         x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
         return prev.root_ab * x0_hat + prev.root_one_minus_ab * eps_hat
     mean = a * x_k - b * eps_hat
@@ -432,12 +461,11 @@ class TestStepTable:
         assert np.all(np.isfinite(denoise_step(np.zeros(2), 8, np.zeros(2), steps)))
 
     def test_alpha_bar_checked_when_built(self):
-        from dataclasses import replace
         sch = make_schedule(8, DETERMINISTIC, CURVE_COSINE)
-        table = list(sch.coefficients)
-        table[3] = table[3]._replace(alpha_bar=1.0)
+        table = sch.coefficients.copy()
+        table[3, Coefficients._fields.index("alpha_bar")] = 1.0
         with pytest.raises(UsageError, match="alpha_bar"):
-            step_table(replace(sch, coefficients=tuple(table)), ToyWorld(None, 1.0, None, 2))
+            step_table(replace(sch, coefficients=table), ToyWorld(None, 1.0, None, 2))
 
     def test_scalars_are_read_only(self):
         steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, None, 2))
@@ -658,3 +686,21 @@ class TestWorldJson:
         text = world_to_json(w, make_schedule(5), 0)
         with pytest.raises(UsageError):
             world_from_json(text, 7)
+
+    def test_data_dimension_cap(self):
+        def doc(m):
+            return world_to_json(ToyWorld.create(m, 64, 1.0, map_seed=3), make_schedule(5), 0)
+
+        text = doc(MAX_DATA_DIMENSION)
+        world, _, _ = world_from_json(text, 64)
+        assert world.condition_map.shape == (MAX_DATA_DIMENSION, 64)
+        text = text.replace(f'"data_dimension": {MAX_DATA_DIMENSION}',
+                            f'"data_dimension": {MAX_DATA_DIMENSION + 1}')
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"data_dimension {MAX_DATA_DIMENSION + 1}"):
+                world_from_json(text, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # rejected before the 8 MiB map is made
