@@ -664,6 +664,19 @@ class TestSynth:
         assert peak < 2**20  # rejected before any record is made
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, jitter, digest", [
+        ("synth.jsonl", "0", "c6525bd65e96d1f34170216a4008bcdd02bcfecee2ff29be8efad2ea0350340e"),
+        ("synth.jsonl", "0.1", "19d7ae0ecedf4e23de5bbb275e647e818fe7f651e66ca69834361afb339afc77"),
+        ("synth.bin", "0", "85336a1653401af0c90482f3b95f4092f4d89354a0654c2c6cad55a09a50d9ee"),
+        ("synth.bin", "0.1", "c223ea3624adbc304aaac252b19d5dd2df8d7889309a4161a9fab308c679608c"),
+    ], ids=["jsonl-jitter-0", "jsonl-jitter-0.1", "bin-jitter-0", "bin-jitter-0.1"])
+    def test_output_pinned(self, tmp_path, name, jitter, digest):
+        # 4,101 records, so the record draws span more than one key chunk
+        out = tmp_path / name
+        assert main(["synth", "--clusters", "3", "--per-cluster", "1367", "--dim", "8",
+                     "--jitter", jitter, "--seed", "21", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_jsonl_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "synth.jsonl"
         rc = main(["synth", "--clusters", "3", "--per-cluster", "4",

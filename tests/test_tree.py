@@ -256,6 +256,12 @@ class TestRandomizeEncodings:
         assert abs(mean_dist - 1.0) < 0.05
 
 
+    def test_rows_pinned(self):
+        # 4,099 rows, so the draws span more than one key chunk
+        r = randomize_encodings(random_prompt_set(4099, 8, seed=0), seed=-5)
+        assert hashlib.sha256(r.embeddings.tobytes()).hexdigest() == \
+            "8434a04f862bcc7a0416cd05956ac63f4e3070bb362950eebad267183893f16c"
+
 class TestReembed:
     def test_replaces_embeddings_keeps_scores(self):
         ps = random_prompt_set(6, 4, seed=11)
