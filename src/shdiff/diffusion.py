@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .planner import FRESH, MAX_K, SharePlan
-from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, rekey, stream, stream_key, stream_keys
+from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, normal_rows, stream
 from .tree import EmbeddingTree
 
 ANCESTRAL = "ancestral"
@@ -155,8 +155,9 @@ class ToyWorld:
         return cls(A, target_std, map_seed)
 
 
-def _gain(ab: float, root_ab: float, s2: float) -> float:
-    """The posterior-mean gain sqrt(ab) s^2 / (ab s^2 + 1 - ab) of one noise level."""
+def _gain(ab, root_ab, s2: float):
+    """The posterior-mean gain sqrt(ab) s^2 / (ab s^2 + 1 - ab) of one noise
+    level, or of each level of float64 columns."""
     return root_ab * s2 / (ab * s2 + 1.0 - ab)
 
 
@@ -186,7 +187,8 @@ def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
 
 
 class Step(NamedTuple):
-    """The scalars of one plan step, each a read-only 0-d float64 array.
+    """The scalars of one plan step, each a read-only 0-d float64 array
+    (a view of ``step_table``'s array).
 
     A 0-d float64 operand gives the bits of the Python float it holds, and
     numpy 2 runs an op on it faster than on a Python float, which takes the
@@ -214,27 +216,25 @@ class StepTable:
     rows: tuple[Step | None, ...] = field(repr=False)
 
 
-def _scalar(value: float) -> np.ndarray:
-    out = np.array(value, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
 def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
-    """Resolve every step's scalars once: each is computed from the
-    schedule's Python floats with the expressions a per-step computation
-    would use, so a step reads the same bits."""
-    s2 = world.target_std ** 2
-    table = schedule.coefficients.tolist()  # rows of Python floats, per level t
-    roots = [(_scalar(root_ab), _scalar(root_one_minus_ab))
-             for _, root_ab, root_one_minus_ab, *_ in table]
+    """Resolve every step's scalars once, as 0-d views of one read-only
+    (K, 8) float64 array whose row k - 1 holds plan step k's.  Each column
+    is computed from the schedule's columns with the expressions a per-step
+    computation would use, and a float64 array op rounds as the Python
+    float op does, so a step reads the same bits."""
+    levels = schedule.coefficients[::-1]  # row i is level t = K - i, step k = i + 1's
+    ab, root_ab = levels[:-1, 0], levels[:-1, 1]
+    if not np.all((0.0 < ab) & (ab < 1.0)):
+        raise UsageError("alpha_bar must be in (0, 1)")
+    table = np.column_stack([levels[:-1, 1:3], _gain(ab, root_ab, world.target_std ** 2),
+                             levels[:-1, 3:6], levels[1:, 1:3]])
+    table.flags.writeable = False
     rows: list[Step | None] = [None]
-    for t in range(schedule.K, 0, -1):  # step k = K - t + 1
-        ab, root_ab, _, a, b, sigma = table[t]
-        if not 0.0 < ab < 1.0:
-            raise UsageError("alpha_bar must be in (0, 1)")
-        rows.append(Step(*roots[t], _scalar(_gain(ab, root_ab, s2)), _scalar(a), _scalar(b),
-                         _scalar(sigma) if sigma != 0.0 else None, *roots[t - 1]))
+    for row, noisy in zip(table, (table[:, 5] != 0.0).tolist()):
+        scalars = [row[i, ...] for i in range(8)]
+        if not noisy:
+            scalars[5] = None
+        rows.append(Step(*scalars))
     return StepTable(schedule.K, schedule.variant == DETERMINISTIC, tuple(rows))
 
 
@@ -304,40 +304,29 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     Fresh states draw initial noise from the stream keyed (seed, node); step
     noise comes from (seed, node, k).  Keys depend only on canonical node
     ids, so output does not depend on the order nodes are evaluated in.
-    One generator is rekeyed before each draw, which draws exactly what a
-    fresh ``stream`` with that key would.  The step keys come from one
-    ``stream_keys`` call, and each span reads its own slice of them.
+    Both kinds of row come from ``normal_rows`` iterators over the keys in
+    span order, which draw exactly what a fresh ``stream`` per key would.
     """
     _validate(plan, tree, world, schedule)
     steps = step_table(schedule, world)
     m = world.data_dimension
     spans = plan.spans
-    ancestral = schedule.variant == ANCESTRAL
-    if ancestral:  # the TAG_STEP key words of every (node, k), in span order
-        lengths = [s.stop - s.start for s in spans.values()]
-        step_lo, step_hi = stream_keys(
-            master_seed, TAG_STEP, np.repeat(list(spans), lengths),
-            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]))
-    gen = stream(master_seed)  # every draw below rekeys it first
-    noise_row = np.empty(m)  # each step's draw; denoise_step keeps no reference to it
+    init_rows = normal_rows(m, master_seed, TAG_INIT,
+                            [node for node, span in spans.items() if span.source == FRESH])
+    step_rows = repeat(None)  # deterministic steps take no noise
+    if schedule.variant == ANCESTRAL:  # each (node, k) in span order, into one buffer
+        step_rows = normal_rows(
+            m, master_seed, TAG_STEP,
+            np.repeat(list(spans), [s.stop - s.start for s in spans.values()]),
+            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]),
+            out=np.empty(m))  # denoise_step never returns or keeps its noise row
     final: dict[int, np.ndarray] = {}
     calls = 0
     for node, (start, stop, source) in spans.items():
-        if source == FRESH:
-            rekey(gen, *stream_key(master_seed, TAG_INIT, node))
-            x = gen.standard_normal(m)
-        else:
-            x = final[source]
+        x = next(init_rows) if source == FRESH else final[source]
         mu = world.target_mean(tree.means[node])
-        if ancestral:  # this span's keys as Python ints; calls is the span's offset
-            keys = zip(step_lo[calls:calls + stop - start].tolist(),
-                       step_hi[calls:calls + stop - start].tolist())
         for k in range(start, stop):
-            noise = None
-            if ancestral:
-                rekey(gen, *next(keys))
-                noise = gen.standard_normal(out=noise_row)
-            x = denoise_step(x, k, mu, steps, noise)
+            x = denoise_step(x, k, mu, steps, next(step_rows))
         final[node] = x
         calls += stop - start
     outputs = {pid: GenerationOutput(pid, final[path[-1]],

@@ -5,12 +5,14 @@ tuple of integers (seed, purpose tag, ...indices).  Streams with distinct
 keys are statistically independent and a given key always reproduces the
 same sequence, so results do not depend on the order in which streams are
 consumed -- the property the deterministic executor and the parallel
-synthetic generator rely on.  ``stream`` builds a generator per key; a loop
-over many keys derives them in one ``stream_keys`` call and ``rekey``s a
-single generator before each draw, which draws the same numbers.
+synthetic generator rely on.  ``stream`` builds a generator per key;
+``normal_rows`` draws a row per key of a batch with one generator that it
+``rekey``s before each row, which draws the same numbers.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -55,16 +57,9 @@ def stream_keys(*parts) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(lo, dtype=np.uint64), np.asarray(hi, dtype=np.uint64)
 
 
-def stream_key(*parts: int) -> tuple[int, int]:
-    """The Philox key of one stream, as Python ints."""
-    lo, hi = stream_keys(*parts)
-    return int(lo), int(hi)
-
-
 def stream(*parts: int) -> np.random.Generator:
     """Return an independent generator for the given key parts."""
-    lo, hi = stream_key(*parts)
-    bitgen = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array(stream_keys(*parts), dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 
@@ -80,9 +75,9 @@ def rekey(gen: np.random.Generator, lo, hi) -> None:
     and any half-used 64-bit word are dropped.
 
     ``lo`` and ``hi`` are the key words, each a Python int in 0..2**64-1
-    (as ``stream_key`` or ``.tolist()`` of ``stream_keys`` give) or a 0-d
-    uint64 array (as ``stream_keys`` gives for int parts).  Plain ints are
-    the cheap case: no array is built.
+    (as ``.tolist()`` of ``stream_keys`` gives) or a 0-d uint64 array (as
+    ``stream_keys`` gives for int parts).  Plain ints are the cheap case: no
+    array is built.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -92,3 +87,23 @@ def rekey(gen: np.random.Generator, lo, hi) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+_CHUNK = 4096  # keys turned into Python ints at a time, never a whole batch
+
+
+def normal_rows(m: int, *parts, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield the first m standard normals of each stream ``stream_keys(*parts)``
+    keys, in C order of the broadcast shape; each row has the bits of
+    ``stream(...).standard_normal(m)`` on that stream's int parts.
+
+    Given ``out``, a float64 array of m entries, every row is drawn into it
+    and ``out`` itself is yielded, so a row is valid until the next one is
+    drawn; otherwise each row is a new array.
+    """
+    lo, hi = (np.ravel(words) for words in stream_keys(*parts))
+    gen = np.random.Generator(np.random.Philox(0))  # rekeyed before each row
+    for i in range(0, lo.size, _CHUNK):
+        for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
+            rekey(gen, *key)
+            yield gen.standard_normal(m) if out is None else gen.standard_normal(out=out)

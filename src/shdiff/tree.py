@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import PromptSet, cosine_distance, mean_embedding, unit_distances, unit_rows
 from .errors import DataError, UsageError
-from .rng import TAG_RANDENC, stream
+from .rng import TAG_RANDENC, normal_rows
 
 REFERENCE_MAX_N = 64
 
@@ -279,9 +279,8 @@ def randomize_encodings(prompts: PromptSet, seed: int) -> PromptSet:
     """
     d = prompts.dimension
     rows = np.empty((len(prompts), d), dtype=np.float64)
-    for i in range(len(prompts)):
-        v = stream(seed, TAG_RANDENC, i).standard_normal(d)
-        rows[i] = v / np.linalg.norm(v)
+    for row, v in zip(rows, normal_rows(d, seed, TAG_RANDENC, np.arange(len(prompts)))):
+        row[:] = v / np.linalg.norm(v)
     return PromptSet(prompts.ids, prompts.prompts, rows.astype(np.float32))
 
 

@@ -127,7 +127,9 @@ class TestTree:
         ("p.jsonl", b'{"id": "a", "embedding": [1' + b"0" * 400 + b', 0]}\n',
          "p.jsonl:1: bad embedding for id 'a'"),
         ("p.bin", b"SHDF\x01\x00\x04", "p.bin: header holds 7 bytes"),
-    ], ids=["not utf-8", "int beyond float64", "short binary header"])
+        ("p.jsonl", b'{"id": "a", "embedding": [1, 0]}\n{"id": {"a": 1}, "embedding": [0, 1]}\n',
+         "p.jsonl:2: id {'a': 1} is not a string or an integer"),
+    ], ids=["not utf-8", "int beyond float64", "short binary header", "id object"])
     def test_input_defect_exit_3(self, tmp_path, capsys, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)

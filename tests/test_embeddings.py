@@ -162,6 +162,33 @@ class TestIO:
         with pytest.raises(DataError, match=rf"o\.jsonl:2: {message}"):
             load_prompt_set(str(path))
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": {"a": 1}, "embedding": [1, 0]}', r"id \{'a': 1\} is not a string or an integer"),
+        ('{"id": null, "embedding": [1, 0]}', "id None is not a string or an integer"),
+        ('{"id": true, "embedding": [1, 0]}', "id True is not a string or an integer"),
+        ('{"id": 1.5, "embedding": [1, 0]}', "id 1.5 is not a string or an integer"),
+        ('{"id": ["y"], "embedding": [1, 0]}', r"id \['y'\] is not a string or an integer"),
+        ('{"id": "y", "prompt": 5, "embedding": [1, 0]}',
+         "prompt of id 'y' is not a string or null"),
+        ('{"id": "y", "prompt": ["a"], "embedding": [1, 0]}',
+         "prompt of id 'y' is not a string or null"),
+        ('{"id": "y", "prompt": false, "embedding": [1, 0]}',
+         "prompt of id 'y' is not a string or null"),
+    ], ids=["id object", "id null", "id true", "id float", "id list", "prompt int",
+            "prompt list", "prompt false"])
+    def test_jsonl_field_types_named(self, tmp_path, record, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"id": "x", "embedding": [1, 0]}\n' + record + "\n")
+        with pytest.raises(DataError, match=rf"t\.jsonl:2: {message}"):
+            load_prompt_set(str(path))
+
+    def test_jsonl_int_ids_and_null_prompts(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        path.write_text('{"id": 7, "prompt": null, "embedding": [1, 0]}\n'
+                        '{"id": -2, "prompt": "p", "embedding": [0, 1]}\n')
+        ps = load_prompt_set(str(path))
+        assert ps.ids == ("7", "-2") and ps.prompts == (None, "p")
+
     def test_binary_roundtrip(self, tmp_path):
         path = str(tmp_path / "p.bin")
         ps = generate_synthetic(2, 2, 8, 0.2, seed=4)

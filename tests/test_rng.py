@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, rekey, stream, stream_key, stream_keys
+from shdiff import rng
+from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, normal_rows, rekey, stream, stream_keys
 
 # Keys pinned from the pure-Python splitmix64 chain the package first shipped
 # with; every stored seed and sample depends on them.
@@ -17,9 +18,15 @@ PINNED_KEYS = [
 ]
 
 
+def key_of(*parts):
+    """The key of one stream as Python ints, from the 0-d words of stream_keys."""
+    lo, hi = stream_keys(*parts)
+    return int(lo), int(hi)
+
+
 @pytest.mark.parametrize("parts,key", PINNED_KEYS)
 def test_stream_key_pinned(parts, key):
-    assert stream_key(*parts) == key
+    assert key_of(*parts) == key
 
 
 def test_stream_keys_over_arrays_equal_stream_key():
@@ -29,11 +36,11 @@ def test_stream_keys_over_arrays_equal_stream_key():
         lo, hi = stream_keys(seed, TAG_STEP, nodes, steps)
         assert lo.dtype == hi.dtype == np.uint64
         for i in range(len(nodes)):
-            assert (int(lo[i]), int(hi[i])) == stream_key(seed, TAG_STEP, int(nodes[i]),
-                                                          int(steps[i]))
+            assert (int(lo[i]), int(hi[i])) == key_of(seed, TAG_STEP, int(nodes[i]),
+                                                      int(steps[i]))
         lo, hi = stream_keys(seed, TAG_INIT, nodes)
         assert [(int(a), int(b)) for a, b in zip(lo, hi)] == \
-            [stream_key(seed, TAG_INIT, int(n)) for n in nodes]
+            [key_of(seed, TAG_INIT, int(n)) for n in nodes]
 
 
 def test_stream_keys_empty_batch():
@@ -46,10 +53,10 @@ def test_rekey_after_draws_matches_fresh_stream():
     gen.standard_normal(5)
     gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word
     keyed = ((101, TAG_STEP, 7, 3), (-1, TAG_INIT, 0), (2**64 + 5, TAG_STEP, 3, 200))
-    assert any(word >= 2**63 for parts in keyed for word in stream_key(*parts))
+    assert any(word >= 2**63 for parts in keyed for word in key_of(*parts))
     for parts in keyed:
         # Python ints, and the 0-d uint64 arrays of stream_keys
-        for key in (stream_key(*parts), stream_keys(*parts)):
+        for key in (key_of(*parts), stream_keys(*parts)):
             rekey(gen, *key)
             assert np.array_equal(gen.standard_normal(64), stream(*parts).standard_normal(64))
             gen.integers(0, 2**32, size=1, dtype=np.uint32)
@@ -57,3 +64,28 @@ def test_rekey_after_draws_matches_fresh_stream():
             assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
                                   stream(*parts).integers(0, 2**32, size=5, dtype=np.uint32))
             gen.integers(0, 2**32, size=1, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("m", [1, 64])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new-rows", "out"])
+def test_normal_rows_equal_fresh_streams(m, given_out):
+    # a key chunk and three more keys, so the rows cross a chunk boundary
+    seed, nodes = 2**64 - 7, np.arange(rng._CHUNK + 3, dtype=np.uint64) + np.uint64(2**63 - 2)
+    lo, hi = stream_keys(seed, TAG_STEP, nodes, 5)
+    assert (lo >= 2**63).any() and (hi >= 2**63).any()
+    out = np.empty(m) if given_out else None
+    rows = normal_rows(m, seed, TAG_STEP, nodes, 5, out=out)
+    for node, row in zip(nodes.tolist(), rows, strict=True):
+        assert (row is out) == given_out
+        assert np.array_equal(row, stream(seed, TAG_STEP, node, 5).standard_normal(m))
+
+
+def test_normal_rows_new_rows_are_kept():
+    rows = list(normal_rows(4, 3, TAG_INIT, [0, 1, 2]))
+    assert [r.tolist() for r in rows] == \
+        [stream(3, TAG_INIT, n).standard_normal(4).tolist() for n in range(3)]
+
+
+def test_normal_rows_empty_batch():
+    assert list(normal_rows(8, 3, TAG_INIT, [])) == []
+    assert list(normal_rows(8, 3, TAG_INIT, [], out=np.empty(8))) == []
