@@ -81,7 +81,7 @@ def _leaves_match(tree, prompts) -> bool:
 
 
 def _plan_tree(args, prompts, seed: int):
-    """The one tree ``plan``, ``simulate`` and ``sweep`` run on.
+    """The one tree ``tree``, ``plan``, ``simulate`` and ``sweep`` run on.
 
     Under ``--ablation random-encodings`` it is the tree built on random
     encodings drawn with ``seed`` and re-embedded with the real prompts: its
@@ -113,20 +113,14 @@ def _plan_tree(args, prompts, seed: int):
 
 
 def cmd_tree(args) -> int:
-    ablation = args.ablation == "random-encodings"
-    if ablation and args.output:
+    if args.ablation is not None and args.output:
         raise UsageError("--output cannot be combined with --ablation: "
                          "no command reads an ablation tree")
     prompts = _load_prompts(args)
-    seed = _seed(args)
-    if ablation:
-        built_from = tree_mod.randomize_encodings(prompts, seed)
-    else:
-        built_from = prompts
-    tree = tree_mod.build_tree(built_from)
+    tree = _plan_tree(args, prompts, _seed(args))
     if args.output:
         atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args)))
-    label = " (ablation: random encodings)" if ablation else ""
+    label = " (ablation: random encodings)" if args.ablation is not None else ""
     print(f"N: {len(prompts)}{label}")
     print(f"depth: {tree.depth()}")
     print(f"c_max: {tree.c_max}")
@@ -166,6 +160,18 @@ def _resolve_world(args, prompts):
     return world, schedule, seed
 
 
+def _sample_text(pid: str, sample: np.ndarray) -> str:
+    """A sample as the JSON list of its float32 values; a value that is not
+    finite in float32 is a DataError naming the prompt, since strict JSON
+    has no Infinity or NaN."""
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
+        values = sample.astype(np.float32).tolist()
+    try:
+        return json.dumps(values, allow_nan=False)
+    except ValueError as e:
+        raise DataError(f"sample of prompt {pid!r} is not finite in float32") from e
+
+
 def cmd_simulate(args) -> int:
     prompts = _load_prompts(args)
     world, schedule, seed = _resolve_world(args, prompts)
@@ -179,7 +185,7 @@ def cmd_simulate(args) -> int:
     # One line at a time, so the file is never held in memory whole.
     atomic_write(args.output, (
         f'{{"id": {json.dumps(pid)}, '
-        f'"sample": {json.dumps(result.outputs[pid].sample.astype(np.float32).tolist())}, '
+        f'"sample": {_sample_text(pid, result.outputs[pid].sample)}, '
         f'"trace": [{", ".join(span_text[node] for node in plan.paths[pid])}]}}\n'
         for pid in prompts.ids))
     atomic_write(args.metrics,

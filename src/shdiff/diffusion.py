@@ -38,7 +38,6 @@ _BETA_MAX = 0.999
 class NoiseSchedule:
     K: int
     variant: str
-    curve: str
     # Row t = 0..K holds level t's alpha_bar, sqrt(alpha_bar),
     # sqrt(1 - alpha_bar), a, b and sigma; read-only float64, shape (K+1, 6).
     coefficients: np.ndarray = field(repr=False)
@@ -85,7 +84,7 @@ def make_schedule(K: int, variant: str = DETERMINISTIC, curve: str = CURVE_COSIN
     table = np.stack([alpha_bar, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar), a, b, sigma],
                      axis=1)
     table.flags.writeable = False
-    return NoiseSchedule(K, variant, curve, table)
+    return NoiseSchedule(K, variant, table)
 
 
 def _valid_std(std: float) -> bool:
@@ -105,7 +104,6 @@ class ToyWorld:
 
     condition_map: np.ndarray | None = field(repr=False)  # (m, d), made read-only
     target_std: float
-    map_seed: int | None = None
     dimension: int | None = None  # of the identity map only
 
     def __post_init__(self):
@@ -149,10 +147,10 @@ class ToyWorld:
         """Identity map when dimensions agree, else a seeded random matrix
         with unit-norm rows."""
         if data_dimension == embedding_dimension:
-            return cls(None, target_std, None, data_dimension)
+            return cls(None, target_std, data_dimension)
         A = stream(map_seed, TAG_CONDMAP).standard_normal((data_dimension, embedding_dimension))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
-        return cls(A, target_std, map_seed)
+        return cls(A, target_std)
 
 
 def _gain(ab, root_ab, s2: float):
@@ -263,7 +261,6 @@ def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray, steps: StepTable,
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class GenerationOutput:
-    prompt_id: str
     sample: np.ndarray = field(repr=False)
     runs: tuple[tuple[int, int], ...]  # (node id, steps it conditions) in step order
 
@@ -311,15 +308,16 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     steps = step_table(schedule, world)
     m = world.data_dimension
     spans = plan.spans
+    # Each row is read by its span's first step, which returns a new array,
+    # before the next row overwrites it: a planned span holds at least one step.
     init_rows = normal_rows(m, master_seed, TAG_INIT,
                             [node for node, span in spans.items() if span.source == FRESH])
     step_rows = repeat(None)  # deterministic steps take no noise
-    if schedule.variant == ANCESTRAL:  # each (node, k) in span order, into one buffer
+    if schedule.variant == ANCESTRAL:  # each (node, k) in span order
         step_rows = normal_rows(
             m, master_seed, TAG_STEP,
             np.repeat(list(spans), [s.stop - s.start for s in spans.values()]),
-            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]),
-            out=np.empty(m))  # denoise_step never returns or keeps its noise row
+            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]))
     final: dict[int, np.ndarray] = {}
     calls = 0
     for node, (start, stop, source) in spans.items():
@@ -329,7 +327,7 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
             x = denoise_step(x, k, mu, steps, next(step_rows))
         final[node] = x
         calls += stop - start
-    outputs = {pid: GenerationOutput(pid, final[path[-1]],
+    outputs = {pid: GenerationOutput(final[path[-1]],
                                      tuple((n, spans[n].stop - spans[n].start) for n in path))
                for pid, path in plan.paths.items()}
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
@@ -358,26 +356,8 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
                 noise = stream(master_seed, TAG_STEP, leaf, k).standard_normal(m)
             x = denoise_step(x, k, mu, steps, noise)
             calls += 1
-        outputs[pid] = GenerationOutput(pid, x, ((leaf, k_stop),))
+        outputs[pid] = GenerationOutput(x, ((leaf, k_stop),))
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)
-
-
-def world_to_json(world: ToyWorld, schedule: NoiseSchedule, master_seed: int) -> str:
-    cmap: object
-    if world.map_seed is None and world.data_dimension == world.embedding_dimension:
-        cmap = "identity"
-    else:
-        cmap = {"seed": world.map_seed}
-    return json.dumps(
-        {
-            "data_dimension": world.data_dimension,
-            "target_std": world.target_std,
-            "condition_map": cmap,
-            "schedule": {"K": schedule.K, "curve": schedule.curve, "variant": schedule.variant},
-            "master_seed": master_seed,
-        },
-        indent=1,
-    )
 
 
 # Largest data dimension a world file may ask for.  A seeded map holds

@@ -22,6 +22,12 @@ from .rng import TAG_CENTER, TAG_RECORD, normal_rows
 BINARY_MAGIC = b"SHDF"
 BINARY_VERSION = 1
 
+# Largest prompt set.  A tree build holds an N x N float64 matrix and costs
+# O(N^2 d): at d=64 it took 4.9 s with a 179 MB peak RSS at N=4,096 and
+# 19.5 s with 579 MB at N=8,192 (Python 3.11, numpy 2.4, a shared 2-core
+# machine); 2**16 prompts would need a 32 GiB matrix.
+MAX_PROMPTS = 2**13
+
 
 @dataclass(frozen=True)
 class PromptSet:
@@ -38,6 +44,8 @@ class PromptSet:
     def __post_init__(self):
         if len(self.ids) == 0:
             raise DataError("prompt set is empty")
+        if len(self.ids) > MAX_PROMPTS:
+            raise DataError(f"prompt set holds {len(self.ids)} prompts, more than {MAX_PROMPTS}")
         index: dict[str, int] = {}
         for i, pid in enumerate(self.ids):
             if index.setdefault(pid, i) != i:
@@ -168,11 +176,12 @@ _NUMBER_TYPES = {int, float, bool}  # what json.loads gives for a number, true o
 
 def _finite_numbers(vec: list) -> bool:
     """True if every element is a number (bools count, as in Python) that is
-    finite in float64."""
+    finite in float32, the dtype the set stores."""
     if not set(map(type, vec)) <= _NUMBER_TYPES:
         return False
     try:
-        return bool(np.isfinite(np.array(vec, dtype=np.float64)).all())
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
+            return bool(np.isfinite(np.array(vec, dtype=np.float32)).all())
     except OverflowError:  # an int beyond the float64 range
         return False
 
@@ -224,7 +233,10 @@ def _load_jsonl(path: str) -> PromptSet:
             rows.append(vec)
     if not ids:
         raise DataError(f"{path}: no records")
-    return PromptSet(tuple(ids), tuple(texts), np.array(rows, dtype=np.float32))
+    try:
+        return PromptSet(tuple(ids), tuple(texts), np.array(rows, dtype=np.float32))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def _load_binary(path: str, f: BinaryIO) -> PromptSet:
@@ -245,7 +257,10 @@ def _load_binary(path: str, f: BinaryIO) -> PromptSet:
     emb = np.frombuffer(payload, dtype="<f4").reshape(n, d)
     # The binary format carries no ids; synthesize positional ones.
     ids = tuple(str(i) for i in range(n))
-    return PromptSet(ids, (None,) * n, emb.astype(np.float32))
+    try:
+        return PromptSet(ids, (None,) * n, emb.astype(np.float32))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def load_prompt_set(path: str) -> PromptSet:
@@ -257,10 +272,9 @@ def load_prompt_set(path: str) -> PromptSet:
     return _load_jsonl(path)
 
 
-# Largest synthetic set: 2**16 records of dimension 64 take 0.38 s, and
-# 2**22 float64 entries (4096 x 1024) take 0.10 s with a 113 MiB peak
-# (Python 3.11, numpy 2.4, a shared 2-core machine).
-MAX_SYNTH_RECORDS = 2**16
+# Largest synthetic set, besides MAX_PROMPTS records: 2**22 float64 entries
+# (4096 x 1024) take 0.10 s with a 113 MiB peak (Python 3.11, numpy 2.4, a
+# shared 2-core machine).
 MAX_SYNTH_ENTRIES = 2**22
 
 
@@ -280,8 +294,8 @@ def generate_synthetic(
     """
     if clusters < 1 or per_cluster < 1 or dimension < 1:
         raise UsageError("clusters, per_cluster, and dimension must be >= 1")
-    if clusters * per_cluster > min(MAX_SYNTH_RECORDS, MAX_SYNTH_ENTRIES // dimension):
-        raise UsageError(f"a synthetic set holds at most {MAX_SYNTH_RECORDS} records and "
+    if clusters * per_cluster > min(MAX_PROMPTS, MAX_SYNTH_ENTRIES // dimension):
+        raise UsageError(f"a synthetic set holds at most {MAX_PROMPTS} records and "
                          f"{MAX_SYNTH_ENTRIES} entries (records x dimension)")
     if not 0 <= jitter < float("inf"):  # NaN fails both comparisons
         raise UsageError("jitter must be finite and >= 0")

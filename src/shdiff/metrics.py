@@ -39,14 +39,17 @@ def quality_mse(result: ExecutionResult, world: ToyWorld, prompts: PromptSet) ->
     return float(np.mean(errors))
 
 
-def diversity_pairwise_cosine(result: ExecutionResult, sample_cap: int = 100,
-                              seed: int = 0) -> float:
-    """Mean cosine similarity over all pairs of up to sample_cap final samples."""
+DIVERSITY_SAMPLE_CAP = 100  # samples the diversity metric compares pairwise, at most
+
+
+def diversity_pairwise_cosine(result: ExecutionResult, seed: int) -> float:
+    """Mean cosine similarity over all pairs of up to DIVERSITY_SAMPLE_CAP
+    final samples, a subsample drawn with ``seed`` when there are more."""
     ids = sorted(result.outputs)
     if len(ids) < 2:
         raise UsageError("diversity needs at least 2 outputs")
-    if len(ids) > sample_cap:
-        perm = stream(seed, TAG_SAMPLE).permutation(len(ids))[:sample_cap]
+    if len(ids) > DIVERSITY_SAMPLE_CAP:
+        perm = stream(seed, TAG_SAMPLE).permutation(len(ids))[:DIVERSITY_SAMPLE_CAP]
         ids = [ids[i] for i in sorted(perm)]
     vecs = []
     for pid in ids:
@@ -75,7 +78,7 @@ def run_once(prompts: PromptSet, tree: EmbeddingTree, world: ToyWorld,
         savings_fraction=plan.savings_fraction,
         mean_squared_error_to_target=quality_mse(result, world, prompts),
         diversity_mean_pairwise_cosine=(
-            diversity_pairwise_cosine(result, seed=master_seed) if len(prompts) >= 2 else 1.0
+            diversity_pairwise_cosine(result, master_seed) if len(prompts) >= 2 else 1.0
         ),
         evaluations_total=plan.total_evaluations,
         baseline_evaluations=plan.baseline_evaluations,

@@ -92,18 +92,18 @@ def rekey(gen: np.random.Generator, lo, hi) -> None:
 _CHUNK = 4096  # keys turned into Python ints at a time, never a whole batch
 
 
-def normal_rows(m: int, *parts, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def normal_rows(m: int, *parts) -> Iterator[np.ndarray]:
     """Yield the first m standard normals of each stream ``stream_keys(*parts)``
     keys, in C order of the broadcast shape; each row has the bits of
     ``stream(...).standard_normal(m)`` on that stream's int parts.
 
-    Given ``out``, a float64 array of m entries, every row is drawn into it
-    and ``out`` itself is yielded, so a row is valid until the next one is
-    drawn; otherwise each row is a new array.
+    Every row is drawn into one float64 buffer of m entries, which is what
+    is yielded, so a row is valid only until the next one is drawn.
     """
     lo, hi = (np.ravel(words) for words in stream_keys(*parts))
     gen = np.random.Generator(np.random.Philox(0))  # rekeyed before each row
+    buf = np.empty(m)
     for i in range(0, lo.size, _CHUNK):
         for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
             rekey(gen, *key)
-            yield gen.standard_normal(m) if out is None else gen.standard_normal(out=out)
+            yield gen.standard_normal(out=buf)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import PromptSet, cosine_distance, mean_embedding, unit_distances, unit_rows
+from .embeddings import (MAX_PROMPTS, PromptSet, cosine_distance, mean_embedding, unit_distances,
+                         unit_rows)
 from .errors import DataError, UsageError
 from .rng import TAG_RANDENC, normal_rows
 
@@ -439,7 +440,8 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     rule, into one read-only block; merge distances are recomputed from
     them, and every stored ``raw_score`` must equal the derived value.
     Parents, clamped scores and the inversion count are derived as for a
-    built tree.
+    built tree.  A tree of more than ``MAX_PROMPTS`` leaves is rejected
+    before any record is read.
     """
     try:
         doc = json.loads(text)
@@ -454,6 +456,8 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
         n_leaves = (n + 1) // 2  # of a binary tree with this many nodes
+        if n_leaves > MAX_PROMPTS:
+            raise DataError(f"malformed tree JSON: {n_leaves} leaves, more than {MAX_PROMPTS}")
         children: list = [None] * (n - n_leaves)
         raw_scores: list = [None] * (n - n_leaves)
         leaf_ids: list = [None] * n_leaves

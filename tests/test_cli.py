@@ -13,13 +13,18 @@ import pytest
 from conftest import expand_plan_json
 from shdiff import cli, diffusion
 from shdiff.cli import main
-from shdiff.diffusion import (ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_plan,
-                              make_schedule, world_to_json)
-from shdiff.embeddings import (MAX_SYNTH_ENTRIES, MAX_SYNTH_RECORDS, PromptSet,
+from shdiff.diffusion import ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_plan, make_schedule
+from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, PromptSet,
                                generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
+
+
+# A world file for the 3-d prompt sets below: identity map, K=12, seed 4.
+WORLD_TEXT = ('{"data_dimension": 3, "target_std": 0.5, "condition_map": "identity", '
+              '"schedule": {"K": 12, "curve": "cosine", "variant": "deterministic"}, '
+              '"master_seed": 4}')
 
 
 @pytest.fixture
@@ -129,12 +134,37 @@ class TestTree:
         ("p.bin", b"SHDF\x01\x00\x04", "p.bin: header holds 7 bytes"),
         ("p.jsonl", b'{"id": "a", "embedding": [1, 0]}\n{"id": {"a": 1}, "embedding": [0, 1]}\n',
          "p.jsonl:2: id {'a': 1} is not a string or an integer"),
-    ], ids=["not utf-8", "int beyond float64", "short binary header", "id object"])
+        ("p.jsonl", b'{"id": "a", "embedding": [1e39, 1.0]}\n', "p.jsonl:1: bad embedding for id 'a'"),
+        ("p.bin", b"SHDF\x01\x00" + (1).to_bytes(8, "little") + (2).to_bytes(4, "little")
+         + np.array([1.0, np.inf], dtype="<f4").tobytes(),
+         "p.bin: non-finite embedding entries"),
+    ], ids=["not utf-8", "int beyond float64", "short binary header", "id object",
+            "beyond float32", "binary not finite"])
     def test_input_defect_exit_3(self, tmp_path, capsys, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)
         assert main(["tree", "--input", str(path)]) == 3
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["p.jsonl", "p.bin"])
+    def test_prompt_cap_exit_3(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        n = MAX_PROMPTS + 1
+        if name == "p.bin":
+            path.write_bytes(b"SHDF\x01\x00" + n.to_bytes(8, "little") + (1).to_bytes(4, "little")
+                             + np.ones(n, dtype="<f4").tobytes())
+        else:
+            path.write_text("".join('{"id": %d, "embedding": [1]}\n' % i for i in range(n)))
+        tracemalloc.start()
+        try:
+            rc = main(["tree", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert f"{name}: prompt set holds {n} prompts, more than {MAX_PROMPTS}" in \
+            capsys.readouterr().err
+        assert peak < 2**24  # rejected before the build's 512 MiB distance matrix
 
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -402,6 +432,22 @@ class TestSimulate:
         }) + "\n" for pid in prompts.ids)
         assert out.read_text() == expected
 
+    def test_sample_beyond_float32_exit_3(self, tmp_path, capsys):
+        # finite float32 inputs whose samples overflow float32, which strict
+        # JSON cannot hold as Infinity
+        prompts = tmp_path / "big.jsonl"
+        prompts.write_text("".join('{"id": "p%d", "embedding": [3e38, 3e38, 3e38, 3e38]}\n' % i
+                                   for i in range(4)))
+        world = tmp_path / "world.json"
+        world.write_text('{"data_dimension": 2, "target_std": 0.5, "condition_map": {"seed": 1}, '
+                         '"schedule": {"K": 10, "curve": "cosine", "variant": "deterministic"}, '
+                         '"master_seed": 0}')
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", str(prompts), "--world", str(world),
+                     "--output", str(out)]) == 3
+        assert "error: sample of prompt 'p0' is not finite in float32" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.jsonl", "world.json"]
+
     def test_default_metrics_path(self, prompts_file, tmp_path):
         out = tmp_path / "run.jsonl"
         main(["simulate", "--input", prompts_file, "--output", str(out),
@@ -610,8 +656,7 @@ class TestOutputsOverwriteInputs:
         files = {"input": Path(prompts_file), "tree": tmp_path / "tree.json",
                  "world": tmp_path / "world.json", "samples": tmp_path / "samples.jsonl"}
         assert main(["tree", "--input", prompts_file, "--output", str(files["tree"])]) == 0
-        files["world"].write_text(
-            world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        files["world"].write_text(WORLD_TEXT)
         before = {name: files[name].read_bytes() for name in ("input", "tree", "world")}
         path = files[target]
         if via_link:  # the same file, reached through a linked directory
@@ -640,7 +685,7 @@ class TestSynth:
         assert not out.exists()
 
     @pytest.mark.parametrize("per_cluster, dim", [
-        (MAX_SYNTH_RECORDS, 1), (2**6, MAX_SYNTH_ENTRIES // 2**6)], ids=["records", "entries"])
+        (MAX_PROMPTS, 1), (2**6, MAX_SYNTH_ENTRIES // 2**6)], ids=["records", "entries"])
     def test_size_cap_accepted(self, tmp_path, capsys, per_cluster, dim):
         out = tmp_path / "synth.bin"
         assert main(["synth", "--clusters", "1", "--per-cluster", str(per_cluster),
@@ -648,7 +693,7 @@ class TestSynth:
         assert f"wrote {per_cluster} embeddings (d={dim})" in capsys.readouterr().out
 
     @pytest.mark.parametrize("clusters, per_cluster, dim", [
-        (1, MAX_SYNTH_RECORDS + 1, 1), (2, MAX_SYNTH_RECORDS // 2 + 1, 1),
+        (1, MAX_PROMPTS + 1, 1), (2, MAX_PROMPTS // 2 + 1, 1),
         (1, 1, MAX_SYNTH_ENTRIES + 1), (2**6, 1, MAX_SYNTH_ENTRIES // 2**6 + 1),
         (1, 1, 2 * 10**12),
     ], ids=["records", "records-2-clusters", "entries", "entries-64-clusters", "dim-2e12"])
@@ -731,10 +776,8 @@ class TestSynth:
         assert main(["tree", "--input", str(out)]) == 0
 
     def test_world_json_roundtrip_through_simulate(self, prompts_file, tmp_path):
-        from shdiff.diffusion import ToyWorld, make_schedule, world_to_json
         world_path = tmp_path / "world.json"
-        world_path.write_text(
-            world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        world_path.write_text(WORLD_TEXT)
         out = tmp_path / "samples.jsonl"
         rc = main(["simulate", "--input", prompts_file, "--world", str(world_path),
                    "--output", str(out), "--tau", "1.0"])
@@ -777,7 +820,7 @@ WORLD_DEFECTS = {
 class TestWorldFile:
     @pytest.mark.parametrize("defect", sorted(WORLD_DEFECTS))
     def test_defect_exit_3(self, prompts_file, tmp_path, capsys, defect):
-        doc = json.loads(world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        doc = json.loads(WORLD_TEXT)
         world_path = tmp_path / "world.json"
         world_path.write_text(json.dumps(WORLD_DEFECTS[defect](doc)))
         out = tmp_path / "samples.jsonl"
@@ -788,7 +831,7 @@ class TestWorldFile:
         assert not out.exists()
 
     def test_data_dimension_cap_accepted(self, prompts_file, tmp_path):
-        doc = json.loads(world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(12), 4))
+        doc = json.loads(WORLD_TEXT)
         world_path = tmp_path / "world.json"
         world_path.write_text(json.dumps(
             {**doc, "data_dimension": MAX_DATA_DIMENSION, "condition_map": {"seed": 3}}))
@@ -801,7 +844,7 @@ class TestWorldFile:
         # each flag given replaces the file's value, as if the file held it
         def run(std, *flags):
             world_path = tmp_path / f"world-{std}.json"
-            world_path.write_text(world_to_json(ToyWorld.create(3, 3, std), make_schedule(12), 4))
+            world_path.write_text(json.dumps({**json.loads(WORLD_TEXT), "target_std": std}))
             out = tmp_path / "samples.jsonl"
             assert main(["simulate", "--input", prompts_file, "--world", str(world_path),
                          "--output", str(out), "--variant", "ancestral", *flags]) == 0

@@ -25,7 +25,6 @@ from shdiff.diffusion import (
     run_standard,
     step_table,
     world_from_json,
-    world_to_json,
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import DataError, UsageError
@@ -171,7 +170,7 @@ class TestSchedule:
 
 
 @pytest.mark.parametrize("make", [lambda: make_schedule(5), lambda: ToyWorld.create(3, 3, 1.0),
-                                  lambda: GenerationOutput("p", np.zeros(2), ((0, 2),))],
+                                  lambda: GenerationOutput(np.zeros(2), ((0, 2),))],
                          ids=["NoiseSchedule", "ToyWorld", "GenerationOutput"])
 def test_compared_and_hashed_by_identity(make):
     # array fields have no single truth value, so field-wise == would raise
@@ -262,7 +261,7 @@ class TestTargetMean:
         with pytest.raises(ValueError):
             world.condition_map[0, 1] = 1.0
 
-    @pytest.mark.parametrize("args", [(None, 1.0), (np.eye(2), 1.0, None, 2), (None, 1.0, None, 0)],
+    @pytest.mark.parametrize("args", [(None, 1.0), (np.eye(2), 1.0, 2), (None, 1.0, 0)],
                              ids=["neither", "both", "dimension 0"])
     def test_map_or_identity_dimension(self, args):
         with pytest.raises(UsageError):
@@ -430,7 +429,7 @@ def step_cases(draw):
     return (draw(st.integers(1, K)),
             make_schedule(K, draw(st.sampled_from([DETERMINISTIC, ANCESTRAL])),
                           draw(st.sampled_from([CURVE_COSINE, CURVE_LINEAR_BETA]))),
-            ToyWorld(None, draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e150])), None, m),
+            ToyWorld(None, draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e150])), m),
             draw(vectors(m, draw(st.sampled_from([np.float32, np.float64])))),
             draw(vectors(m, draw(st.sampled_from([np.float32, np.float64])))),
             draw(vectors(m, np.float64)))
@@ -448,13 +447,13 @@ class TestStepTable:
 
     @pytest.mark.parametrize("k", [0, 9])
     def test_step_outside_schedule(self, k):
-        world = ToyWorld(None, 1.0, None, 2)
+        world = ToyWorld(None, 1.0, 2)
         steps = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), world)
         with pytest.raises(UsageError, match=f"step {k} outside 1..8"):
             denoise_step(np.zeros(2), k, np.zeros(2), steps)
 
     def test_ancestral_step_needs_noise(self):
-        steps = step_table(make_schedule(8, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, None, 2))
+        steps = step_table(make_schedule(8, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(UsageError, match="needs noise"):
             denoise_step(np.zeros(2), 1, np.zeros(2), steps)
         assert steps.rows[8].sigma is None  # the last step adds no noise, so it needs none
@@ -465,10 +464,10 @@ class TestStepTable:
         table = sch.coefficients.copy()
         table[3, Coefficients._fields.index("alpha_bar")] = 1.0
         with pytest.raises(UsageError, match="alpha_bar"):
-            step_table(replace(sch, coefficients=table), ToyWorld(None, 1.0, None, 2))
+            step_table(replace(sch, coefficients=table), ToyWorld(None, 1.0, 2))
 
     def test_scalars_are_read_only(self):
-        steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, None, 2))
+        steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(ValueError):
             steps.rows[1].gain[()] = 0.0
 
@@ -666,36 +665,38 @@ class TestTruncatedStandard:
 
 class TestWorldJson:
     def test_roundtrip_identity(self):
-        w = ToyWorld.create(4, 4, 0.7)
-        sch = make_schedule(8, ANCESTRAL, CURVE_LINEAR_BETA)
-        text = world_to_json(w, sch, 42)
-        w2, sch2, seed = world_from_json(text, 4)
+        text = ('{"data_dimension": 4, "target_std": 0.7, "condition_map": "identity", '
+                '"schedule": {"K": 8, "curve": "linear_beta", "variant": "ancestral"}, '
+                '"master_seed": 42}')
+        w, sch, seed = world_from_json(text, 4)
         assert seed == 42
-        assert np.array_equal(w2.condition_map, w.condition_map)
-        assert w2.target_std == 0.7
-        assert sch2 == (8, ANCESTRAL, CURVE_LINEAR_BETA)
+        assert w.condition_map is None and w.dimension == 4
+        assert w.target_std == 0.7
+        assert sch == (8, ANCESTRAL, CURVE_LINEAR_BETA)
 
     def test_roundtrip_random_map(self):
-        w = ToyWorld.create(3, 6, 1.0, map_seed=9)
-        sch = make_schedule(5)
-        w2, _, _ = world_from_json(world_to_json(w, sch, 0), 6)
-        assert np.array_equal(w2.condition_map, w.condition_map)
+        text = ('{"data_dimension": 3, "target_std": 1.0, "condition_map": {"seed": 9}, '
+                '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
+                '"master_seed": 0}')
+        w, _, _ = world_from_json(text, 6)
+        assert np.array_equal(w.condition_map, ToyWorld.create(3, 6, 1.0, map_seed=9).condition_map)
 
     def test_identity_dim_mismatch(self):
-        w = ToyWorld.create(4, 4, 1.0)
-        text = world_to_json(w, make_schedule(5), 0)
+        text = ('{"data_dimension": 4, "target_std": 1.0, "condition_map": "identity", '
+                '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
+                '"master_seed": 0}')
         with pytest.raises(UsageError):
             world_from_json(text, 7)
 
     def test_data_dimension_cap(self):
         def doc(m):
-            return world_to_json(ToyWorld.create(m, 64, 1.0, map_seed=3), make_schedule(5), 0)
+            return ('{"data_dimension": %d, "target_std": 1.0, "condition_map": {"seed": 3}, '
+                    '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
+                    '"master_seed": 0}' % m)
 
-        text = doc(MAX_DATA_DIMENSION)
-        world, _, _ = world_from_json(text, 64)
+        world, _, _ = world_from_json(doc(MAX_DATA_DIMENSION), 64)
         assert world.condition_map.shape == (MAX_DATA_DIMENSION, 64)
-        text = text.replace(f'"data_dimension": {MAX_DATA_DIMENSION}',
-                            f'"data_dimension": {MAX_DATA_DIMENSION + 1}')
+        text = doc(MAX_DATA_DIMENSION + 1)
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match=f"data_dimension {MAX_DATA_DIMENSION + 1}"):

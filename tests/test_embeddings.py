@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shdiff.embeddings import (
+    MAX_PROMPTS,
     PromptSet,
     cosine_distance,
     generate_synthetic,
@@ -139,12 +140,20 @@ class TestIO:
             load_prompt_set(str(path))
 
     @pytest.mark.parametrize("embedding", ['["1", 0]', "[null, 1]", "[[1], 0]", "[NaN, 1]",
-                                           "[Infinity, 1]", "[1e400, 1]", "[]", '"1, 0"'])
+                                           "[Infinity, 1]", "[1e400, 1]", "[]", '"1, 0"',
+                                           "[1e39, 1]", "[0, -3.5e38]", "[%d, 1]" % 10**39])
     def test_jsonl_bad_embedding_named(self, tmp_path, embedding):
         path = tmp_path / "e.jsonl"
         path.write_text('{"id": "y", "embedding": %s}\n' % embedding)
         with pytest.raises(DataError, match=r"e\.jsonl:1: bad embedding for id 'y'"):
             load_prompt_set(str(path))
+
+    def test_jsonl_float32_max_accepted(self, tmp_path):
+        # 3.4028235e38 rounds to the largest float32, which is finite
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "y", "embedding": [3.4028235e38, -3.4028235e38]}\n')
+        big = float(np.finfo(np.float32).max)
+        assert load_prompt_set(str(path)).embeddings.tolist() == [[big, -big]]
 
     def test_jsonl_bools_and_ints_are_numbers(self, tmp_path):
         path = tmp_path / "b.jsonl"
@@ -232,6 +241,15 @@ class TestIO:
         with pytest.raises(DataError, match=rf"short\.bin: header holds {length} bytes, not 18"):
             load_prompt_set(str(path))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_binary_not_finite_named(self, tmp_path, value):
+        path = tmp_path / "nf.bin"
+        path.write_bytes(b"SHDF" + (1).to_bytes(2, "little") + (2).to_bytes(8, "little")
+                         + (2).to_bytes(4, "little")
+                         + np.array([1.0, 0.0, value, 1.0], dtype="<f4").tobytes())
+        with pytest.raises(DataError, match=r"nf\.bin: non-finite embedding entries"):
+            load_prompt_set(str(path))
+
     def test_binary_dimension_zero(self, tmp_path):
         # empty rows would fit any count, so a huge count must not be reached
         path = tmp_path / "flat.bin"
@@ -278,6 +296,13 @@ class TestPromptSet:
         with pytest.raises(DataError, match="'b'"):
             PromptSet(("a", "b"), (None, None),
                       np.array([[1, 0], [0, 0]], dtype=np.float32))
+
+    def test_prompt_cap(self):
+        ids = tuple(str(i) for i in range(MAX_PROMPTS + 1))
+        rows = np.ones((MAX_PROMPTS + 1, 1), dtype=np.float32)
+        assert len(PromptSet(ids[:-1], (None,) * MAX_PROMPTS, rows[:-1])) == MAX_PROMPTS
+        with pytest.raises(DataError, match=f"{MAX_PROMPTS + 1} prompts, more than {MAX_PROMPTS}"):
+            PromptSet(ids, (None,) * (MAX_PROMPTS + 1), rows)
 
     def test_normalized(self):
         ps = PromptSet(("a",), (None,), np.array([[3.0, 4.0]], dtype=np.float32))

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shdiff.cli import main
-from shdiff.diffusion import ANCESTRAL, ToyWorld, make_schedule, world_to_json
 from shdiff.embeddings import PromptSet, save_prompt_set
 
 FUZZ = settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True,
@@ -50,7 +49,9 @@ def files(tmp_path_factory):
     save_prompt_set(ps, str(binary), "binary")
     tree = d / "tree.json"
     assert main(["tree", "--input", prompts, "--output", str(tree)]) == 0
-    world = world_to_json(ToyWorld.create(3, 3, 0.5), make_schedule(6, ANCESTRAL), 1)
+    world = json.dumps({"data_dimension": 3, "target_std": 0.5, "condition_map": "identity",
+                        "schedule": {"K": 6, "curve": "cosine", "variant": "ancestral"},
+                        "master_seed": 1}, indent=1)
     return {"dir": d, "prompts": prompts, "tree": tree.read_bytes(), "world": world.encode(),
             "jsonl": (d / "prompts.jsonl").read_bytes(), "binary": binary.read_bytes()}
 

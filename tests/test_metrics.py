@@ -30,7 +30,7 @@ from shdiff.tree import build_tree
 
 def fake_result(samples: dict[str, np.ndarray]) -> ExecutionResult:
     outputs = {
-        pid: GenerationOutput(pid, np.asarray(v, dtype=np.float64), ((0, 1),))
+        pid: GenerationOutput(np.asarray(v, dtype=np.float64), ((0, 1),))
         for pid, v in samples.items()
     }
     return ExecutionResult(outputs=outputs, denoiser_calls=0)
@@ -62,31 +62,31 @@ class TestQuality:
 class TestDiversity:
     def test_identical_samples(self):
         res = fake_result({f"p{i}": np.array([3.0, 4.0]) for i in range(5)})
-        assert diversity_pairwise_cosine(res) == pytest.approx(1.0)
+        assert diversity_pairwise_cosine(res, 0) == pytest.approx(1.0)
 
     def test_antipodal_pair(self):
         res = fake_result({"a": np.array([1.0, 0.0]), "b": np.array([-2.0, 0.0])})
-        assert diversity_pairwise_cosine(res) == pytest.approx(-1.0)
+        assert diversity_pairwise_cosine(res, 0) == pytest.approx(-1.0)
 
     def test_orthogonal_pair(self):
         res = fake_result({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 5.0])})
-        assert diversity_pairwise_cosine(res) == pytest.approx(0.0, abs=1e-15)
+        assert diversity_pairwise_cosine(res, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_sample_excluded_with_warning(self):
         res = fake_result({"a": np.array([1.0, 0.0]), "b": np.zeros(2),
                            "c": np.array([1.0, 0.0])})
         with pytest.warns(UserWarning):
-            assert diversity_pairwise_cosine(res) == pytest.approx(1.0)
+            assert diversity_pairwise_cosine(res, 0) == pytest.approx(1.0)
 
     def test_too_few_outputs(self):
         with pytest.raises(UsageError):
-            diversity_pairwise_cosine(fake_result({"a": np.ones(2)}))
+            diversity_pairwise_cosine(fake_result({"a": np.ones(2)}), 0)
 
     def test_cap_is_deterministic(self):
         rng = np.random.default_rng(0)
         res = fake_result({f"p{i:03d}": rng.standard_normal(4) for i in range(150)})
-        a = diversity_pairwise_cosine(res, sample_cap=50, seed=3)
-        b = diversity_pairwise_cosine(res, sample_cap=50, seed=3)
+        a = diversity_pairwise_cosine(res, 3)
+        b = diversity_pairwise_cosine(res, 3)
         assert a == b
 
 

@@ -67,25 +67,18 @@ def test_rekey_after_draws_matches_fresh_stream():
 
 
 @pytest.mark.parametrize("m", [1, 64])
-@pytest.mark.parametrize("given_out", [False, True], ids=["new-rows", "out"])
-def test_normal_rows_equal_fresh_streams(m, given_out):
+def test_normal_rows_equal_fresh_streams(m):
     # a key chunk and three more keys, so the rows cross a chunk boundary
     seed, nodes = 2**64 - 7, np.arange(rng._CHUNK + 3, dtype=np.uint64) + np.uint64(2**63 - 2)
     lo, hi = stream_keys(seed, TAG_STEP, nodes, 5)
     assert (lo >= 2**63).any() and (hi >= 2**63).any()
-    out = np.empty(m) if given_out else None
-    rows = normal_rows(m, seed, TAG_STEP, nodes, 5, out=out)
-    for node, row in zip(nodes.tolist(), rows, strict=True):
-        assert (row is out) == given_out
+    rows = normal_rows(m, seed, TAG_STEP, nodes, 5)
+    first = next(rows)
+    assert np.array_equal(first, stream(seed, TAG_STEP, int(nodes[0]), 5).standard_normal(m))
+    for node, row in zip(nodes[1:].tolist(), rows, strict=True):
+        assert row is first  # every row is drawn into one buffer
         assert np.array_equal(row, stream(seed, TAG_STEP, node, 5).standard_normal(m))
-
-
-def test_normal_rows_new_rows_are_kept():
-    rows = list(normal_rows(4, 3, TAG_INIT, [0, 1, 2]))
-    assert [r.tolist() for r in rows] == \
-        [stream(3, TAG_INIT, n).standard_normal(4).tolist() for n in range(3)]
 
 
 def test_normal_rows_empty_batch():
     assert list(normal_rows(8, 3, TAG_INIT, [])) == []
-    assert list(normal_rows(8, 3, TAG_INIT, [], out=np.empty(8))) == []

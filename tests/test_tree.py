@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from shdiff.cli import main
 from shdiff.diffusion import ToyWorld, make_schedule, run_standard
-from shdiff.embeddings import PromptSet, generate_synthetic, cosine_distance, save_prompt_set
+from shdiff.embeddings import (MAX_PROMPTS, PromptSet, generate_synthetic, cosine_distance,
+                               save_prompt_set)
 from shdiff.errors import DataError, UsageError
 from shdiff.tree import (
     TREE_FORMAT,
@@ -337,6 +338,12 @@ class TestTreeJson:
         doc.update(fmt, nodes="not checked")
         with pytest.raises(TreeFormatError):
             tree_from_json(json.dumps(doc))
+
+    def test_leaf_cap_checked_first(self):
+        # the records are empty, so reading any of them would fail differently
+        nodes = [{}] * (2 * MAX_PROMPTS + 1)
+        with pytest.raises(DataError, match=f"{MAX_PROMPTS + 1} leaves, more than {MAX_PROMPTS}"):
+            tree_from_json(json.dumps({"format": TREE_FORMAT, "nodes": nodes}))
 
     def test_extra_keys_kept_as_provenance(self):
         t = build_tree(random_prompt_set(5, 3, seed=2))
