@@ -241,15 +241,6 @@ class TestIO:
         with pytest.raises(DataError, match=rf"short\.bin: header holds {length} bytes, not 18"):
             load_prompt_set(str(path))
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_binary_not_finite_named(self, tmp_path, value):
-        path = tmp_path / "nf.bin"
-        path.write_bytes(b"SHDF" + (1).to_bytes(2, "little") + (2).to_bytes(8, "little")
-                         + (2).to_bytes(4, "little")
-                         + np.array([1.0, 0.0, value, 1.0], dtype="<f4").tobytes())
-        with pytest.raises(DataError, match=r"nf\.bin: non-finite embedding entries"):
-            load_prompt_set(str(path))
-
     def test_binary_dimension_zero(self, tmp_path):
         # empty rows would fit any count, so a huge count must not be reached
         path = tmp_path / "flat.bin"
