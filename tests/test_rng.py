@@ -67,12 +67,19 @@ def test_rekey_after_draws_matches_fresh_stream():
 
 
 @pytest.mark.parametrize("m", [1, 64])
-def test_normal_rows_equal_fresh_streams(m):
+@pytest.mark.parametrize("kept", [True, False], ids=["new-rows", "out"])
+def test_normal_rows_equal_fresh_streams(m, kept):
     # a key chunk and three more keys, so the rows cross a chunk boundary
     seed, nodes = 2**64 - 7, np.arange(rng._CHUNK + 3, dtype=np.uint64) + np.uint64(2**63 - 2)
     lo, hi = stream_keys(seed, TAG_STEP, nodes, 5)
     assert (lo >= 2**63).any() and (hi >= 2**63).any()
     rows = normal_rows(m, seed, TAG_STEP, nodes, 5)
+    if kept:  # a caller that keeps rows copies each out of the one buffer
+        got = [row.copy() for row in rows]
+        assert len(got) == nodes.size
+        for node, row in zip(nodes.tolist(), got, strict=True):
+            assert np.array_equal(row, stream(seed, TAG_STEP, node, 5).standard_normal(m))
+        return
     first = next(rows)
     assert np.array_equal(first, stream(seed, TAG_STEP, int(nodes[0]), 5).standard_normal(m))
     for node, row in zip(nodes[1:].tolist(), rows, strict=True):
