@@ -23,6 +23,7 @@ from .diffusion import (
 from .embeddings import (
     PromptSet,
     cosine_distance,
+    float32_rows_text,
     generate_synthetic,
     load_prompt_set,
     mean_embedding,

@@ -18,7 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import diffusion, metrics, planner, tree as tree_mod
-from .embeddings import atomic_write, generate_synthetic, load_prompt_set, save_prompt_set
+from .embeddings import (atomic_write, float32_rows_text, generate_synthetic,
+                         load_prompt_set, save_prompt_set)
 from .errors import DataError, UsageError
 
 
@@ -160,18 +161,6 @@ def _resolve_world(args, prompts):
     return world, schedule, seed
 
 
-def _sample_text(pid: str, sample: np.ndarray) -> str:
-    """A sample as the JSON list of its float32 values; a value that is not
-    finite in float32 is a DataError naming the prompt, since strict JSON
-    has no Infinity or NaN."""
-    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
-        values = sample.astype(np.float32).tolist()
-    try:
-        return json.dumps(values, allow_nan=False)
-    except ValueError as e:
-        raise DataError(f"sample of prompt {pid!r} is not finite in float32") from e
-
-
 def cmd_simulate(args) -> int:
     prompts = _load_prompts(args)
     world, schedule, seed = _resolve_world(args, prompts)
@@ -182,12 +171,17 @@ def cmd_simulate(args) -> int:
     # prompt, which gives the bytes of json.dumps of the row's dict.
     span_text = {node: f"[{node}, " + f"], [{node}, ".join(map(str, range(start, stop))) + "]"
                  for node, (start, stop, _) in plan.spans.items()}
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
+        samples = np.array([result.outputs[pid].sample for pid in prompts.ids], dtype=np.float32)
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():  # strict JSON has no Infinity or NaN
+        raise DataError(f"sample of prompt {prompts.ids[int(finite.argmin())]!r} "
+                        "is not finite in float32")
     # One line at a time, so the file is never held in memory whole.
     atomic_write(args.output, (
-        f'{{"id": {json.dumps(pid)}, '
-        f'"sample": {_sample_text(pid, result.outputs[pid].sample)}, '
+        f'{{"id": {json.dumps(pid)}, "sample": {sample}, '
         f'"trace": [{", ".join(span_text[node] for node in plan.paths[pid])}]}}\n'
-        for pid in prompts.ids))
+        for pid, sample in zip(prompts.ids, float32_rows_text(samples))))
     atomic_write(args.metrics,
                  metrics.metrics_to_json(run_metrics, schedule.K, len(prompts), args.tau))
     print(f"savings: {plan.savings_fraction * 100:.2f}%")

@@ -131,13 +131,162 @@ def mean_embedding(members: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return np.sum(arr, axis=0) / arr.shape[0]
 
 
+# Float32 values as text.  repr(float(v)) of a float32 v is the shortest
+# decimal that reads back as the float64 v, the nearest such on a tie of
+# length (even last digit on a tie of distance), written positionally for
+# 1e-4 <= |v| < 1e16.  _shortest_digits finds those digits for a whole
+# block with exact arithmetic on scaled integers; _values_text lays them out.
+TEXT_BLOCK_VALUES = 8192  # values per formatted block; bounds its temporaries
+_POW10 = 10.0 ** np.arange(23)  # exact in float64
+# 10**p as its top 26 significand bits plus the rest (at most 27 bits): each
+# part times a 24-bit float32 significand is exact in float64, and for
+# 1e-4 <= a < 1e16 and p within one of 16 - log10(a), a times the top part is
+# a whole number (its lowest set bit is 2**1 or above).
+_POW10_HI = (_POW10.view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# The ASCII digits of 0..9999, four bytes per entry, read as one uint32.
+_DIGITS4 = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, dtype=np.uint8), 0, -1)
+                                + ord("0")).view(np.uint32).ravel()
+# Source columns 0-3: ".", "0", "-" and the lead digit, one uint32 per digit;
+# columns 4-19 hold the other 16 digits.
+_LEAD = np.frombuffer(b"".join(b".0-%d" % d for d in range(10)), dtype=np.uint32)
+_FIELD = 25  # longest repr of a float32 (23 bytes) and ", "
+
+
+def _layouts() -> np.ndarray:
+    """The source column of each byte of a value's text, one row per sign and
+    decimal point position d in [-3, 16] (the value is 0.DIGITS * 10**d):
+    row 20 * negative + d + 3."""
+    digits = list(range(3, 20))
+    rows = []
+    for sign in ([], [2]):
+        for point in range(-3, 17):
+            if point <= 0:
+                cols = sign + [1, 0] + [1] * -point + digits
+            else:
+                cols = sign + digits[:point] + [0] + digits[point:]
+            rows.append(cols + [1] * (_FIELD - len(cols)))
+    return np.array(rows, dtype=np.uint8)
+
+
+_LAYOUTS = _layouts()
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**p, exactly, as its integer part (int64) and its fraction."""
+    lo = a * _POW10_LO[p]
+    lo_int = np.floor(lo)
+    return (a * _POW10_HI[p]).astype(np.int64) + lo_int.astype(np.int64), lo - lo_int
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For float64 values 1e-4 <= a < 1e16, each a float32: the decimal repr
+    gives, as 17 digits (an int64 D, trailing zeros included), the decimal
+    point position (a = 0.D * 10**point) and the number of digits kept."""
+    # X = a * 10**p in [1e16, 1e17): a's decimal digits to 17 places.
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    xi, xf = _scaled(a, p)
+    shift = (xi < 10**16).astype(np.intp) - (xi >= 10**17)
+    if shift.any():  # np.log10 may be off by one next to a power of ten
+        p += shift
+        xi, xf = _scaled(a, p)
+    # Every decimal in [X - half, X + half] reads back as a: the float64
+    # rounding interval, closed as a float32's 53-bit significand is even.
+    # At a power of two its lower half is half as wide, but no power of two
+    # in range has a shorter decimal in the part that leaves out.
+    half = np.ldexp(_POW10[p], np.frexp(a)[1] - 54)
+    half_int = np.floor(half)
+    half_frac = half - half_int  # each sum with xf below is exact
+    top = xi + half_int.astype(np.int64) + (xf >= 1.0 - half_frac)
+    bottom = xi - half_int.astype(np.int64) + (xf > half_frac)
+    # t, the most trailing zeros a decimal in the interval can have.  A
+    # multiple of 10**(k+1) is one of 10**k, so the values still in the
+    # running only shrink; t >= 0 since the interval is wider than 1.
+    t = np.zeros(a.size, dtype=np.intp)
+    live = np.arange(a.size)
+    for k in range(1, 17):
+        ok = top - top % _POW10_INT[k] >= bottom
+        live, top, bottom = live[ok], top[ok], bottom[ok]
+        if not live.size:
+            break
+        t[live] = k
+    # Round X to a multiple of 10**t: the nearer one inside the interval,
+    # the even one on a tie.  Both distances are below 32 where compared.
+    step = _POW10_INT[t]
+    rem = xi % step
+    down = xi - rem
+    to_down = np.minimum(rem, 32) + xf
+    to_up = np.minimum(step - rem, 32) - xf
+    up = (to_down > half) | ((to_up <= half) & (
+        (to_up < to_down) | ((to_up == to_down) & (down // step % 2 == 1))))
+    return down + up * step, 17 - p, 17 - t
+
+
+def _values_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a 1-D finite float32 array: the bytes of repr(float(v)) + ", " for
+    each v, concatenated, and the length of each."""
+    a = np.abs(x).astype(np.float64)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0  # formatted by repr below
+    digits, point, kept = _shortest_digits(a)
+    hi, lo = np.divmod(digits, 10**8)
+    src = np.empty((x.size, 20), dtype=np.uint8)
+    words = src.view(np.uint32)
+    words[:, 0] = _LEAD[hi // 10**8]
+    words[:, 1] = _DIGITS4[hi // 10**4 % 10**4]
+    words[:, 2] = _DIGITS4[hi % 10**4]
+    words[:, 3] = _DIGITS4[lo // 10**4]
+    words[:, 4] = _DIGITS4[lo % 10**4]
+    negative = np.signbit(x)
+    length = negative + np.where(point <= 0, 2 - point + kept, np.maximum(kept, point + 1) + 1)
+    layout = 20 * negative + point + 3
+    out = np.empty((x.size, _FIELD), dtype=np.uint8)
+    for key in np.flatnonzero(np.bincount(layout)).tolist():
+        sel = np.flatnonzero(layout == key)
+        out[sel] = src[sel][:, _LAYOUTS[key]]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [repr(v).encode() for v in x[slow].tolist()]
+        length[slow] = list(map(len, texts))
+        block = out[slow]
+        block[np.arange(_FIELD) < length[slow, None]] = np.frombuffer(b"".join(texts), np.uint8)
+        out[slow] = block
+    ends = np.arange(0, _FIELD * x.size, _FIELD) + length
+    out.ravel()[ends] = ord(",")
+    out.ravel()[ends + 1] = ord(" ")
+    length += 2
+    return out[np.arange(_FIELD) < length[:, None]], length
+
+
+def float32_rows_text(rows: np.ndarray) -> Iterator[str]:
+    """Yield ``json.dumps(row.tolist())`` for each row of a finite float32
+    (n, m) array, in order, with the same bytes.
+
+    Rows are formatted a block of at most TEXT_BLOCK_VALUES values (or one
+    row) at a time, so the text of the whole array is never held at once.
+    """
+    if rows.dtype != np.float32 or rows.ndim != 2:
+        raise ValueError(f"expected a 2-D float32 array, got {rows.ndim}-D {rows.dtype}")
+    if not np.isfinite(rows).all():
+        raise ValueError("JSON has no text for a value that is not finite")
+    n, m = rows.shape
+    step = max(1, TEXT_BLOCK_VALUES // max(m, 1))
+    for start in range(0, n, step):
+        block = rows[start:start + step]
+        buf, length = _values_text(block.ravel())
+        text = buf.tobytes().decode("ascii")
+        begin = 0
+        for end in np.cumsum(length.reshape(len(block), m).sum(axis=1)).tolist():
+            yield "[" + text[begin:end - 2] + "]"  # without the last ", "
+            begin = end
+
+
 def _jsonl_lines(prompts: PromptSet) -> Iterator[str]:
-    for i, pid in enumerate(prompts.ids):
-        rec: dict = {"id": pid}
-        if prompts.prompts[i] is not None:
-            rec["prompt"] = prompts.prompts[i]
-        rec["embedding"] = [float(v) for v in prompts.embeddings[i]]
-        yield json.dumps(rec) + "\n"
+    for pid, text, row in zip(prompts.ids, prompts.prompts,
+                              float32_rows_text(prompts.embeddings)):
+        rec = {"id": pid} if text is None else {"id": pid, "prompt": text}
+        yield json.dumps(rec)[:-1] + f', "embedding": {row}}}\n'
 
 
 def atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
@@ -199,6 +348,9 @@ def _load_jsonl(path: str) -> PromptSet:
             line = line.strip()
             if not line:
                 continue
+            if len(ids) == MAX_PROMPTS:  # before parsing: the rest of the file is never read
+                raise DataError(
+                    f"{path}:{lineno}: prompt set holds more than {MAX_PROMPTS} prompts")
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -250,6 +402,8 @@ def _load_binary(path: str, f: BinaryIO) -> PromptSet:
         raise DataError(f"{path}: unsupported version {version}")
     if d == 0:  # n empty rows would fit any n, and n ids cost memory
         raise DataError(f"{path}: dimension 0")
+    if n > MAX_PROMPTS:  # before the payload is read
+        raise DataError(f"{path}: prompt set holds {n} prompts, more than {MAX_PROMPTS}")
     payload = f.read()
     expected = n * d * 4
     if len(payload) != expected:

@@ -14,7 +14,7 @@ from conftest import expand_plan_json
 from shdiff import cli, diffusion
 from shdiff.cli import main
 from shdiff.diffusion import ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_plan, make_schedule
-from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, PromptSet,
+from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, TEXT_BLOCK_VALUES, PromptSet,
                                generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
@@ -148,23 +148,28 @@ class TestTree:
 
     @pytest.mark.parametrize("name", ["p.jsonl", "p.bin"])
     def test_prompt_cap_exit_3(self, tmp_path, capsys, name):
+        # A set one record over the cap and one four times over are rejected
+        # alike: the JSONL file at its first record past the cap, the SHDF
+        # file at its header, before the 8 MiB payload of the larger one.
         path = tmp_path / name
-        n = MAX_PROMPTS + 1
-        if name == "p.bin":
-            path.write_bytes(b"SHDF\x01\x00" + n.to_bytes(8, "little") + (1).to_bytes(4, "little")
-                             + np.ones(n, dtype="<f4").tobytes())
-        else:
-            path.write_text("".join('{"id": %d, "embedding": [1]}\n' % i for i in range(n)))
-        tracemalloc.start()
-        try:
-            rc = main(["tree", "--input", str(path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 3
-        assert f"{name}: prompt set holds {n} prompts, more than {MAX_PROMPTS}" in \
-            capsys.readouterr().err
-        assert peak < 2**24  # rejected before the build's 512 MiB distance matrix
+        d = 64 if name == "p.bin" else 1
+        for n in (MAX_PROMPTS + 1, 4 * MAX_PROMPTS):
+            if name == "p.bin":
+                path.write_bytes(b"SHDF\x01\x00" + n.to_bytes(8, "little")
+                                 + d.to_bytes(4, "little") + np.ones(n * d, dtype="<f4").tobytes())
+                where = f"{name}: prompt set holds {n} prompts, more than {MAX_PROMPTS}"
+            else:
+                path.write_text("".join('{"id": %d, "embedding": [1]}\n' % i for i in range(n)))
+                where = f"{name}:{MAX_PROMPTS + 1}: prompt set holds more than {MAX_PROMPTS}"
+            tracemalloc.start()
+            try:
+                rc = main(["tree", "--input", str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 3
+            assert where in capsys.readouterr().err
+            assert peak < (2**22 if name == "p.jsonl" else 2**20), n
 
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -447,6 +452,23 @@ class TestSimulate:
                      "--output", str(out)]) == 3
         assert "error: sample of prompt 'p0' is not finite in float32" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.jsonl", "world.json"]
+
+    def test_sample_not_finite_in_later_block_exit_3(self, tmp_path, capsys):
+        # 4,097 values a row, so each row is a text block of its own and the
+        # overflowing sample is the second block
+        m = TEXT_BLOCK_VALUES // 2 + 1
+        prompts = tmp_path / "p.jsonl"
+        prompts.write_text('{"id": "small", "embedding": [1, 0, 0, 0]}\n'
+                           '{"id": "big", "embedding": [3e38, 3e38, 3e38, 3e38]}\n')
+        world = tmp_path / "world.json"
+        world.write_text('{"data_dimension": %d, "target_std": 0.5, "condition_map": {"seed": 1}, '
+                         '"schedule": {"K": 10, "curve": "cosine", "variant": "deterministic"}, '
+                         '"master_seed": 0}' % m)
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", str(prompts), "--world", str(world),
+                     "--output", str(out)]) == 3
+        assert "error: sample of prompt 'big' is not finite in float32" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl", "world.json"]
 
     def test_default_metrics_path(self, prompts_file, tmp_path):
         out = tmp_path / "run.jsonl"

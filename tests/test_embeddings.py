@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from shdiff.embeddings import (
     MAX_PROMPTS,
+    TEXT_BLOCK_VALUES,
     PromptSet,
     cosine_distance,
+    float32_rows_text,
     generate_synthetic,
     load_prompt_set,
     mean_embedding,
@@ -248,6 +251,81 @@ class TestIO:
                          + (0).to_bytes(4, "little"))
         with pytest.raises(DataError, match=r"flat\.bin: dimension 0"):
             load_prompt_set(str(path))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_prompt_cap_files(self, tmp_path, fmt):
+        path = tmp_path / "cap"
+        for n in (MAX_PROMPTS, MAX_PROMPTS + 1):
+            if fmt == "binary":
+                path.write_bytes(b"SHDF\x01\x00" + n.to_bytes(8, "little")
+                                 + (1).to_bytes(4, "little") + np.ones(n, dtype="<f4").tobytes())
+            else:
+                path.write_text("".join('{"id": %d, "embedding": [1]}\n' % i for i in range(n)))
+            tracemalloc.start()
+            try:
+                if n == MAX_PROMPTS:
+                    assert len(load_prompt_set(str(path))) == n
+                else:
+                    where = (f"cap: prompt set holds {n} prompts, more than {MAX_PROMPTS}"
+                             if fmt == "binary" else
+                             f"cap:{n}: prompt set holds more than {MAX_PROMPTS} prompts")
+                    with pytest.raises(DataError, match=where):
+                        load_prompt_set(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**22, n
+
+
+def _dumps_rows(rows):
+    return [json.dumps(row.tolist()) for row in rows]
+
+
+class TestFloat32Text:
+    """float32_rows_text against json.dumps of the same rows."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(21).integers(0, 2**32, size=2**20, dtype=np.uint64)
+        x = bits.astype(np.uint32).view(np.float32)
+        x = np.where(np.isfinite(x), x, np.float32(0.5)).reshape(-1, 256)
+        assert list(float32_rows_text(x)) == _dumps_rows(x)
+
+    def test_powers_and_range_edges(self):
+        f32 = np.float32
+        info = np.finfo(f32)
+        exact = ([2.0**k for k in range(-149, 128)] + [10.0**k for k in range(-45, 39)]
+                 + [1e-4, 1e16, info.max, info.smallest_subnormal])
+        values = [0.0, -0.0]
+        with np.errstate(over="ignore"):
+            for v in map(f32, exact):
+                for w in (v, np.nextafter(v, f32(np.inf)), np.nextafter(v, f32(0))):
+                    if np.isfinite(w) and w != 0:
+                        values += [w, -w]
+        x = np.array(values, dtype=f32)
+        for rows in (x[None, :], x[:, None]):
+            assert list(float32_rows_text(rows)) == _dumps_rows(rows)
+
+    @pytest.mark.parametrize("n, m", [(2 * (TEXT_BLOCK_VALUES // 100) + 1, 100),
+                                      (3, TEXT_BLOCK_VALUES + 1), (3, 0), (0, 3)])
+    def test_block_boundaries(self, n, m):
+        x = np.random.default_rng(n).standard_normal((n, m)).astype(np.float32)
+        assert list(float32_rows_text(x)) == _dumps_rows(x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_property(self, values):
+        x = np.array(values, dtype=np.float32)
+        for rows in (x[None, :], x[:, None]):
+            assert list(float32_rows_text(rows)) == _dumps_rows(rows)
+
+    @pytest.mark.parametrize("rows", [np.array([[1.0, np.inf]], dtype=np.float32),
+                                      np.array([[np.nan]], dtype=np.float32),
+                                      np.ones((1, 2)), np.ones(2, dtype=np.float32)],
+                             ids=["inf", "nan", "float64", "1-d"])
+    def test_rejected(self, rows):
+        with pytest.raises(ValueError):
+            next(float32_rows_text(rows))
 
 
 class TestSynthetic:
