@@ -9,7 +9,6 @@ configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,14 +20,6 @@ from . import diffusion, metrics, planner, tree as tree_mod
 from .embeddings import (atomic_write, float32_rows_text, generate_synthetic,
                          load_prompt_set, save_prompt_set)
 from .errors import DataError, UsageError
-
-
-def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _require_input(path: str) -> None:
@@ -66,17 +57,11 @@ def _load_prompts(args) -> "tuple":
     return prompts
 
 
-def _tree_key(args) -> dict:
-    """What a tree JSON records about how it was built; a cached tree is
-    reused only when every entry matches a build of the same input."""
-    return {"input_sha256": _file_sha256(args.input), "normalize": args.normalize}
-
-
 def _leaves_match(tree, prompts) -> bool:
-    """True if the tree's leaves are the prompts, each with its row bit for bit."""
-    if set(tree.leaf_of) != set(prompts.ids):
+    """True if leaf i of the tree is prompt i, with its row bit for bit."""
+    if tree.leaf_ids != prompts.ids:
         return False
-    rows = tree.means[[tree.leaf_of[pid] for pid in prompts.ids]].astype(np.float32)
+    rows = tree.means[:len(prompts)].astype(np.float32)
     return rows.shape == prompts.embeddings.shape and \
         np.array_equal(rows.view(np.uint32), prompts.embeddings.view(np.uint32))
 
@@ -87,8 +72,10 @@ def _plan_tree(args, prompts, seed: int):
     Under ``--ablation random-encodings`` it is the tree built on random
     encodings drawn with ``seed`` and re-embedded with the real prompts: its
     ids, parents and scores select the nodes, and real means condition
-    generation.  Otherwise a cached tree JSON is reused when it was built
-    the way this run would build one.
+    generation.  Otherwise a cached tree JSON is reused when its leaves are
+    this run's prompts after ``--normalize``, ids in input order and rows
+    bit for bit: all that ``build_tree`` reads.  Any other loadable tree, or
+    a file in another format, is rebuilt with a warning.
     """
     cached = getattr(args, "tree", None)
     if args.ablation is not None:
@@ -104,10 +91,7 @@ def _plan_tree(args, prompts, seed: int):
             tree = None
         except DataError as e:
             raise DataError(f"{cached}: {e}") from e
-        if tree is not None and all(tree.provenance.get(k) == v
-                                    for k, v in _tree_key(args).items()):
-            if not _leaves_match(tree, prompts):
-                raise DataError(f"{cached}: tree leaves or dimension do not match {args.input}")
+        if tree is not None and _leaves_match(tree, prompts):
             return tree
         print(f"warning: {cached} does not match input or options, rebuilding", file=sys.stderr)
     return tree_mod.build_tree(prompts)
@@ -120,7 +104,7 @@ def cmd_tree(args) -> int:
     prompts = _load_prompts(args)
     tree = _plan_tree(args, prompts, _seed(args))
     if args.output:
-        atomic_write(args.output, tree_mod.tree_to_json(tree, _tree_key(args)))
+        atomic_write(args.output, tree_mod.tree_to_json(tree))
     label = " (ablation: random encodings)" if args.ablation is not None else ""
     print(f"N: {len(prompts)}{label}")
     print(f"depth: {tree.depth()}")
@@ -248,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compile a shared-step plan")
     _add_common(p)
     p.add_argument("--k", type=int, default=40)
-    p.add_argument("--tree", help="cached tree JSON (reused if input hash matches)")
+    p.add_argument("--tree", help="cached tree JSON (reused if its leaves are the input rows)")
 
     p = sub.add_parser("simulate", help="execute a plan against the toy world")
     _add_common(p)

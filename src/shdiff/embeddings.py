@@ -227,25 +227,27 @@ def _values_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a 1-D finite float32 array: the bytes of repr(float(v)) + ", " for
     each v, concatenated, and the length of each."""
     a = np.abs(x).astype(np.float64)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a[~fast] = 1.0  # formatted by repr below
-    digits, point, kept = _shortest_digits(a)
+    in_range = (a >= 1e-4) & (a < 1e16)
+    fast = np.flatnonzero(in_range)  # the others are formatted by repr below
+    digits, point, kept = _shortest_digits(a[fast])
     hi, lo = np.divmod(digits, 10**8)
-    src = np.empty((x.size, 20), dtype=np.uint8)
+    src = np.empty((fast.size, 20), dtype=np.uint8)
     words = src.view(np.uint32)
     words[:, 0] = _LEAD[hi // 10**8]
     words[:, 1] = _DIGITS4[hi // 10**4 % 10**4]
     words[:, 2] = _DIGITS4[hi % 10**4]
     words[:, 3] = _DIGITS4[lo // 10**4]
     words[:, 4] = _DIGITS4[lo % 10**4]
-    negative = np.signbit(x)
-    length = negative + np.where(point <= 0, 2 - point + kept, np.maximum(kept, point + 1) + 1)
+    negative = np.signbit(x[fast])
+    length = np.empty(x.size, dtype=np.intp)
+    length[fast] = negative + np.where(point <= 0, 2 - point + kept,
+                                       np.maximum(kept, point + 1) + 1)
     layout = 20 * negative + point + 3
     out = np.empty((x.size, _FIELD), dtype=np.uint8)
     for key in np.flatnonzero(np.bincount(layout)).tolist():
         sel = np.flatnonzero(layout == key)
-        out[sel] = src[sel][:, _LAYOUTS[key]]
-    slow = np.flatnonzero(~fast)
+        out[fast[sel]] = src[sel][:, _LAYOUTS[key]]
+    slow = np.flatnonzero(~in_range)
     if slow.size:
         texts = [repr(v).encode() for v in x[slow].tolist()]
         length[slow] = list(map(len, texts))

@@ -53,9 +53,6 @@ class EmbeddingTree:
     leaf_ids: tuple[str, ...]
     means: np.ndarray = field(repr=False)  # (2N-1, d) float64 mean of each node's leaves
     inversion_count: int
-    # Top-level keys of the tree JSON it was read from beyond the tree itself
-    # (input_sha256, normalize, ...); empty for a built tree.
-    provenance: dict = field(default_factory=dict)
     leaf_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -109,8 +106,7 @@ def _tie_key(min_a: str, min_b: str) -> tuple[str, str]:
     return (min(min_a, min_b), max(min_a, min_b))
 
 
-def _finalize(leaf_ids, children, raw_scores, means: np.ndarray,
-              provenance: dict | None = None) -> EmbeddingTree:
+def _finalize(leaf_ids, children, raw_scores, means: np.ndarray) -> EmbeddingTree:
     """Assemble the tree from its leaves plus a merge sequence, then clamp scores.
 
     Merge i makes node N+i from ``children[i]`` at distance ``raw_scores[i]``;
@@ -124,8 +120,7 @@ def _finalize(leaf_ids, children, raw_scores, means: np.ndarray,
     raw = np.zeros(n)
     raw[n_leaves:] = raw_scores
     score, inversions = _clamp(parent, raw, n_leaves)
-    return EmbeddingTree(parent, children, raw, score, tuple(leaf_ids), means, inversions,
-                         provenance or {})
+    return EmbeddingTree(parent, children, raw, score, tuple(leaf_ids), means, inversions)
 
 
 def _clamp(parent: np.ndarray, raw: np.ndarray, n_leaves: int) -> tuple[np.ndarray, int]:
@@ -260,16 +255,13 @@ def _member_sets(tree: EmbeddingTree) -> list[frozenset[str]]:
     return sets
 
 
-def structurally_equal(t1: EmbeddingTree, t2: EmbeddingTree, score_tol: float = 1e-9) -> bool:
+def structurally_equal(t1: EmbeddingTree, t2: EmbeddingTree) -> bool:
     """True if the trees agree up to node renumbering: the same member sets,
-    each with the same score."""
+    each with exactly the same score."""
     if len(t1) != len(t2) or t1.leaf_of.keys() != t2.leaf_of.keys():
         return False
-    s1 = dict(zip(_member_sets(t1), t1.score.tolist()))
-    s2 = dict(zip(_member_sets(t2), t2.score.tolist()))
-    if s1.keys() != s2.keys():
-        return False
-    return all(abs(s1[m] - s2[m]) <= score_tol for m in s1)
+    return dict(zip(_member_sets(t1), t1.score.tolist())) == \
+        dict(zip(_member_sets(t2), t2.score.tolist()))
 
 
 def randomize_encodings(prompts: PromptSet, seed: int) -> PromptSet:
@@ -294,7 +286,7 @@ def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
     if set(tree.leaf_of) != set(prompts.ids):
         raise UsageError("prompt ids do not match tree leaves")
     rows = prompts.embeddings[[prompts.index_of(pid) for pid in tree.leaf_ids]]
-    return replace(tree, means=_node_means(tree.children, tree.leaf_ids, rows), provenance={})
+    return replace(tree, means=_node_means(tree.children, tree.leaf_ids, rows))
 
 
 def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
@@ -354,7 +346,7 @@ def _merge_distances(block: np.ndarray, children: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
+def tree_to_json(tree: EmbeddingTree) -> str:
     """Tree JSON, format ``TREE_FORMAT``: one record per node with its
     children, and the leaf rows in one ``leaves`` block, the base64 of
     little-endian float32 rows in node-id order.  A leaf record names its
@@ -369,17 +361,11 @@ def tree_to_json(tree: EmbeddingTree, extra: dict | None = None) -> str:
               for nid, (pair, raw) in enumerate(zip(tree.children.tolist(),
                                                     tree.raw_score[n_leaves:].tolist()), n_leaves)]
     leaves = tree.means[:n_leaves].astype("<f4")
-    doc = {
+    return json.dumps({  # without indent, so that the C encoder runs
         "format": TREE_FORMAT,
         "nodes": nodes,
         "leaves": base64.b64encode(leaves.tobytes()).decode("ascii"),
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc)  # without indent, so that the C encoder runs
-
-
-_TREE_KEYS = ("format", "nodes", "leaves")
+    })
 
 
 def _node_index(value, n: int, what: str) -> int:
@@ -441,7 +427,9 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     them, and every stored ``raw_score`` must equal the derived value.
     Parents, clamped scores and the inversion count are derived as for a
     built tree.  A tree of more than ``MAX_PROMPTS`` leaves is rejected
-    before any record is read.
+    before any record is read.  Other top-level keys, such as the
+    ``input_sha256`` and ``normalize`` that earlier versions wrote, are
+    ignored.
     """
     try:
         doc = json.loads(text)
@@ -488,8 +476,7 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
         children = np.array(children, dtype=np.intp).reshape(-1, 2)
         _check_tree(children, n)
         block = _node_means(children, leaf_ids, _leaf_rows(doc, n_leaves))
-        tree = _finalize(leaf_ids, children, _merge_distances(block, children), block,
-                         {k: v for k, v in doc.items() if k not in _TREE_KEYS})
+        tree = _finalize(leaf_ids, children, _merge_distances(block, children), block)
         wrong = np.flatnonzero(np.array(raw_scores, dtype=np.float64) != tree.raw_score[n_leaves:])
         if wrong.size:
             nid = n_leaves + int(wrong[0])

@@ -1,14 +1,16 @@
 import base64
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import expand_plan_json
 from shdiff import cli, diffusion
@@ -102,8 +104,7 @@ class TestTree:
         assert "N: 4" in text
         doc = json.loads(out.read_text())
         assert len(doc["nodes"]) == 7
-        assert "ablation" not in doc
-        assert "input_sha256" in doc
+        assert doc.keys() == {"format", "nodes", "leaves"}  # no record of how it was built
 
     def test_rerun_byte_identical(self, prompts_file, tmp_path):
         out = tmp_path / "tree.json"
@@ -237,16 +238,33 @@ class TestPlan:
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out == fresh
 
-    def test_tree_cache_rebuilt_on_mismatch(self, prompts_file, tmp_path, capsys):
+    def test_tree_cache_rebuilt_on_mismatch(self, prompts_file, duplicate_prompts_file,
+                                            tmp_path, capsys):
+        # the same ids a..d with other rows
+        plan_args = ["plan", "--input", duplicate_prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        capsys.readouterr()
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert captured.out == fresh
+
+    def test_tree_from_older_version_reused(self, prompts_file, tmp_path, capsys):
+        # earlier versions also wrote input_sha256 and normalize; the rows decide
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
         doc = json.loads(tree_path.read_text())
-        doc["input_sha256"] = "0" * 64
+        doc.update(input_sha256="0" * 64, normalize=True)
         tree_path.write_text(json.dumps(doc))
-        rc = main(["plan", "--input", prompts_file, "--tree", str(tree_path),
-                   "--k", "10", "--tau", "1.0"])
-        assert rc == 0
-        assert "rebuilding" in capsys.readouterr().err
+        args = ["simulate", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(args + ["--output", str(tmp_path / "fresh.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
     def test_ablation_tree_not_reused(self, prompts_file, tmp_path, capsys):
         # a random-encodings tree file written before --output was refused
@@ -256,23 +274,29 @@ class TestPlan:
         fresh = capsys.readouterr().out
         ps = load_prompt_set(prompts_file)
         tree_path = tmp_path / "random.json"
-        key = cli._tree_key(SimpleNamespace(input=prompts_file, normalize=False))
-        tree_path.write_text(tree_to_json(build_tree(randomize_encodings(ps, 1)), key))
+        tree_path.write_text(tree_to_json(build_tree(randomize_encodings(ps, 1))))
         write_format_2(tree_path, ablation=True)
         assert main(plan_args + ["--tree", str(tree_path)]) == 0
         captured = capsys.readouterr()
         assert "rebuilding" in captured.err
         assert captured.out == fresh
 
-    def test_tree_cache_rebuilt_on_normalize_mismatch(self, prompts_file, tmp_path, capsys):
+    def test_tree_cache_rebuilt_on_normalize_mismatch(self, tmp_path, capsys):
+        # rows of norm 2 and 3, which --normalize changes
+        ps = PromptSet(("a", "b", "c"), (None,) * 3,
+                       np.array([[2, 0, 0], [0, 3, 0], [2, 2, 1]], dtype=np.float32))
+        prompts = str(tmp_path / "p.jsonl")
+        save_prompt_set(ps, prompts)
         tree_path = tmp_path / "tree.json"
-        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
-        assert json.loads(tree_path.read_text())["normalize"] is False
-        capsys.readouterr()
-        rc = main(["plan", "--input", prompts_file, "--tree", str(tree_path),
-                   "--normalize", "--k", "10", "--tau", "1.0"])
-        assert rc == 0
-        assert "rebuilding" in capsys.readouterr().err
+        plan_args = ["plan", "--input", prompts, "--k", "10", "--tau", "1.0"]
+        for built, run in (([], ["--normalize"]), (["--normalize"], [])):
+            main(["tree", "--input", prompts, "--output", str(tree_path)] + built)
+            capsys.readouterr()
+            assert main(plan_args + run) == 0
+            fresh = capsys.readouterr().out
+            assert main(plan_args + run + ["--tree", str(tree_path)]) == 0
+            captured = capsys.readouterr()
+            assert "rebuilding" in captured.err and captured.out == fresh
 
     def test_old_layout_tree_rebuilt(self, prompts_file, tmp_path, capsys):
         plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
@@ -300,8 +324,11 @@ class TestPlan:
         assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
         assert captured.out == fresh
 
-    def test_tree_leaves_not_input_exit_3(self, prompts_file, tmp_path, capsys):
-        # input hash and options match, so the file claims to be this input's tree
+    def test_tree_leaves_not_input_rebuilt(self, prompts_file, tmp_path, capsys):
+        # a valid tree of this input's rows, one of whose leaves names another prompt
+        plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
         doc = json.loads(tree_path.read_text())
@@ -309,22 +336,26 @@ class TestPlan:
         leaf["members"] = ["z"]
         tree_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
-        assert f"error: {tree_path}: tree leaves or dimension do not match" in \
-            capsys.readouterr().err
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert captured.out == fresh
 
-    def test_tree_leaf_rows_not_input_exit_3(self, prompts_file, tmp_path, capsys):
-        # a valid tree of other rows, whose file names this input's hash
+    def test_tree_leaf_rows_not_input_rebuilt(self, prompts_file, tmp_path, capsys):
+        # a valid tree of this input's ids, one row an ulp off
+        plan_args = ["plan", "--input", prompts_file, "--k", "10", "--tau", "1.0"]
+        assert main(plan_args) == 0
+        fresh = capsys.readouterr().out
         ps = load_prompt_set(prompts_file)
         rows = ps.embeddings.copy()
         rows[2, 1] = np.nextafter(rows[2, 1], np.float32(0))
         other = build_tree(PromptSet(ps.ids, ps.prompts, rows))
         tree_path = tmp_path / "tree.json"
-        tree_path.write_text(tree_to_json(other, cli._tree_key(
-            SimpleNamespace(input=prompts_file, normalize=False))))
-        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
-        assert f"error: {tree_path}: tree leaves or dimension do not match" in \
-            capsys.readouterr().err
+        tree_path.write_text(tree_to_json(other))
+        assert main(plan_args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert captured.out == fresh
 
     def test_tree_not_utf8_exit_3(self, prompts_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
@@ -485,8 +516,22 @@ class TestSimulate:
         assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
         assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("edit", [edit_leaf_value, ulp_up("raw_score")],
-                             ids=["leaf value", "raw_score"])
+    def test_one_ulp_leaf_edit_rebuilt(self, prompts_file, tmp_path, capsys):
+        # the edited file is a valid tree of other rows
+        tree_path = tmp_path / "tree.json"
+        main(["tree", "--input", prompts_file, "--output", str(tree_path)])
+        doc = json.loads(tree_path.read_text())
+        edit_leaf_value(doc)
+        tree_path.write_text(json.dumps(doc))
+        args = ["simulate", "--input", prompts_file, "--k", "10"]
+        assert main(args + ["--output", str(tmp_path / "fresh.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(args + ["--tree", str(tree_path), "--output", str(tmp_path / "old.jsonl")]) == 0
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in \
+            capsys.readouterr().err
+        assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("edit", [ulp_up("raw_score")], ids=["raw_score"])
     def test_one_ulp_tree_edit_exit_3(self, prompts_file, tmp_path, capsys, edit):
         tree_path = tmp_path / "tree.json"
         main(["tree", "--input", prompts_file, "--output", str(tree_path)])
@@ -896,3 +941,66 @@ class TestWorldFile:
         assert main(["sweep", "--input", prompts_file, "--world", str(world_path),
                      "--sweep", "1.0"]) == 3
         assert "error: malformed world JSON" in capsys.readouterr().err
+
+
+@st.composite
+def cache_cases(draw):
+    """A set of up to 6 rows drawn from at most 3 centres, so rows repeat,
+    and the set a cached tree was built from: the same set, a permuted copy,
+    a copy with prompt text or a copy with one row an ulp off.  Each side
+    may run with --normalize; no row is zero, which it cannot scale."""
+    d = draw(st.integers(1, 4), label="d")
+    element = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0])
+    centres = draw(st.lists(st.lists(element, min_size=d, max_size=d).filter(any),
+                            min_size=1, max_size=3), label="centres")
+    picks = draw(st.lists(st.integers(0, len(centres) - 1), min_size=1, max_size=6),
+                 label="picks")
+    n = len(picks)
+    ps = PromptSet(tuple(f"p{i}" for i in range(n)), (None,) * n,
+                   np.array([centres[i] for i in picks], dtype=np.float32))
+    source = draw(st.sampled_from(["same", "permuted", "text", "nudged"]), label="source")
+    rows = ps.embeddings.copy()
+    if source == "permuted":
+        order = list(draw(st.permutations(range(n)), label="order"))
+        cached = PromptSet(tuple(ps.ids[i] for i in order), ps.prompts, rows[order])
+    elif source == "text":
+        cached = PromptSet(ps.ids, tuple(f"prompt {i}" for i in range(n)), rows)
+    elif source == "nudged":
+        rows[-1, 0] = np.nextafter(rows[-1, 0], np.float32(np.inf))
+        cached = PromptSet(ps.ids, ps.prompts, rows)
+    else:
+        cached = ps
+    normalize = draw(st.tuples(st.booleans(), st.booleans()), label="normalize (tree, run)")
+    return ps, cached, normalize
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=cache_cases(), tau=st.sampled_from(["0.5", "1.5"]))
+def test_cached_tree_writes_fresh_bytes(cache_dir, case, tau):
+    """simulate --tree writes the bytes of a fresh simulate, and warns
+    exactly when the tree's leaf ids, their order or a leaf row (after
+    --normalize on each side) differ from the run's."""
+    ps, cached, (tree_norm, run_norm) = case
+    paths = {name: str(cache_dir / name)
+             for name in ("p.jsonl", "c.jsonl", "t.json", "fresh.jsonl", "hit.jsonl")}
+    save_prompt_set(ps, paths["p.jsonl"])
+    save_prompt_set(cached, paths["c.jsonl"])
+    normalize = {True: ["--normalize"], False: []}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["tree", "--input", paths["c.jsonl"], "--output", paths["t.json"]]
+                    + normalize[tree_norm]) == 0
+        run = ["simulate", "--input", paths["p.jsonl"], "--k", "6", "--tau", tau,
+               "--metrics", str(cache_dir / "m.json")] + normalize[run_norm]
+        assert main(run + ["--output", paths["fresh.jsonl"]]) == 0
+        assert main(run + ["--tree", paths["t.json"], "--output", paths["hit.jsonl"]]) == 0
+    tree_rows = (cached.normalized() if tree_norm else cached).embeddings
+    run_rows = (ps.normalized() if run_norm else ps).embeddings
+    differ = cached.ids != ps.ids or tree_rows.tobytes() != run_rows.tobytes()
+    assert ("rebuilding" in err.getvalue()) == differ
+    assert Path(paths["hit.jsonl"]).read_bytes() == Path(paths["fresh.jsonl"]).read_bytes()

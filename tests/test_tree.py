@@ -193,7 +193,7 @@ class TestReference:
             ids = [f"q{v}" for v in rng.choice(1000, size=n, replace=False)]
             ps = prompt_set(vecs, ids)
             built, oracle = build_tree(ps), reference_build_tree(ps)
-            assert structurally_equal(built, oracle, score_tol=0.0)
+            assert structurally_equal(built, oracle)
             # the two means come from independent code: merged member lists
             # in the builder, mean_embedding over each member set in the oracle
             means = [{frozenset(m): row.tobytes() for m, row in zip(member_sets(t), t.means)}
@@ -208,7 +208,7 @@ class TestReference:
         ps = prompt_set([[1, 0, 0], [1, 1, 2], [1, -1, 2], [1, 2, 0]])
         t = build_tree(ps)
         assert member_sets(t)[4:6] == [{"p1", "p2"}, {"p0", "p1", "p2"}]
-        assert structurally_equal(t, reference_build_tree(ps), score_tol=0.0)
+        assert structurally_equal(t, reference_build_tree(ps))
 
     def test_matches_production_on_random_sets(self):
         for seed in range(40):
@@ -290,10 +290,10 @@ class TestTreeJson:
         ps = random_prompt_set(7, 3, seed=4)
         t = build_tree(ps)
         back = tree_from_json(tree_to_json(t))
-        assert structurally_equal(t, back, score_tol=0.0)
+        assert structurally_equal(t, back)
         assert back.root == t.root
         assert_same_tree(t, back)
-        assert t.provenance == back.provenance == {}
+        assert tree_to_json(back) == tree_to_json(t)
 
     def test_embeddings_roundtrip_bit_exact(self):
         # float32 edge values: -0.0, the smallest subnormal and the largest finite
@@ -345,10 +345,13 @@ class TestTreeJson:
         with pytest.raises(DataError, match=f"{MAX_PROMPTS + 1} leaves, more than {MAX_PROMPTS}"):
             tree_from_json(json.dumps({"format": TREE_FORMAT, "nodes": nodes}))
 
-    def test_extra_keys_kept_as_provenance(self):
+    def test_extra_top_level_keys_ignored(self):
         t = build_tree(random_prompt_set(5, 3, seed=2))
-        extra = {"input_sha256": "ab" * 32, "normalize": False, "note": [1, None]}
-        assert tree_from_json(tree_to_json(t, extra)).provenance == extra
+        doc = json.loads(tree_to_json(t))
+        doc.update(input_sha256="ab" * 32, normalize=False, note=[1, None])
+        back = tree_from_json(json.dumps(doc))
+        assert_same_tree(t, back)
+        assert tree_to_json(back) == tree_to_json(t)
 
 
 class TestChainTree:
