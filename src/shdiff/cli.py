@@ -74,8 +74,9 @@ def _plan_tree(args, prompts, seed: int):
     ids, parents and scores select the nodes, and real means condition
     generation.  Otherwise a cached tree JSON is reused when its leaves are
     this run's prompts after ``--normalize``, ids in input order and rows
-    bit for bit: all that ``build_tree`` reads.  Any other loadable tree, or
-    a file in another format, is rebuilt with a warning.
+    bit for bit: all that ``build_tree`` reads.  Any other loadable tree, a
+    file in another format, or a path that is not a file, is rebuilt with a
+    warning.
     """
     cached = getattr(args, "tree", None)
     if args.ablation is not None:
@@ -83,12 +84,14 @@ def _plan_tree(args, prompts, seed: int):
             raise UsageError("--tree cannot be combined with --ablation")
         random_tree = tree_mod.build_tree(tree_mod.randomize_encodings(prompts, seed))
         return tree_mod.reembed(random_tree, prompts)
-    if cached and os.path.isfile(cached):
+    if cached:
+        tree = None  # also for a path that is not a file
         try:
-            with open(cached, "rb") as f:
-                tree = tree_mod.tree_from_json(f.read())  # the text is freed on return
+            if os.path.isfile(cached):
+                with open(cached, "rb") as f:
+                    tree = tree_mod.tree_from_json(f.read())  # the text is freed on return
         except tree_mod.TreeFormatError:
-            tree = None
+            pass
         except DataError as e:
             raise DataError(f"{cached}: {e}") from e
         if tree is not None and _leaves_match(tree, prompts):

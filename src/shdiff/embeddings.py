@@ -39,18 +39,17 @@ class PromptSet:
     ids: tuple[str, ...]
     prompts: tuple[str | None, ...]
     embeddings: np.ndarray = field(repr=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) == 0:
             raise DataError("prompt set is empty")
         if len(self.ids) > MAX_PROMPTS:
             raise DataError(f"prompt set holds {len(self.ids)} prompts, more than {MAX_PROMPTS}")
-        index: dict[str, int] = {}
-        for i, pid in enumerate(self.ids):
-            if index.setdefault(pid, i) != i:
+        seen: set[str] = set()
+        for pid in self.ids:
+            if pid in seen:
                 raise DataError(f"duplicate prompt id {pid!r}")
-        object.__setattr__(self, "_index", index)
+            seen.add(pid)
         emb = np.asarray(self.embeddings, dtype=np.float32)
         if emb.ndim != 2 or emb.shape[0] != len(self.ids) or emb.shape[1] < 1:
             raise DataError("embedding matrix shape does not match ids")
@@ -69,12 +68,6 @@ class PromptSet:
     @property
     def dimension(self) -> int:
         return int(self.embeddings.shape[1])
-
-    def index_of(self, prompt_id: str) -> int:
-        try:
-            return self._index[prompt_id]
-        except KeyError:
-            raise UsageError(f"unknown prompt id {prompt_id!r}") from None
 
     def normalized(self) -> "PromptSet":
         """Return a copy with every embedding scaled to unit L2 norm."""
@@ -325,23 +318,25 @@ def save_prompt_set(prompts: PromptSet, path: str, fmt: str = "jsonl") -> None:
 _NUMBER_TYPES = {int, float, bool}  # what json.loads gives for a number, true or false
 
 
-def _finite_numbers(vec: list) -> bool:
-    """True if every element is a number (bools count, as in Python) that is
-    finite in float32, the dtype the set stores."""
-    if not set(map(type, vec)) <= _NUMBER_TYPES:
-        return False
+def _float32_row(vec) -> np.ndarray | None:
+    """The list as a float32 row, the dtype the set stores, or None unless it
+    is a non-empty list of numbers (bools count, as in Python) finite in
+    float32."""
+    if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
+        return None
     try:
         with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
-            return bool(np.isfinite(np.array(vec, dtype=np.float32)).all())
+            row = np.array(vec, dtype=np.float32)
     except OverflowError:  # an int beyond the float64 range
-        return False
+        return None
+    return row if np.isfinite(row).all() else None
 
 
 def _load_jsonl(path: str) -> PromptSet:
     ids: list[str] = []
     seen: set[str] = set()
     texts: list[str | None] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     dim: int | None = None
     # Bytes that are not UTF-8 decode to lone surrogates, which only a
     # non-ASCII line can hold and which do not encode back.
@@ -373,24 +368,23 @@ def _load_jsonl(path: str) -> PromptSet:
             if pid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate id {pid!r}")
             seen.add(pid)
-            vec = rec["embedding"]
-            if not isinstance(vec, list) or not vec or not _finite_numbers(vec):
+            row = _float32_row(rec["embedding"])
+            if row is None:
                 raise DataError(f"{path}:{lineno}: bad embedding for id {pid!r}")
             if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
+                dim = len(row)
+            elif len(row) != dim:
                 raise DataError(
-                    f"{path}:{lineno}: id {pid!r} has dimension {len(vec)}, expected {dim}"
+                    f"{path}:{lineno}: id {pid!r} has dimension {len(row)}, expected {dim}"
                 )
+            if not row.any():  # all zero: the one finite row of norm 0
+                raise DataError(f"{path}:{lineno}: zero-norm embedding for id {pid!r}")
             ids.append(pid)
             texts.append(text)
-            rows.append(vec)
+            rows.append(row)
     if not ids:
         raise DataError(f"{path}: no records")
-    try:
-        return PromptSet(tuple(ids), tuple(texts), np.array(rows, dtype=np.float32))
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from e
+    return PromptSet(tuple(ids), tuple(texts), np.stack(rows))
 
 
 def _load_binary(path: str, f: BinaryIO) -> PromptSet:

@@ -282,11 +282,11 @@ def reembed(tree: EmbeddingTree, prompts: PromptSet) -> EmbeddingTree:
 
     Structure and scores are preserved; used in ablation mode where selection
     runs on a random-encoding tree but generation conditions on real means.
+    Leaf i must hold prompt i, as in every tree ``build_tree`` makes.
     """
-    if set(tree.leaf_of) != set(prompts.ids):
-        raise UsageError("prompt ids do not match tree leaves")
-    rows = prompts.embeddings[[prompts.index_of(pid) for pid in tree.leaf_ids]]
-    return replace(tree, means=_node_means(tree.children, tree.leaf_ids, rows))
+    if tree.leaf_ids != prompts.ids:
+        raise UsageError("tree leaves are not the prompt ids in input order")
+    return replace(tree, means=_node_means(tree.children, tree.leaf_ids, prompts.embeddings))
 
 
 def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
@@ -368,16 +368,16 @@ def tree_to_json(tree: EmbeddingTree) -> str:
     })
 
 
-def _node_index(value, n: int, what: str) -> int:
-    if type(value) is not int or not 0 <= value < n:  # bool is not int here
-        raise DataError(f"malformed tree JSON: {what} {value!r} is not a node id in 0..{n - 1}")
-    return value
-
-
-def _number(value, what: str):
-    if type(value) not in (int, float):  # nor bool nor str
-        raise DataError(f"malformed tree JSON: {what} {value!r} is not a number")
-    return value
+def _column(records: list, key: str, first: int, valid, what: str) -> list:
+    """The ``key`` value of each record, the records being nodes ``first``,
+    ``first`` + 1, ...; DataError names the first node whose ``valid(node,
+    value)`` is false."""
+    values = [rec[key] for rec in records]
+    nids = range(first, first + len(values))
+    if not all(map(valid, nids, values)):
+        nid, value = next((nid, v) for nid, v in zip(nids, values) if not valid(nid, v))
+        raise DataError(f"malformed tree JSON: node {nid} {key} {value!r} is not {what}")
+    return values
 
 
 def _check_tree(children: np.ndarray, n: int) -> None:
@@ -421,7 +421,8 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     """Parse a tree JSON document, raising DataError unless it is one valid tree.
 
     A document in another layout raises TreeFormatError, before anything
-    else is checked.  Each leaf record must name one prompt, and no two the
+    else is checked.  Record i must be node i (``id`` i), leaves first, as
+    ``tree_to_json`` writes it; each leaf names one prompt, and no two the
     same.  Internal means are derived from the leaf rows by the builder's
     rule, into one read-only block; merge distances are recomputed from
     them, and every stored ``raw_score`` must equal the derived value.
@@ -440,37 +441,28 @@ def tree_from_json(text: str | bytes) -> EmbeddingTree:
     if doc.get("format") != TREE_FORMAT:
         raise TreeFormatError(f"tree JSON format {doc.get('format')!r} is not {TREE_FORMAT}")
     try:
-        n = len(doc["nodes"])
+        nodes = doc["nodes"]
+        n = len(nodes)
         if n == 0:
             raise DataError("malformed tree JSON: no nodes")
         n_leaves = (n + 1) // 2  # of a binary tree with this many nodes
         if n_leaves > MAX_PROMPTS:
             raise DataError(f"malformed tree JSON: {n_leaves} leaves, more than {MAX_PROMPTS}")
-        children: list = [None] * (n - n_leaves)
-        raw_scores: list = [None] * (n - n_leaves)
-        leaf_ids: list = [None] * n_leaves
-        for rec in doc["nodes"]:
-            nid = _node_index(rec["id"], n, "id")
-            where = f"node {nid}"
-            pair = rec["children"]
-            if type(pair) is not list:
-                raise DataError(f"malformed tree JSON: {where} children {pair!r} is not a list")
-            if bool(pair) != (nid >= n_leaves):
-                raise DataError(f"malformed tree JSON: {where}: the {n_leaves} leaves "
-                                "do not come first")
-            if pair:
-                if len(pair) != 2:
-                    raise DataError(f"malformed tree JSON: {where} has {len(pair)} children")
-                children[nid - n_leaves] = [_node_index(c, n, "child") for c in pair]
-                raw_scores[nid - n_leaves] = _number(rec["raw_score"], f"{where} raw_score")
-            else:
-                members = rec["members"]
-                if type(members) is not list or len(members) != 1 or type(members[0]) is not str:
-                    raise DataError(f"malformed tree JSON: leaf {nid} members {members!r} "
-                                    "is not a list of one prompt id")
-                leaf_ids[nid] = members[0]
-        if None in leaf_ids or None in children:  # n ids in 0..n-1, so one repeats
-            raise DataError("malformed tree JSON: a node id repeats")
+        _column(nodes, "id", 0, lambda nid, v: type(v) is int and v == nid, "its position")
+        leaves, merges = nodes[:n_leaves], nodes[n_leaves:]
+        _column(leaves, "children", 0, lambda _, pair: pair == [],
+                f"[]: the first {n_leaves} nodes are leaves")
+        children = _column(merges, "children", n_leaves,
+                           lambda _, pair: type(pair) is list and len(pair) == 2
+                           and type(pair[0]) is type(pair[1]) is int  # nor bool
+                           and 0 <= pair[0] < n and 0 <= pair[1] < n,
+                           f"two node ids in 0..{n - 1}")
+        members = _column(leaves, "members", 0,
+                          lambda _, m: type(m) is list and len(m) == 1 and type(m[0]) is str,
+                          "a list of one prompt id")
+        leaf_ids = [m[0] for m in members]
+        raw_scores = _column(merges, "raw_score", n_leaves,
+                             lambda _, raw: type(raw) in (int, float), "a number")  # nor bool
         if len(set(leaf_ids)) != n_leaves:
             raise DataError("malformed tree JSON: two leaves hold one prompt id")
         children = np.array(children, dtype=np.intp).reshape(-1, 2)

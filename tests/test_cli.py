@@ -139,8 +139,16 @@ class TestTree:
         ("p.bin", b"SHDF\x01\x00" + (1).to_bytes(8, "little") + (2).to_bytes(4, "little")
          + np.array([1.0, np.inf], dtype="<f4").tobytes(),
          "p.bin: non-finite embedding entries"),
+        ("p.jsonl", b'{"id": "a", "embedding": [1, 0]}\n{"id": "b", "embedding": [0, -0.0]}\n',
+         "p.jsonl:2: zero-norm embedding for id 'b'"),
+        ("p.bin", b"SHDF\x01\x00" + (2).to_bytes(8, "little") + (2).to_bytes(4, "little")
+         + np.array([1.0, 0.0, 0.0, -0.0], dtype="<f4").tobytes(),
+         "p.bin: zero-norm embedding for id '1'"),
+        ("p.bin", b"SHDF\x01\x00" + (0).to_bytes(8, "little") + (2).to_bytes(4, "little"),
+         "p.bin: prompt set is empty"),
     ], ids=["not utf-8", "int beyond float64", "short binary header", "id object",
-            "beyond float32", "binary not finite"])
+            "beyond float32", "binary not finite", "zero norm", "binary zero norm",
+            "binary empty"])
     def test_input_defect_exit_3(self, tmp_path, capsys, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)
@@ -356,6 +364,29 @@ class TestPlan:
         captured = capsys.readouterr()
         assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
         assert captured.out == fresh
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_tree_path_not_a_file_rebuilt(self, prompts_file, tmp_path, capsys, command, kind):
+        tree_path = tmp_path / "tree.json"
+        if kind == "directory":
+            tree_path.mkdir()
+        out = tmp_path / "out"
+        args = [command, "--input", prompts_file, "--k", "10", "--output", str(out)]
+        assert main(args) == 0
+        fresh = capsys.readouterr().out, out.read_bytes()
+        assert main(args + ["--tree", str(tree_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {tree_path} does not match input or options, rebuilding" in captured.err
+        assert (captured.out, out.read_bytes()) == fresh
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"x"'])
+    def test_tree_json_not_an_object_exit_3(self, prompts_file, tmp_path, capsys, text):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(text)
+        assert main(["plan", "--input", prompts_file, "--tree", str(tree_path)]) == 3
+        assert f"error: {tree_path}: malformed tree JSON: not an object" in \
+            capsys.readouterr().err
 
     def test_tree_not_utf8_exit_3(self, prompts_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"

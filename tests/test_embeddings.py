@@ -319,6 +319,21 @@ class TestFloat32Text:
         for rows in (x[None, :], x[:, None]):
             assert list(float32_rows_text(rows)) == _dumps_rows(rows)
 
+    @pytest.mark.parametrize("off", [1, -1], ids=["p one too low", "p one too high"])
+    def test_log10_estimate_corrected(self, monkeypatch, off):
+        # np.log10 seldom misses floor(log10(a)), so force every first
+        # estimate of the scale p off by one and let the correction mend it
+        bits = np.random.default_rng(22).integers(0, 2**32, size=2**14, dtype=np.uint64)
+        x = bits.astype(np.uint32).view(np.float32)
+        x = np.concatenate([np.where(np.isfinite(x), x, np.float32(0.5)),
+                            np.float32(10.0) ** np.arange(-4, 16, dtype=np.float32),
+                            np.random.default_rng(23).standard_normal(4096).astype(np.float32)])
+        rows = x.reshape(-1, 20)
+        expected = _dumps_rows(rows)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        assert list(float32_rows_text(rows)) == expected
+
     @pytest.mark.parametrize("rows", [np.array([[1.0, np.inf]], dtype=np.float32),
                                       np.array([[np.nan]], dtype=np.float32),
                                       np.ones((1, 2)), np.ones(2, dtype=np.float32)],
@@ -376,8 +391,3 @@ class TestPromptSet:
     def test_normalized(self):
         ps = PromptSet(("a",), (None,), np.array([[3.0, 4.0]], dtype=np.float32))
         assert np.allclose(ps.normalized().embeddings, [[0.6, 0.8]])
-
-    def test_unknown_id(self):
-        ps = PromptSet(("a",), (None,), np.array([[1.0, 0.0]], dtype=np.float32))
-        with pytest.raises(UsageError):
-            ps.index_of("zzz")

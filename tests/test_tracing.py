@@ -2,13 +2,19 @@
 the module attributes their callers look them up through, and derives its
 counts from the plan, the tree and the executor's result.  A patch point that
 no longer exists, or an attribute the tracer reads that changed, fails only a
-traced benchmark run, so check both here."""
+traced benchmark run, so check both here.  The benchmark's tau=0 oracle reads
+the tree file and the samples rows itself; check that reading path too."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-from shdiff import cli
+import numpy as np
+import pytest
+
+from shdiff import cli, diffusion
 from shdiff.embeddings import generate_synthetic, save_prompt_set
+from shdiff.tree import tree_from_json
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +55,29 @@ def test_traced_simulate_counts_each_evaluation_once(tmp_path):
     assert 0 < obs["planner.evaluations"] < 12 * 16  # some steps are shared
     assert obs[tracing.DENOISER] == obs["planner.evaluations"] == \
         obs["diffusion.executor_reported_calls"]
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "ancestral"])
+def test_oracle_reading_path(tmp_path, variant):
+    # as perfbench's Bench.oracle and Bench.leaf_map read a cached tree and
+    # a tau=0 simulate's samples
+    prompts, tree_path, out = (str(tmp_path / n) for n in ("p.jsonl", "t.json", "s.jsonl"))
+    ps = generate_synthetic(4, 4, 8, 0.1, seed=3)
+    save_prompt_set(ps, prompts)
+    assert cli.main(["tree", "--input", prompts, "--output", tree_path]) == 0
+    assert cli.main(["simulate", "--input", prompts, "--tree", tree_path, "--tau", "0",
+                     "--k", "40", "--variant", variant, "--seed", "9", "--output", out]) == 0
+    with open(tree_path, encoding="utf-8") as f:
+        text = f.read()
+    tree = tree_from_json(text)
+    nodes = json.loads(text)["nodes"]
+    assert {n["members"][0]: n["id"] for n in nodes if not n["children"]} == tree.leaf_of
+    world = diffusion.ToyWorld.create(8, 8, 1.0)
+    schedule = diffusion.make_schedule(40, variant, diffusion.CURVE_COSINE)
+    standard = diffusion.run_standard(tree, world, schedule, 9).outputs
+    with open(out, encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f]
+    assert [r["id"] for r in rows] == list(ps.ids)
+    for r in rows:
+        assert r["trace"] == [list(t) for t in standard[r["id"]].trace]
+        assert np.array_equal(np.array(r["sample"]), standard[r["id"]].sample.astype(np.float32))

@@ -105,6 +105,17 @@ class TestBuildTree:
             assert t.score[child] <= t.score[t.root]
         assert structurally_equal(t, reference_build_tree(prompt_set(vecs)))
 
+    @pytest.mark.parametrize("other", [
+        lambda ps: prompt_set(ps.embeddings[:4]),
+        lambda ps: prompt_set(ps.embeddings, ids=[f"q{i}" for i in range(len(ps))]),
+        lambda ps: prompt_set(ps.embeddings[::-1]),
+    ], ids=["fewer prompts", "other ids", "other tree"])
+    def test_structurally_unequal(self, other):
+        ps = random_prompt_set(5, 3, seed=8)
+        t = build_tree(ps)
+        assert structurally_equal(t, build_tree(prompt_set(ps.embeddings)))
+        assert not structurally_equal(t, build_tree(other(ps)))
+
     def test_zero_norm_root_mean_allowed(self):
         # The root's mean is never compared with anything, so antipodal
         # prompts still build.
@@ -138,7 +149,7 @@ class TestBuildTree:
             ps = random_prompt_set(10, 6, seed=100 + seed)
             t = build_tree(ps)
             for nid, members in enumerate(member_sets(t)):
-                idx = [ps.index_of(pid) for pid in members]
+                idx = [ps.ids.index(pid) for pid in members]
                 mean = ps.embeddings[idx].astype(np.float64).mean(axis=0)
                 assert np.allclose(t.means[nid], mean, rtol=1e-12, atol=1e-15)
 
@@ -271,10 +282,19 @@ class TestReembed:
         assert np.array_equal(hybrid.score, abl.score)
         assert np.array_equal(hybrid.children, abl.children)
         for nid, members in enumerate(member_sets(hybrid)):
-            idx = [ps.index_of(pid) for pid in members]
+            idx = [ps.ids.index(pid) for pid in members]
             mean = ps.embeddings[idx].astype(np.float64).mean(axis=0)
             assert np.allclose(hybrid.means[nid], mean, rtol=1e-12, atol=1e-15)
         assert not hybrid.means.flags.writeable
+
+    def test_permuted_prompts(self):
+        # the same ids in another order: leaf i must be prompt i
+        ps = random_prompt_set(4, 4, seed=11)
+        t = build_tree(ps)
+        order = [2, 0, 3, 1]
+        permuted = PromptSet(tuple(ps.ids[i] for i in order), ps.prompts, ps.embeddings[order])
+        with pytest.raises(UsageError, match="input order"):
+            reembed(t, permuted)
 
     def test_id_mismatch(self):
         ps = random_prompt_set(4, 4, seed=11)
@@ -488,6 +508,14 @@ def _renumber(swap):
     return corrupt
 
 
+def _swap_records(i, j):
+    """Swap two records' places in the list, each keeping its id."""
+    def corrupt(doc):
+        nodes = doc["nodes"]
+        nodes[i], nodes[j] = nodes[j], nodes[i]
+    return corrupt
+
+
 def _set(node, key, value):
     def corrupt(doc):
         doc["nodes"][node][key] = value
@@ -512,6 +540,10 @@ CORRUPTIONS = {
     "child out of range": _set(6, "children", [1, 99]),
     "repeated id": _set(0, "id", 1),
     "id not an int": _set(0, "id", "0"),
+    "id true for node 1": _set(1, "id", True),
+    # record i must be node i, even where the ids would place every record
+    "leaf records swapped": _swap_records(1, 2),
+    "merge records swapped": _swap_records(6, 8),
     "links disagree": _set(6, "children", [1, 3]),
     "child listed twice": _set(6, "children", [1, 1]),
     "three children": _set(6, "children", [1, 2, 3]),
