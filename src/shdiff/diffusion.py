@@ -323,8 +323,9 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     for node, (start, stop, source) in spans.items():
         x = next(init_rows) if source == FRESH else final[source]
         mu = world.target_mean(tree.means[node])
-        for k in range(start, stop):
-            x = denoise_step(x, k, mu, steps, next(step_rows))
+        # the range comes first: zip stops on it without drawing a row past the span
+        for k, noise in zip(range(start, stop), step_rows):
+            x = denoise_step(x, k, mu, steps, noise)
         final[node] = x
         calls += stop - start
     outputs = {pid: GenerationOutput(final[path[-1]],

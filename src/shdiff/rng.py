@@ -6,8 +6,9 @@ keys are statistically independent and a given key always reproduces the
 same sequence, so results do not depend on the order in which streams are
 consumed -- the property the deterministic executor and the parallel
 synthetic generator rely on.  ``stream`` builds a generator per key;
-``normal_rows`` draws a row per key of a batch with one generator that it
-``rekey``s before each row, which draws the same numbers.
+``normal_rows`` draws a row per key of a batch with one Philox generator per
+iterator, whose state it resets to the start of each key's stream before the
+row, which draws the same numbers.
 """
 
 from __future__ import annotations
@@ -63,32 +64,6 @@ def stream(*parts: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-_ZEROS = (0, 0, 0, 0)
-
-
-def rekey(gen: np.random.Generator, lo, hi) -> None:
-    """Reset a Philox generator to the start of the stream keyed (lo, hi).
-
-    Philox's whole state is its key and counter, so after this call ``gen``
-    draws exactly what a fresh ``stream`` with that key would draw, whatever
-    it drew before: the counter restarts at 0 and the buffered output words
-    and any half-used 64-bit word are dropped.
-
-    ``lo`` and ``hi`` are the key words, each a Python int in 0..2**64-1
-    (as ``.tolist()`` of ``stream_keys`` gives) or a 0-d uint64 array (as
-    ``stream_keys`` gives for int parts).  Plain ints are the cheap case: no
-    array is built.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (lo, hi)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 _CHUNK = 4096  # keys turned into Python ints at a time, never a whole batch
 
 
@@ -101,9 +76,18 @@ def normal_rows(m: int, *parts) -> Iterator[np.ndarray]:
     is yielded, so a row is valid only until the next one is drawn.
     """
     lo, hi = (np.ravel(words) for words in stream_keys(*parts))
-    gen = np.random.Generator(np.random.Philox(0))  # rekeyed before each row
+    bitgen = np.random.Philox(0)
+    draw = np.random.Generator(bitgen).standard_normal
+    # Philox's whole state is its key and counter.  Assigning this dict,
+    # holding a row's key, restarts that key's stream: the counter at 0, no
+    # buffered output words and no half-used 64-bit word, whatever the
+    # previous row drew.  Only the key changes between rows.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    inner = state["state"]
     buf = np.empty(m)
     for i in range(0, lo.size, _CHUNK):
         for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
-            rekey(gen, *key)
-            yield gen.standard_normal(out=buf)
+            inner["key"] = key
+            bitgen.state = state
+            yield draw(out=buf)

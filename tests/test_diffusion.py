@@ -28,7 +28,7 @@ from shdiff.diffusion import (
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import DataError, UsageError
-from shdiff.planner import MAX_K, ScheduleParams, compile_plan
+from shdiff.planner import FRESH, MAX_K, ScheduleParams, compile_plan
 from shdiff.rng import TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
 
@@ -602,6 +602,43 @@ class TestExecutePlan:
         execute_plan(plan, tree, world, sch, master_seed=0)
         assert plan.total_evaluations > len(ps)
         assert calls == []  # every row comes from rng.normal_rows
+
+    @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1e9])
+    @pytest.mark.parametrize("rows", ["distinct", "duplicate"])
+    def test_noise_rows_drawn_once_per_use(self, monkeypatch, variant, tau, rows):
+        # one initial row per fresh span and, for ancestral steps, one noise
+        # row per evaluation: never a row too many or too few
+        if rows == "distinct":
+            ps, tree, world, sch, plan = toy_setup(K=15, tau=tau, variant=variant)
+        else:  # duplicate rows give zero-score nodes, so a leaf may hold no span
+            pool = np.random.default_rng(5).standard_normal((3, 4))
+            emb = pool[[0, 1, 0, 2, 1, 0, 2, 2, 1]].astype(np.float32)
+            tree = build_tree(PromptSet(tuple(f"p{i}" for i in range(9)), (None,) * 9, emb))
+            world = ToyWorld(np.eye(4), 0.5)
+            sch = make_schedule(15, variant, CURVE_COSINE)
+            plan = compile_plan(tree, ScheduleParams(K=15, tau=tau))
+        drawn = {TAG_INIT: 0, TAG_STEP: 0}
+        calls = []
+        real_rows, real_step = diffusion.normal_rows, diffusion.denoise_step
+
+        def counted_rows(m, seed, tag, *parts):
+            for row in real_rows(m, seed, tag, *parts):
+                drawn[tag] += 1
+                yield row
+
+        def counted_step(x_k, k, mu, steps, noise=None):
+            calls.append(k)  # each step's row is drawn just before it, never earlier
+            assert drawn[TAG_STEP] == (len(calls) if variant == ANCESTRAL else 0)
+            return real_step(x_k, k, mu, steps, noise)
+
+        monkeypatch.setattr(diffusion, "normal_rows", counted_rows)
+        monkeypatch.setattr(diffusion, "denoise_step", counted_step)
+        execute_plan(plan, tree, world, sch, master_seed=3)
+        fresh = sum(span.source == FRESH for span in plan.spans.values())
+        assert len(calls) == plan.total_evaluations
+        assert drawn == {TAG_INIT: fresh,
+                         TAG_STEP: plan.total_evaluations if variant == ANCESTRAL else 0}
 
     def test_target_mean_once_per_active_node(self, monkeypatch):
         ps, tree, world, sch, plan = toy_setup(clusters=3, jitter=0.05, map_seed=3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shdiff import rng
-from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, normal_rows, rekey, stream, stream_keys
+from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, normal_rows, stream, stream_keys
 
 # Keys pinned from the pure-Python splitmix64 chain the package first shipped
 # with; every stored seed and sample depends on them.
@@ -48,24 +48,6 @@ def test_stream_keys_empty_batch():
     assert lo.shape == hi.shape == (0,)
 
 
-def test_rekey_after_draws_matches_fresh_stream():
-    gen = stream(9, 9)
-    gen.standard_normal(5)
-    gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word
-    keyed = ((101, TAG_STEP, 7, 3), (-1, TAG_INIT, 0), (2**64 + 5, TAG_STEP, 3, 200))
-    assert any(word >= 2**63 for parts in keyed for word in key_of(*parts))
-    for parts in keyed:
-        # Python ints, and the 0-d uint64 arrays of stream_keys
-        for key in (key_of(*parts), stream_keys(*parts)):
-            rekey(gen, *key)
-            assert np.array_equal(gen.standard_normal(64), stream(*parts).standard_normal(64))
-            gen.integers(0, 2**32, size=1, dtype=np.uint32)
-            rekey(gen, *key)
-            assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
-                                  stream(*parts).integers(0, 2**32, size=5, dtype=np.uint32))
-            gen.integers(0, 2**32, size=1, dtype=np.uint32)
-
-
 @pytest.mark.parametrize("m", [1, 64])
 @pytest.mark.parametrize("kept", [True, False], ids=["new-rows", "out"])
 def test_normal_rows_equal_fresh_streams(m, kept):
@@ -89,3 +71,19 @@ def test_normal_rows_equal_fresh_streams(m, kept):
 
 def test_normal_rows_empty_batch():
     assert list(normal_rows(8, 3, TAG_INIT, [])) == []
+
+
+def test_interleaved_normal_rows_keep_their_own_streams():
+    # read as execute_plan reads them: a span's initial row, held while the
+    # span's step rows are drawn, then the next span's
+    seed, m = 2**63 + 11, 16
+    nodes, ks = np.array([5, 2**63 + 1, 0, 7], dtype=np.uint64), [1, 2, 3]
+    init_rows = normal_rows(m, seed, TAG_INIT, nodes)
+    step_rows = normal_rows(m, seed, TAG_STEP, np.repeat(nodes, 3), np.tile(ks, nodes.size))
+    for node in nodes.tolist():
+        x = next(init_rows)
+        for k, noise in zip(ks, step_rows):
+            assert np.array_equal(noise, stream(seed, TAG_STEP, node, k).standard_normal(m))
+            assert not np.shares_memory(noise, x)
+        assert np.array_equal(x, stream(seed, TAG_INIT, node).standard_normal(m))
+    assert next(init_rows, None) is None and next(step_rows, None) is None
