@@ -144,13 +144,19 @@ class ToyWorld:
     @classmethod
     def create(cls, data_dimension: int, embedding_dimension: int,
                target_std: float, map_seed: int = 0) -> "ToyWorld":
-        """Identity map when dimensions agree, else a seeded random matrix
-        with unit-norm rows."""
+        """Identity map when dimensions agree, else the seeded map
+        ``_seeded_map``."""
         if data_dimension == embedding_dimension:
             return cls(None, target_std, data_dimension)
-        A = stream(map_seed, TAG_CONDMAP).standard_normal((data_dimension, embedding_dimension))
-        A /= np.linalg.norm(A, axis=1, keepdims=True)
-        return cls(A, target_std)
+        return cls(_seeded_map(data_dimension, embedding_dimension, map_seed), target_std)
+
+
+def _seeded_map(data_dimension: int, embedding_dimension: int, seed: int) -> np.ndarray:
+    """A (data, embedding) random matrix with unit-norm rows, drawn from the
+    map stream of ``seed``."""
+    A = stream(seed, TAG_CONDMAP).standard_normal((data_dimension, embedding_dimension))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    return A
 
 
 def _gain(ab, root_ab, s2: float):
@@ -380,8 +386,9 @@ def world_from_json(text: str | bytes,
     """Parse a world config into its world, schedule (K, variant, curve) and
     master seed, raising DataError unless every field is valid.
 
-    An identity map whose data dimension is not the embedding dimension is a
-    UsageError: the file is valid, it just does not fit this prompt set.
+    ``{"seed": s}`` is the seeded map, a square one included.  An identity
+    map whose data dimension is not the embedding dimension is a UsageError:
+    the file is valid, it just does not fit this prompt set.
     """
     try:
         doc = json.loads(text)
@@ -407,7 +414,7 @@ def world_from_json(text: str | bytes,
         world = ToyWorld.create(m, embedding_dimension, std)
     elif isinstance(cmap, dict) and "seed" in cmap:
         map_seed = _world_int(cmap["seed"], "condition_map.seed")
-        world = ToyWorld.create(m, embedding_dimension, std, map_seed=map_seed)
+        world = ToyWorld(_seeded_map(m, embedding_dimension, map_seed), std)
     else:
         raise DataError(f"malformed world JSON: condition_map {cmap!r} is neither "
                         '"identity" nor {"seed": int}')

@@ -55,9 +55,9 @@ class PromptSet:
             raise DataError("embedding matrix shape does not match ids")
         if not np.all(np.isfinite(emb)):
             raise DataError("non-finite embedding entries")
-        norms = np.linalg.norm(emb.astype(np.float64), axis=1)
-        if np.any(norms == 0.0):
-            bad = self.ids[int(np.argmin(norms))]
+        nonzero = emb.any(axis=1)  # a finite float32 row has norm 0 only if all zero
+        if not nonzero.all():
+            bad = self.ids[int(np.argmin(nonzero))]
             raise DataError(f"zero-norm embedding for id {bad!r}")
         emb.setflags(write=False)
         object.__setattr__(self, "embeddings", emb)
@@ -114,14 +114,12 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def mean_embedding(members: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Entrywise arithmetic mean (float64) of a non-empty list of vectors."""
+    """Entrywise arithmetic mean (float64) of a non-empty list of vectors, their
+    sum from -0.0 over their count: -0.0 + v is v for every v, numpy's +0.0 is not."""
     arr = np.asarray(members, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise UsageError("mean_embedding requires a non-empty list of vectors")
-    if np.all(arr == arr[0]):
-        # Exact for duplicated members; sum/count can drift by an ulp.
-        return arr[0].copy()
-    return np.sum(arr, axis=0) / arr.shape[0]
+    return np.sum(arr, axis=0, initial=-0.0) / arr.shape[0]
 
 
 # Float32 values as text.  repr(float(v)) of a float32 v is the shortest
@@ -408,7 +406,7 @@ def _load_binary(path: str, f: BinaryIO) -> PromptSet:
     # The binary format carries no ids; synthesize positional ones.
     ids = tuple(str(i) for i in range(n))
     try:
-        return PromptSet(ids, (None,) * n, emb.astype(np.float32))
+        return PromptSet(ids, (None,) * n, emb)
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -416,7 +414,7 @@ def _load_binary(path: str, f: BinaryIO) -> PromptSet:
 def load_prompt_set(path: str) -> PromptSet:
     """Load a prompt set: the SHDF binary format if the file starts with its
     magic bytes, else JSONL."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:  # unbuffered, so f.read() joins no buffered bytes
         if f.read(4) == BINARY_MAGIC:
             return _load_binary(path, f)
     return _load_jsonl(path)

@@ -4,15 +4,16 @@ Every random draw in the package comes from a Philox generator keyed by a
 tuple of integers (seed, purpose tag, ...indices).  Streams with distinct
 keys are statistically independent and a given key always reproduces the
 same sequence, so results do not depend on the order in which streams are
-consumed -- the property the deterministic executor and the parallel
-synthetic generator rely on.  ``stream`` builds a generator per key;
-``normal_rows`` draws a row per key of a batch with one Philox generator per
-iterator, whose state it resets to the start of each key's stream before the
-row, which draws the same numbers.
+consumed -- the property the executor relies on, and that lets
+``run_standard`` check it with one fresh stream per key.  ``stream`` builds
+a generator per key; ``normal_rows`` draws a row per key of a batch with one
+Philox generator per iterator, whose state it resets to the start of each
+key's stream before the row, which draws the same numbers.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -42,15 +43,24 @@ def _splitmix64(x):
 def stream_keys(*parts) -> tuple[np.ndarray, np.ndarray]:
     """Mix key parts into 128-bit Philox keys via a splitmix64 chain.
 
-    Each part is an int or an integer array, taken modulo 2**64 (negative
-    values included).  Array parts broadcast against each other, so one call
-    keys a whole batch of streams.  Returns the (lo, hi) key words as uint64
-    arrays of the broadcast shape (0-d when every part is an int).
+    Each part is an int, an integer array or a sequence of ints, taken
+    modulo 2**64 (negative values included); an array of any other dtype
+    raises TypeError.  Array and sequence parts broadcast against each
+    other, so one call keys a whole batch of streams.  Returns the (lo, hi)
+    key words as uint64 arrays of the broadcast shape (0-d when every part
+    is an int).
     """
     state = 0
     out = 0
     for p in parts:
-        p = p & _MASK if isinstance(p, int) else np.atleast_1d(p).astype(np.uint64)
+        if isinstance(p, int):
+            p &= _MASK
+        elif isinstance(p, (np.ndarray, np.generic)):
+            if p.dtype.kind not in "iu":
+                raise TypeError(f"key part of dtype {p.dtype} is not an integer array")
+            p = np.atleast_1d(p).astype(np.uint64)
+        else:  # element by element: numpy reads ints below and above 2**63 as float64
+            p = np.array([operator.index(v) & _MASK for v in p], dtype=np.uint64)
         state, mixed = _splitmix64(state ^ p)
         out ^= mixed
     state, lo = _splitmix64(state)

@@ -294,13 +294,11 @@ def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
     ``merge(nid, a, b)``, which writes node nid's mean from its children a
     and b by the builder's rule.
 
-    Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``, and each
-    merge comes after its children's.  As in ``mean_embedding`` over the
-    member rows in sorted-id order, a node whose rows are all equal takes
-    the first of them and any other node sums them in that order.  A node
-    merges its children's sorted lists of member ranks, and its rows are all
-    equal exactly when both children's are and the two children's means are
-    equal, so no member row is compared or sorted again.
+    Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``; each merge
+    comes after its children's and merges their sorted lists of member ranks.
+    As in ``mean_embedding``, a mean is the member rows' sum from -0.0 in
+    sorted-id order over their count, so k <= MAX_PROMPTS copies of a float32
+    row x have mean x: every partial sum j x has at most 37 significant bits.
     """
     n_leaves = len(leaf_ids)
     n = n_leaves + n_merges
@@ -311,17 +309,13 @@ def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
     for rank, nid in enumerate(leaf_at):
         ranks[nid] = [rank]
     leaf_at = np.array(leaf_at, dtype=np.intp)
-    equal = [True] * n
 
     def merge(nid: int, a: int, b: int) -> None:
         members = sorted(ranks[a] + ranks[b])
         ranks[nid], ranks[a], ranks[b] = members, None, None
-        equal[nid] = equal[a] and equal[b] and bool((block[a] == block[b]).all())
-        if equal[nid]:
-            block[nid] = block[leaf_at[members[0]]]
-        else:  # np.sum's reduction without its wrapper; the gathered rows are freed at once
-            np.divide(np.add.reduce(block.take(leaf_at.take(members), axis=0), axis=0),
-                      len(members), out=block[nid])
+        # np.sum's reduction without its wrapper; the gathered rows are freed at once
+        np.divide(np.add.reduce(block.take(leaf_at.take(members), axis=0), axis=0,
+                                initial=-0.0), len(members), out=block[nid])
     return block, merge
 
 

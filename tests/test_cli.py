@@ -180,6 +180,14 @@ class TestTree:
             assert where in capsys.readouterr().err
             assert peak < (2**22 if name == "p.jsonl" else 2**20), n
 
+    def test_unreadable_input_exit_3(self, prompts_file, monkeypatch, capsys):
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(cli, "load_prompt_set", unreadable)
+        assert main(["tree", "--input", prompts_file]) == 3
+        assert f"error: cannot read {prompts_file}: [Errno 13] Permission denied" in \
+            capsys.readouterr().err
+
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a"}\n')
@@ -927,6 +935,21 @@ class TestWorldFile:
         assert rc == 3
         assert "error: malformed world JSON" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_square_seeded_map_is_not_identity(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_prompt_set(generate_synthetic(2, 2, 4, 0.1, seed=5), str(path))
+        samples = []
+        for cmap in ("identity", {"seed": 7}):
+            world_path = tmp_path / "world.json"
+            world_path.write_text(json.dumps({**json.loads(WORLD_TEXT), "data_dimension": 4,
+                                              "condition_map": cmap}))
+            out = tmp_path / "samples.jsonl"
+            assert main(["simulate", "--input", str(path), "--world", str(world_path),
+                         "--output", str(out)]) == 0
+            samples.append([json.loads(line)["sample"] for line in out.read_text().splitlines()])
+        identity, seeded = samples
+        assert identity != seeded
 
     def test_data_dimension_cap_accepted(self, prompts_file, tmp_path):
         doc = json.loads(WORLD_TEXT)

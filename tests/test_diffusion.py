@@ -28,8 +28,8 @@ from shdiff.diffusion import (
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import DataError, UsageError
-from shdiff.planner import FRESH, MAX_K, ScheduleParams, compile_plan
-from shdiff.rng import TAG_INIT, TAG_STEP, stream
+from shdiff.planner import FRESH, MAX_K, ScheduleParams, Span, compile_plan
+from shdiff.rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
 
 
@@ -163,6 +163,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             table[1, 0] = 0.5
 
+    @pytest.mark.parametrize("variant, curve, what", [
+        ("euler", CURVE_COSINE, "unknown variant 'euler'"),
+        (DETERMINISTIC, "sigmoid", "unknown curve 'sigmoid'"),
+    ], ids=["variant", "curve"])
+    def test_unknown_variant_or_curve(self, variant, curve, what):
+        with pytest.raises(UsageError, match=what):
+            make_schedule(5, variant, curve)
+
     def test_bad_k(self):
         for k in (0, MAX_K + 1, 2**31, 2**63):  # rejected before anything K-long exists
             with pytest.raises(UsageError, match=f"K must be in 1..{MAX_K}"):
@@ -261,8 +269,9 @@ class TestTargetMean:
         with pytest.raises(ValueError):
             world.condition_map[0, 1] = 1.0
 
-    @pytest.mark.parametrize("args", [(None, 1.0), (np.eye(2), 1.0, 2), (None, 1.0, 0)],
-                             ids=["neither", "both", "dimension 0"])
+    @pytest.mark.parametrize("args", [(None, 1.0), (np.eye(2), 1.0, 2), (None, 1.0, 0),
+                                      (np.array([[1.0, np.nan]]), 1.0)],
+                             ids=["neither", "both", "dimension 0", "non-finite map"])
     def test_map_or_identity_dimension(self, args):
         with pytest.raises(UsageError):
             ToyWorld(*args)
@@ -681,6 +690,17 @@ class TestExecutePlan:
         with pytest.raises(UsageError):
             execute_plan(plan, tree, world, other, master_seed=0)
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda plan: {"paths": {**plan.paths, "zz": plan.paths[next(iter(plan.paths))]}},
+         "plan references prompts missing from the tree"),
+        (lambda plan: {"spans": {99: Span(1, 2, FRESH), **plan.spans}},
+         "plan references unknown node 99"),
+    ], ids=["prompt", "span node"])
+    def test_plan_not_of_this_tree(self, edit, what):
+        ps, tree, world, sch, plan = toy_setup()
+        with pytest.raises(UsageError, match=what):
+            execute_plan(replace(plan, **edit(plan)), tree, world, sch, master_seed=0)
+
     def test_dimension_mismatch(self):
         ps, tree, world, sch, plan = toy_setup(d=8)
         bad_world = ToyWorld(np.eye(4), 1.0)
@@ -724,6 +744,15 @@ class TestWorldJson:
                 '"master_seed": 0}')
         with pytest.raises(UsageError):
             world_from_json(text, 7)
+
+    def test_square_seeded_map(self):
+        text = ('{"data_dimension": 4, "target_std": 1.0, "condition_map": {"seed": 7}, '
+                '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
+                '"master_seed": 0}')
+        w, _, _ = world_from_json(text, 4)
+        A = stream(7, TAG_CONDMAP).standard_normal((4, 4))
+        assert np.array_equal(w.condition_map, A / np.linalg.norm(A, axis=1, keepdims=True))
+        assert ToyWorld.create(4, 4, 1.0, map_seed=7).condition_map is None
 
     def test_data_dimension_cap(self):
         def doc(m):

@@ -77,10 +77,11 @@ class TestMeanEmbedding:
         with pytest.raises(UsageError):
             mean_embedding([])
 
-    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),
+    @given(st.lists(st.floats(-5, 5, width=32), min_size=2, max_size=6),
            st.integers(min_value=1, max_value=7))
     def test_copies_identity(self, v, k):
-        v = np.array(v)
+        # exact for copies of a float32 vector, the dtype every mean is taken over
+        v = np.array(v, dtype=np.float32)
         assert np.array_equal(mean_embedding([v] * k), v)
 
 
@@ -220,6 +221,28 @@ class TestIO:
                          + data.tobytes())
         ps = load_prompt_set(str(path))
         assert len(ps) == 4 and ps.dimension == 8
+
+    def test_binary_rows_used_as_read(self, tmp_path):
+        # the payload is read into one bytes object and the set keeps a view
+        # of it: no joined read buffer, no float32 copy, no float64 norm pass
+        path = str(tmp_path / "p.bin")
+        rows = np.random.default_rng(3).standard_normal((4096, 256)).astype(np.float32)
+        save_prompt_set(PromptSet(tuple(map(str, range(4096))), (None,) * 4096, rows),
+                        path, "binary")
+        tracemalloc.start()
+        try:
+            back = load_prompt_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.embeddings, rows) and not back.embeddings.flags.writeable
+        assert peak < 2 * rows.nbytes
+
+    def test_unknown_format(self, tmp_path):
+        ps = generate_synthetic(1, 2, 3, 0.1, seed=0)
+        with pytest.raises(UsageError, match="unknown format 'csv'"):
+            save_prompt_set(ps, str(tmp_path / "p.csv"), "csv")
+        assert not list(tmp_path.iterdir())
 
     def test_binary_bad_magic(self, tmp_path):
         # without the magic bytes the file is read as JSONL
@@ -380,6 +403,12 @@ class TestPromptSet:
         with pytest.raises(DataError, match="'b'"):
             PromptSet(("a", "b"), (None, None),
                       np.array([[1, 0], [0, 0]], dtype=np.float32))
+
+    @pytest.mark.parametrize("rows", [np.ones((3, 2)), np.ones(2), np.ones((2, 0))],
+                             ids=["three rows", "1-D", "no columns"])
+    def test_shape_not_of_ids_rejected(self, rows):
+        with pytest.raises(DataError, match="embedding matrix shape does not match ids"):
+            PromptSet(("a", "b"), (None, None), rows)
 
     def test_prompt_cap(self):
         ids = tuple(str(i) for i in range(MAX_PROMPTS + 1))

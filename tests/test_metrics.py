@@ -81,6 +81,9 @@ class TestDiversity:
     def test_too_few_outputs(self):
         with pytest.raises(UsageError):
             diversity_pairwise_cosine(fake_result({"a": np.ones(2)}), 0)
+        with pytest.warns(UserWarning), \
+                pytest.raises(UsageError, match="fewer than 2 nonzero samples"):
+            diversity_pairwise_cosine(fake_result({"a": np.ones(2), "b": np.zeros(2)}), 0)
 
     def test_cap_is_deterministic(self):
         rng = np.random.default_rng(0)

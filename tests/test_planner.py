@@ -67,6 +67,8 @@ class TestPhi:
         for tau in (-0.5, float("inf"), float("nan")):
             with pytest.raises(UsageError, match="tau must be finite and >= 0"):
                 ScheduleParams(K=10, tau=tau)
+        with pytest.raises(UsageError, match="unknown phi variant 'cubic'"):
+            ScheduleParams(K=10, tau=1.0, phi_variant="cubic")
 
 
 class TestSelectNode:

@@ -43,6 +43,25 @@ def test_stream_keys_over_arrays_equal_stream_key():
             [key_of(seed, TAG_INIT, int(n)) for n in nodes]
 
 
+@pytest.mark.parametrize("nodes", [[5, 2**63 + 1, 0, 7], [-1, 2**63 + 1]],
+                         ids=["below and above 2**63", "negative and above 2**63"])
+def test_list_parts_are_ints(nodes):
+    # numpy reads such a list as float64, which loses the low bits
+    seed = 2**63 + 11
+    rows = [row.copy() for row in normal_rows(4, seed, TAG_INIT, nodes)]
+    for node, row in zip(nodes, rows, strict=True):
+        assert np.array_equal(row, stream(seed, TAG_INIT, node).standard_normal(4))
+    lo, hi = stream_keys(seed, TAG_INIT, nodes)
+    assert [(int(a), int(b)) for a, b in zip(lo, hi)] == [key_of(seed, TAG_INIT, n) for n in nodes]
+
+
+@pytest.mark.parametrize("part", [np.array([1.5]), np.array([1.0, 2.0]), np.array([True])],
+                         ids=["fraction", "whole floats", "bool"])
+def test_non_integer_array_part_rejected(part):
+    with pytest.raises(TypeError, match="not an integer array"):
+        stream_keys(3, TAG_INIT, part)
+
+
 def test_stream_keys_empty_batch():
     lo, hi = stream_keys(3, TAG_INIT, [])
     assert lo.shape == hi.shape == (0,)

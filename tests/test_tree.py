@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+from collections import deque
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from shdiff.cli import main
 from shdiff.diffusion import ToyWorld, make_schedule, run_standard
 from shdiff.embeddings import (MAX_PROMPTS, PromptSet, generate_synthetic, cosine_distance,
-                               save_prompt_set)
+                               mean_embedding, save_prompt_set)
 from shdiff.errors import DataError, UsageError
 from shdiff.tree import (
     TREE_FORMAT,
@@ -172,6 +173,71 @@ class TestBuildTree:
         a, b = t.children[-1]
         expected = cosine_distance(t.means[a], t.means[b])
         assert t.raw_score[t.root] == pytest.approx(expected, rel=1e-12)
+
+
+def binade_values():
+    """One float32 from every binade, both signs: the largest significand
+    of each exponent 0..254 (the largest subnormal, ..., FLT_MAX), the
+    smallest subnormal and 0."""
+    bits = np.concatenate([(np.arange(255, dtype=np.uint32) << 23) | 0x7FFFFF, [1, 0]])
+    values = bits.astype(np.uint32).view(np.float32)
+    return np.concatenate([values, -values])
+
+
+def copies_tree_json(row, k):
+    """Tree JSON over k leaves that all hold ``row``, merged pairwise level
+    by level, each merge at distance 0."""
+    nodes = [{"id": i, "children": [], "members": [f"p{i:05d}"]} for i in range(k)]
+    queue = deque(range(k))
+    while len(queue) > 1:
+        queue.append(len(nodes))
+        nodes.append({"id": len(nodes), "children": [queue.popleft(), queue.popleft()],
+                      "raw_score": 0.0})
+    leaves = np.tile(row.astype("<f4"), (k, 1))
+    return json.dumps({"format": TREE_FORMAT, "nodes": nodes,
+                       "leaves": base64.b64encode(leaves.tobytes()).decode()})
+
+
+class TestFloat32Means:
+    """Every mean is a sum over a count, with no special case for equal
+    rows: on float32 rows that is exact for up to MAX_PROMPTS copies."""
+
+    COLUMNS = 64  # values a row holds, so the k = 8,192 block stays near 8 MiB
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, MAX_PROMPTS - 1, MAX_PROMPTS])
+    def test_copies_mean_is_the_row(self, k):
+        values = binade_values()
+        for start in range(0, values.size, self.COLUMNS):
+            row = values[start:start + self.COLUMNS]
+            want = row.astype(np.float64).tobytes()  # bit for bit, zero signs included
+            assert mean_embedding(np.broadcast_to(row, (k, row.size))).tobytes() == want
+            means = tree_from_json(copies_tree_json(row, k)).means
+            assert all(node.tobytes() == want for node in means), start
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_built_copies_mean_is_the_row(self, k):
+        # k is small: a build holds a k x k distance matrix
+        row = binade_values()
+        t = build_tree(prompt_set([row] * k))
+        assert all(node.tobytes() == row.astype(np.float64).tobytes() for node in t.means)
+
+    def test_zero_sign_copies_builder_matches_oracle(self):
+        # rows equal under == that differ only in the sign of a zero; the
+        # sum gives +0 where the signs differ, in the builder, the loader
+        # and the oracle alike
+        z = -0.0
+        rows = [[1, 0, z, 2], [1, z, 0, 2], [1, z, z, 2], [0.5, 1, 0, -1], [1, 0, 0, 2],
+                [-1, 2, 0.25, 0], [0.5, 1, z, -1]]
+        ps = prompt_set(rows)
+        built, oracle = build_tree(ps), reference_build_tree(ps)
+        assert structurally_equal(built, oracle)
+        means = {}
+        for t in (built, oracle, tree_from_json(tree_to_json(built))):
+            got = {frozenset(m): node.tobytes() for m, node in zip(member_sets(t), t.means)}
+            assert means.setdefault("first", got) == got
+        pair = frozenset(["p0", "p1"])
+        assert pair in means["first"]
+        assert means["first"][pair] == np.array([1, 0, 0, 2], dtype=np.float64).tobytes()
 
 
 class TestReference:
