@@ -13,7 +13,6 @@ from .diffusion import (
     NoiseSchedule,
     StepTable,
     ToyWorld,
-    analytic_epsilon,
     denoise_step,
     execute_plan,
     make_schedule,
@@ -22,11 +21,9 @@ from .diffusion import (
 )
 from .embeddings import (
     PromptSet,
-    cosine_distance,
     float32_rows_text,
     generate_synthetic,
     load_prompt_set,
-    mean_embedding,
     save_prompt_set,
 )
 from .errors import DataError, ShdiffError, UsageError
@@ -43,16 +40,12 @@ from .planner import (
     SharePlan,
     compile_plan,
     phi,
-    select_node,
 )
 from .tree import (
     EmbeddingTree,
     build_tree,
-    path_to_root,
     randomize_encodings,
     reembed,
-    reference_build_tree,
-    structurally_equal,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

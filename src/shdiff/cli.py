@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diffusion, metrics, planner, tree as tree_mod
-from .embeddings import (atomic_write, float32_rows_text, generate_synthetic,
+from .embeddings import (all_finite, atomic_write, float32_rows_text, generate_synthetic,
                          load_prompt_set, save_prompt_set)
 from .errors import DataError, UsageError
 
@@ -160,10 +160,9 @@ def cmd_simulate(args) -> int:
                  for node, (start, stop, _) in plan.spans.items()}
     with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
         samples = np.array([result.outputs[pid].sample for pid in prompts.ids], dtype=np.float32)
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():  # strict JSON has no Infinity or NaN
-        raise DataError(f"sample of prompt {prompts.ids[int(finite.argmin())]!r} "
-                        "is not finite in float32")
+    if not all_finite(samples):  # strict JSON has no Infinity or NaN
+        bad = int(np.isfinite(samples).all(axis=1).argmin())
+        raise DataError(f"sample of prompt {prompts.ids[bad]!r} is not finite in float32")
     # One line at a time, so the file is never held in memory whole.
     atomic_write(args.output, (
         f'{{"id": {json.dumps(pid)}, "sample": {sample}, '

@@ -159,37 +159,6 @@ def _seeded_map(data_dimension: int, embedding_dimension: int, seed: int) -> np.
     return A
 
 
-def _gain(ab, root_ab, s2: float):
-    """The posterior-mean gain sqrt(ab) s^2 / (ab s^2 + 1 - ab) of one noise
-    level, or of each level of float64 columns."""
-    return root_ab * s2 / (ab * s2 + 1.0 - ab)
-
-
-def _epsilon(x_k: np.ndarray, mu: np.ndarray, root_ab, root_one_minus_ab, gain) -> np.ndarray:
-    # The result is float64 for float32 x_k or mu too: under NEP 50 a 0-d
-    # float64 coefficient makes each op a float64 op, where a Python float,
-    # a weak scalar, would leave a float32 operand in float32.
-    x0_hat = mu + gain * (x_k - root_ab * mu)
-    return (x_k - root_ab * x0_hat) / root_one_minus_ab
-
-
-def analytic_epsilon(world: ToyWorld, x_k: np.ndarray, alpha_bar_k: float,
-                     mu: np.ndarray) -> np.ndarray:
-    """Optimal noise prediction E[eps | x_k] for the Gaussian target with
-    mean mu = world.target_mean(condition).
-
-    Posterior mean of the clean sample is
-        x0_hat = mu + (sqrt(ab) s^2 / (ab s^2 + 1 - ab)) * (x_k - sqrt(ab) mu)
-    and eps_hat = (x_k - sqrt(ab) x0_hat) / sqrt(1 - ab).
-    """
-    if not 0.0 < alpha_bar_k < 1.0:
-        raise UsageError("alpha_bar must be in (0, 1)")
-    root_ab = np.sqrt(alpha_bar_k)
-    return _epsilon(np.asarray(x_k, dtype=np.float64), np.asarray(mu, dtype=np.float64),
-                    root_ab, np.sqrt(1.0 - alpha_bar_k),
-                    _gain(alpha_bar_k, root_ab, world.target_std ** 2))
-
-
 class Step(NamedTuple):
     """The scalars of one plan step, each a read-only 0-d float64 array
     (a view of ``step_table``'s array).
@@ -230,8 +199,9 @@ def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
     ab, root_ab = levels[:-1, 0], levels[:-1, 1]
     if not np.all((0.0 < ab) & (ab < 1.0)):
         raise UsageError("alpha_bar must be in (0, 1)")
-    table = np.column_stack([levels[:-1, 1:3], _gain(ab, root_ab, world.target_std ** 2),
-                             levels[:-1, 3:6], levels[1:, 1:3]])
+    s2 = world.target_std ** 2
+    gain = root_ab * s2 / (ab * s2 + 1.0 - ab)  # sqrt(ab) s^2 / (ab s^2 + 1 - ab)
+    table = np.column_stack([levels[:-1, 1:3], gain, levels[:-1, 3:6], levels[1:, 1:3]])
     table.flags.writeable = False
     rows: list[Step | None] = [None]
     for row, noisy in zip(table, (table[:, 5] != 0.0).tolist()):
@@ -253,7 +223,11 @@ def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray, steps: StepTable,
         raise UsageError(f"step {k} outside 1..{steps.K}")
     root_ab, root_one_minus_ab, gain, a, b, sigma, prev_root_ab, prev_root_one_minus_ab = \
         steps.rows[k]
-    eps_hat = _epsilon(x_k, mu, root_ab, root_one_minus_ab, gain)
+    # The result is float64 for float32 x_k or mu too: under NEP 50 a 0-d
+    # float64 coefficient makes each op a float64 op, where a Python float,
+    # a weak scalar, would leave a float32 operand in float32.
+    x0_hat = mu + gain * (x_k - root_ab * mu)  # the posterior mean of the clean sample
+    eps_hat = (x_k - root_ab * x0_hat) / root_one_minus_ab
     if steps.deterministic:
         x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
         return prev_root_ab * x0_hat + prev_root_one_minus_ab * eps_hat

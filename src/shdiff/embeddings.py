@@ -1,7 +1,9 @@
-"""Prompt embeddings: distances, means, file I/O, synthetic generation.
+"""Prompt sets and their files, the one cosine-distance kernel, float32
+text and synthetic generation.
 
-Embeddings are stored as 32-bit floats; all distance and mean arithmetic is
-done in 64-bit, rounding back to 32-bit only at serialization boundaries.
+Embeddings are stored as 32-bit floats; distances (``unit_rows`` and
+``unit_distances``) and the tree's cluster means are computed in 64-bit,
+rounding back to 32-bit only at serialization boundaries.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ BINARY_VERSION = 1
 MAX_PROMPTS = 2**13
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """True if every entry of a float32 array is finite, found by one float64
+    sum rather than a mask of the array's size.  Finite float32 values are
+    at most 3.4e38, so their float64 sum cannot overflow below 10**269 of
+    them, and a NaN or an infinity makes it NaN or infinite."""
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        return bool(np.isfinite(values.sum(dtype=np.float64)))
+
+
 @dataclass(frozen=True)
 class PromptSet:
     """Ordered collection of (id, optional prompt text, embedding).
@@ -53,7 +64,7 @@ class PromptSet:
         emb = np.asarray(self.embeddings, dtype=np.float32)
         if emb.ndim != 2 or emb.shape[0] != len(self.ids) or emb.shape[1] < 1:
             raise DataError("embedding matrix shape does not match ids")
-        if not np.all(np.isfinite(emb)):
+        if not all_finite(emb):
             raise DataError("non-finite embedding entries")
         nonzero = emb.any(axis=1)  # a finite float32 row has norm 0 only if all zero
         if not nonzero.all():
@@ -100,26 +111,6 @@ def unit_distances(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     diff = rows - u
     diff *= diff  # in place: one temporary instead of two, same bits
     return np.minimum(2.0, np.sum(diff, axis=1) / 2.0)
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]; raises on zero-norm or mismatched inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise UsageError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # Both sides go through one normalization call, so d(a, b) == d(b, a).
-    units = unit_rows(np.stack([a, b]))
-    return float(unit_distances(units[0], units[1:])[0])
-
-
-def mean_embedding(members: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Entrywise arithmetic mean (float64) of a non-empty list of vectors, their
-    sum from -0.0 over their count: -0.0 + v is v for every v, numpy's +0.0 is not."""
-    arr = np.asarray(members, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise UsageError("mean_embedding requires a non-empty list of vectors")
-    return np.sum(arr, axis=0, initial=-0.0) / arr.shape[0]
 
 
 # Float32 values as text.  repr(float(v)) of a float32 v is the shortest
@@ -261,7 +252,7 @@ def float32_rows_text(rows: np.ndarray) -> Iterator[str]:
     """
     if rows.dtype != np.float32 or rows.ndim != 2:
         raise ValueError(f"expected a 2-D float32 array, got {rows.ndim}-D {rows.dtype}")
-    if not np.isfinite(rows).all():
+    if not all_finite(rows):
         raise ValueError("JSON has no text for a value that is not finite")
     n, m = rows.shape
     step = max(1, TEXT_BLOCK_VALUES // max(m, 1))

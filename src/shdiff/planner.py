@@ -1,10 +1,12 @@
-"""Schedule threshold, adaptive node selection, and plan compilation.
+"""Schedule threshold and plan compilation.
 
 The planner turns an embedding tree into an execution plan: the one span of
 steps each selected tree node conditions, which earlier state each span
 continues, and how many denoiser evaluations the plan needs versus the K*N
 baseline.  The per-step assignment and active sets are views derived from
-the spans, kept for the benchmark's tracer.
+the spans, kept for the benchmark's tracer.  The tests check every plan
+against per-(prompt, step) node selection, ``select_node`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .tree import EmbeddingTree, path_to_root
+from .tree import EmbeddingTree
 
 FRESH = "FRESH"
 
@@ -108,32 +110,6 @@ class SharePlan:
                 inherit[i][n] = n
         return tuple(PlanStep(k=k, active=frozenset(d), inherit=d)
                      for k, d in enumerate(inherit, 1))
-
-
-def _select_on_path(scores: list[float], phi_k: float) -> int:
-    """Index of the selected node, given the scores along a root-first path.
-
-    A node is eligible when its parent's score is >= phi_k (the root's
-    virtual parent has score +inf).  Scores are monotone non-increasing
-    toward the leaf, so eligibility is a prefix of the path; the selected
-    node is the shallowest one attaining the minimal eligible score.
-    """
-    best_i = 0
-    best_score = scores[0]
-    parent_score = float("inf")
-    for i, s in enumerate(scores):
-        if parent_score < phi_k:
-            break
-        if s < best_score:
-            best_i, best_score = i, s
-        parent_score = s
-    return best_i
-
-
-def select_node(tree: EmbeddingTree, prompt_id: str, k: int, params: ScheduleParams) -> int:
-    """Tree node whose mean embedding conditions step k for this prompt."""
-    path = path_to_root(tree, prompt_id)[::-1]  # root first
-    return path[_select_on_path(tree.score[path].tolist(), phi(k, params))]
 
 
 def compile_plan(tree: EmbeddingTree, params: ScheduleParams) -> SharePlan:

@@ -4,13 +4,11 @@ Clusters are merged greedily by cosine distance between cluster mean
 embeddings (centroid linkage).  ``build_tree`` keeps the upper triangle of a
 matrix of distances between live clusters plus each cluster's nearest
 neighbour, computes one row per merge and rescans only the clusters whose
-neighbour changed: O(N^2 d) in all.  ``reference_build_tree`` recomputes
-every cluster mean and pair distance each round and serves as the
-brute-force oracle.  Both take means over member rows in sorted-id order,
-the builder by merging its children's member lists (``_mean_merger``, which
-the loader and ``reembed`` run too) and the oracle through
-``embeddings.mean_embedding``, and distances from the one cosine kernel in
-``embeddings``; the tests require their trees to be ``structurally_equal``.
+neighbour changed: O(N^2 d) in all.  A node's mean is its member rows'
+sum in sorted-id order over their count (``_mean_merger``, which the loader
+and ``reembed`` run too), and every distance comes from the one cosine
+kernel in ``embeddings``.  The tests check the builder against a
+brute-force oracle, ``reference_build_tree`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,12 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import (MAX_PROMPTS, PromptSet, cosine_distance, mean_embedding, unit_distances,
-                         unit_rows)
+from .embeddings import MAX_PROMPTS, PromptSet, all_finite, unit_distances, unit_rows
 from .errors import DataError, UsageError
 from .rng import TAG_RANDENC, normal_rows
-
-REFERENCE_MAX_N = 64
 
 # Version of the tree JSON layout; a document in any other layout is stale.
 TREE_FORMAT = 5
@@ -80,32 +75,6 @@ class EmbeddingTree:
         return max(depth)
 
 
-def path_to_root(tree: EmbeddingTree, prompt_id: str) -> list[int]:
-    """Node ids from the prompt's leaf up to the root (leaf first)."""
-    if prompt_id not in tree.leaf_of:
-        raise UsageError(f"unknown prompt id {prompt_id!r}")
-    parent = tree.parent.tolist()
-    path = [tree.leaf_of[prompt_id]]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _cluster_mean(prompts: PromptSet, members: list[int]) -> np.ndarray:
-    """Mean of the member rows taken in sorted-id order.
-
-    One summation order everywhere keeps every builder's means, and so their
-    merge decisions, bitwise identical.
-    """
-    return mean_embedding(prompts.embeddings[sorted(members, key=prompts.ids.__getitem__)])
-
-
-def _tie_key(min_a: str, min_b: str) -> tuple[str, str]:
-    # Deterministic order for equal distances: lexicographically smallest
-    # (min member id, max member id) over the two clusters' representatives.
-    return (min(min_a, min_b), max(min_a, min_b))
-
-
 def _finalize(leaf_ids, children, raw_scores, means: np.ndarray) -> EmbeddingTree:
     """Assemble the tree from its leaves plus a merge sequence, then clamp scores.
 
@@ -150,8 +119,7 @@ def build_tree(prompts: PromptSet) -> EmbeddingTree:
     distance; the next pair is (i, nn[i]) for the first minimum i of the
     cached distances.  That is the first minimum of the symmetric matrix in
     row-major order: the pair with the smallest (min member id, max member
-    id) among those at the minimal distance, the same tie rule as
-    ``reference_build_tree``.
+    id) among those at the minimal distance.
 
     After merging i < j the builder computes the new mean and one O(N d) row
     against the live slots, rescans slot i and every slot whose ``nn`` was i
@@ -212,58 +180,6 @@ def _rescan(dist: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray, s: int) -> No
     nn[s], nn_dist[s] = s + 1 + k, row[k]
 
 
-def reference_build_tree(prompts: PromptSet) -> EmbeddingTree:
-    """Brute-force oracle: full distance matrix recomputed every round."""
-    n = len(prompts)
-    if n > REFERENCE_MAX_N:
-        raise UsageError(f"reference_build_tree is capped at N={REFERENCE_MAX_N}")
-    member_idx = {i: [i] for i in range(n)}
-    minid = {i: prompts.ids[i] for i in range(n)}
-    alive = list(range(n))
-    means = np.empty((2 * n - 1, prompts.dimension))
-    means[:n] = prompts.embeddings
-    children: list[tuple[int, int]] = []
-    distances: list[float] = []
-    next_id = n
-    while len(alive) > 1:
-        best = None
-        for x in range(len(alive)):
-            for y in range(x + 1, len(alive)):
-                a, b = alive[x], alive[y]
-                ma = _cluster_mean(prompts, member_idx[a])
-                mb = _cluster_mean(prompts, member_idx[b])
-                d = cosine_distance(ma, mb)
-                cand = (d, _tie_key(minid[a], minid[b]), a, b)
-                if best is None or cand < best:
-                    best = cand
-        d, _, a, b = best
-        member_idx[next_id] = member_idx[a] + member_idx[b]
-        means[next_id] = _cluster_mean(prompts, member_idx[next_id])
-        children.append((a, b))
-        distances.append(d)
-        minid[next_id] = min(minid[a], minid[b])
-        alive = [c for c in alive if c not in (a, b)] + [next_id]
-        next_id += 1
-    return _finalize(prompts.ids, children, distances, means)
-
-
-def _member_sets(tree: EmbeddingTree) -> list[frozenset[str]]:
-    """Each node's set of prompt ids, derived from the children links."""
-    sets = [frozenset([pid]) for pid in tree.leaf_ids]
-    for a, b in tree.children.tolist():
-        sets.append(sets[a] | sets[b])
-    return sets
-
-
-def structurally_equal(t1: EmbeddingTree, t2: EmbeddingTree) -> bool:
-    """True if the trees agree up to node renumbering: the same member sets,
-    each with exactly the same score."""
-    if len(t1) != len(t2) or t1.leaf_of.keys() != t2.leaf_of.keys():
-        return False
-    return dict(zip(_member_sets(t1), t1.score.tolist())) == \
-        dict(zip(_member_sets(t2), t2.score.tolist()))
-
-
 def randomize_encodings(prompts: PromptSet, seed: int) -> PromptSet:
     """Same ids, embeddings replaced by independent random unit vectors.
 
@@ -296,9 +212,10 @@ def _mean_merger(leaf_ids, leaf_rows: np.ndarray, n_merges: int):
 
     Leaf i has prompt id ``leaf_ids[i]`` and row ``leaf_rows[i]``; each merge
     comes after its children's and merges their sorted lists of member ranks.
-    As in ``mean_embedding``, a mean is the member rows' sum from -0.0 in
-    sorted-id order over their count, so k <= MAX_PROMPTS copies of a float32
-    row x have mean x: every partial sum j x has at most 37 significant bits.
+    A mean is the member rows' sum in sorted-id order, started from -0.0
+    (-0.0 + v is v for every v; numpy's default +0.0 is not), over their
+    count, so k <= MAX_PROMPTS copies of a float32 row x have mean x: every
+    partial sum j x has at most 37 significant bits.
     """
     n_leaves = len(leaf_ids)
     n = n_leaves + n_merges
@@ -405,9 +322,9 @@ def _leaf_rows(doc: dict, n_leaves: int) -> np.ndarray:
         raise DataError(f"malformed tree JSON: leaves block holds {len(raw)} bytes, "
                         f"not {n_leaves} rows of one or more float32 values")
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_leaves, d)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise DataError(f"malformed tree JSON: leaf {int(np.argmin(finite))} is not finite")
+    if not all_finite(rows):
+        bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise DataError(f"malformed tree JSON: leaf {bad} is not finite")
     return rows
 
 

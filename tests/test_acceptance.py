@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from conftest import manual_tree
-from test_diffusion import mc_epsilon_regression, replay_trace
+from oracles import (analytic_epsilon, mc_epsilon_regression, path_to_root,
+                     reference_build_tree, replay_trace, same_tree, select_node)
 
 from shdiff.diffusion import (
     ANCESTRAL,
     CURVE_COSINE,
     DETERMINISTIC,
     ToyWorld,
-    analytic_epsilon,
     denoise_step,
     execute_plan,
     make_schedule,
@@ -27,15 +27,12 @@ from shdiff.diffusion import (
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.metrics import quality_mse
-from shdiff.planner import ScheduleParams, compile_plan, select_node
+from shdiff.planner import ScheduleParams, compile_plan
 from shdiff.rng import TAG_INIT, stream
 from shdiff.tree import (
     build_tree,
-    path_to_root,
     randomize_encodings,
     reembed,
-    reference_build_tree,
-    structurally_equal,
 )
 
 
@@ -91,10 +88,10 @@ def test_03_fast_tree_builder_matches_cubic_reference():
         d = int(rng.integers(2, 7))
         emb = rng.standard_normal((n, d)).astype(np.float32)
         ps = PromptSet(tuple(f"p{i}" for i in range(n)), (None,) * n, emb)
-        if structurally_equal(build_tree(ps), reference_build_tree(ps)):
+        if same_tree(build_tree(ps), reference_build_tree(ps)):
             agree += 1
     check(
-        "distance-matrix tree builder structurally matches the O(N^3) reference",
+        "distance-matrix tree builder gives the O(N^3) reference's tree, node for node",
         agree == trials,
         f"{agree}/{trials} random prompt sets",
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import analytic_epsilon, mc_epsilon_regression, per_call_step, replay_trace
 from shdiff import diffusion
 from shdiff.diffusion import (
     ANCESTRAL,
@@ -18,7 +19,6 @@ from shdiff.diffusion import (
     MAX_DATA_DIMENSION,
     GenerationOutput,
     ToyWorld,
-    analytic_epsilon,
     denoise_step,
     execute_plan,
     make_schedule,
@@ -36,28 +36,6 @@ from shdiff.tree import build_tree
 def noise_forward(x0, alpha_bar_k, epsilon):
     """Forward noising sqrt(ab)*x0 + sqrt(1-ab)*eps, which only these tests use."""
     return np.sqrt(alpha_bar_k) * x0 + np.sqrt(1.0 - alpha_bar_k) * epsilon
-
-
-def mc_epsilon_regression(world, x_query, alpha_bar, condition, n=100_000, seed=11):
-    """Independent oracle: per-coordinate OLS of eps on x over forward samples."""
-    rng = np.random.default_rng(seed)
-    m = world.data_dimension
-    mu = world.target_mean(condition)
-    x0 = mu + world.target_std * rng.standard_normal((n, m))
-    eps = rng.standard_normal((n, m))
-    x = np.sqrt(alpha_bar) * x0 + np.sqrt(1 - alpha_bar) * eps
-    pred = np.empty(m)
-    se = np.empty(m)
-    for j in range(m):
-        design = np.column_stack([np.ones(n), x[:, j]])
-        coef, *_ = np.linalg.lstsq(design, eps[:, j], rcond=None)
-        resid = eps[:, j] - design @ coef
-        s2 = resid @ resid / (n - 2)
-        xb = x[:, j].mean()
-        sxx = ((x[:, j] - xb) ** 2).sum()
-        pred[j] = coef[0] + coef[1] * x_query[j]
-        se[j] = np.sqrt(s2 * (1.0 / n + (x_query[j] - xb) ** 2 / sxx))
-    return pred, se
 
 
 class Coefficients(NamedTuple):
@@ -306,7 +284,7 @@ class TestAnalyticEpsilon:
     def test_alpha_bar_domain(self):
         w = ToyWorld(np.eye(2), 1.0)
         for ab in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(UsageError):
+            with pytest.raises(ValueError):
                 analytic_epsilon(w, np.zeros(2), ab, w.target_mean(np.zeros(2)))
 
 
@@ -405,27 +383,6 @@ class TestCoefficientTable:
         assert coefficient_grid_digest() == COEFFICIENT_GRID_SHA256
 
 
-def per_call_step(x_k, k, mu, schedule, world, noise):
-    """denoise_step as it was before the step table: every call converts its
-    inputs and derives its scalars as Python floats, in _epsilon's order."""
-    t = schedule.K - k + 1
-    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t].tolist()
-    x_k = np.asarray(x_k, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    s2 = world.target_std ** 2
-    gain = root_ab * s2 / (ab * s2 + 1.0 - ab)
-    x0_hat = mu + gain * (x_k - root_ab * mu)
-    eps_hat = (x_k - root_ab * x0_hat) / root_one_minus_ab
-    if schedule.variant == DETERMINISTIC:
-        prev = Coefficients._make(schedule.coefficients[t - 1].tolist())
-        x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
-        return prev.root_ab * x0_hat + prev.root_one_minus_ab * eps_hat
-    mean = a * x_k - b * eps_hat
-    if sigma == 0.0:
-        return mean
-    return mean + sigma * noise
-
-
 def vectors(m, dtype):
     width = np.dtype(dtype).itemsize * 8
     return hnp.arrays(dtype, m, elements=st.floats(-1e6, 1e6, width=width))
@@ -479,24 +436,6 @@ class TestStepTable:
         steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(ValueError):
             steps.rows[1].gain[()] = 0.0
-
-
-def replay_trace(output, tree, world, schedule, seed):
-    """Independent oracle: rerun one prompt's own trace with no sharing.
-
-    Starts from the first traced node's initial noise and applies one
-    denoising step per traced (node, k), drawing ancestral noise from the
-    (seed, node, k) stream, exactly as a lone run along that trace would.
-    """
-    m = world.data_dimension
-    steps = step_table(schedule, world)
-    x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(m)
-    for node, k in output.trace:
-        noise = None
-        if schedule.variant == ANCESTRAL:
-            noise = stream(seed, TAG_STEP, node, k).standard_normal(m)
-        x = denoise_step(x, k, world.target_mean(tree.means[node]), steps, noise)
-    return x
 
 
 def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,

@@ -3,40 +3,46 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shdiff.embeddings import (
     MAX_PROMPTS,
     TEXT_BLOCK_VALUES,
     PromptSet,
-    cosine_distance,
     float32_rows_text,
     generate_synthetic,
     load_prompt_set,
-    mean_embedding,
     save_prompt_set,
+    unit_distances,
+    unit_rows,
 )
 from shdiff.errors import DataError, UsageError
+from shdiff.tree import build_tree
+
+
+def kernel_distance(a, b):
+    """1 - cos(a, b) through the one kernel the tree builder and its oracle use."""
+    return float(unit_distances(unit_rows([a])[0], unit_rows([b]))[0])
 
 
 class TestCosineDistance:
     def test_identical(self):
-        assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert kernel_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_orthogonal(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert kernel_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_antipodal(self):
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
+        assert kernel_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DataError):
-            cosine_distance([0.0, 0.0], [1.0, 0.0])
+            kernel_distance([0.0, 0.0], [1.0, 0.0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            kernel_distance([1.0, 0.0], [1.0, 0.0, 0.0])
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=8),
            st.lists(st.floats(-10, 10), min_size=2, max_size=8))
@@ -44,8 +50,8 @@ class TestCosineDistance:
         a, b = np.array(a), np.array(b[: len(a)] + a[len(b):])
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             return
-        d1 = cosine_distance(a, b)
-        d2 = cosine_distance(b, a)
+        d1 = kernel_distance(a, b)
+        d2 = kernel_distance(b, a)
         assert d1 == d2
         assert 0.0 <= d1 <= 2.0
 
@@ -55,34 +61,43 @@ class TestCosineDistance:
         # Power-of-two scalars keep the scaled vector exactly parallel in
         # floating point, where "zero iff positive multiple" is testable.
         a = np.array(a)
-        assert cosine_distance(a, c * a) == 0.0
+        assert kernel_distance(a, c * a) == 0.0
 
     def test_positive_for_nonparallel(self):
-        assert cosine_distance([1.0, 0.1], [1.0, 0.2]) > 0.0
+        assert kernel_distance([1.0, 0.1], [1.0, 0.2]) > 0.0
+
+
+def built_means(rows):
+    """Every node's mean in the tree built over the rows, as float32 prompts."""
+    n = len(rows)
+    return build_tree(PromptSet(tuple(f"p{i}" for i in range(n)), (None,) * n,
+                                np.asarray(rows, dtype=np.float32))).means
 
 
 class TestMeanEmbedding:
     def test_singleton(self):
-        assert np.array_equal(mean_embedding([[1.0, 0.0]]), [1.0, 0.0])
+        assert np.array_equal(built_means([[1.0, 0.0]])[-1], [1.0, 0.0])
 
     def test_two_point(self):
-        assert np.array_equal(mean_embedding([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
+        assert np.array_equal(built_means([[1.0, 0.0], [0.0, 1.0]])[-1], [0.5, 0.5])
 
     def test_symmetric_triple(self):
         assert np.array_equal(
-            mean_embedding([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), [1.0, 1.0]
+            built_means([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])[-1], [1.0, 1.0]
         )
 
     def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            mean_embedding([])
+        # no mean is ever taken over no rows: a prompt set holds at least one
+        with pytest.raises(DataError, match="prompt set is empty"):
+            PromptSet((), (), np.empty((0, 2), dtype=np.float32))
 
     @given(st.lists(st.floats(-5, 5, width=32), min_size=2, max_size=6),
            st.integers(min_value=1, max_value=7))
     def test_copies_identity(self, v, k):
         # exact for copies of a float32 vector, the dtype every mean is taken over
         v = np.array(v, dtype=np.float32)
-        assert np.array_equal(mean_embedding([v] * k), v)
+        assume(v.any())
+        assert all(np.array_equal(mean, v) for mean in built_means([v] * k))
 
 
 class TestIO:
@@ -222,9 +237,10 @@ class TestIO:
         ps = load_prompt_set(str(path))
         assert len(ps) == 4 and ps.dimension == 8
 
-    def test_binary_rows_used_as_read(self, tmp_path):
-        # the payload is read into one bytes object and the set keeps a view
-        # of it: no joined read buffer, no float32 copy, no float64 norm pass
+    @staticmethod
+    def binary_load_peak(tmp_path):
+        """A 4,096 x 256 SHDF set (a 4 MiB payload), its rows as loaded and
+        the load's tracemalloc peak."""
         path = str(tmp_path / "p.bin")
         rows = np.random.default_rng(3).standard_normal((4096, 256)).astype(np.float32)
         save_prompt_set(PromptSet(tuple(map(str, range(4096))), (None,) * 4096, rows),
@@ -235,8 +251,20 @@ class TestIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.embeddings, rows) and not back.embeddings.flags.writeable
+        return rows, back.embeddings, peak
+
+    def test_binary_rows_used_as_read(self, tmp_path):
+        # the payload is read into one bytes object and the set keeps a view
+        # of it: no joined read buffer, no float32 copy, no float64 norm pass
+        rows, loaded, peak = self.binary_load_peak(tmp_path)
+        assert np.array_equal(loaded, rows) and not loaded.flags.writeable
         assert peak < 2 * rows.nbytes
+
+    def test_binary_load_holds_little_beyond_payload(self, tmp_path):
+        # finiteness is checked by one sum, not through an N x d bool mask,
+        # which alone is a quarter of the payload
+        rows, _, peak = self.binary_load_peak(tmp_path)
+        assert peak < 1.2 * rows.nbytes
 
     def test_unknown_format(self, tmp_path):
         ps = generate_synthetic(1, 2, 3, 0.1, seed=0)
@@ -409,6 +437,18 @@ class TestPromptSet:
     def test_shape_not_of_ids_rejected(self, rows):
         with pytest.raises(DataError, match="embedding matrix shape does not match ids"):
             PromptSet(("a", "b"), (None, None), rows)
+
+    @pytest.mark.parametrize("rows", [[[1, np.inf], [1, 1]], [[np.inf, 1], [-np.inf, 1]],
+                                      [[1, 1], [np.nan, 1]]], ids=["inf", "inf and -inf", "nan"])
+    def test_non_finite_rejected(self, rows):
+        with pytest.raises(DataError, match="non-finite embedding entries"):
+            PromptSet(("a", "b"), (None, None), np.array(rows, dtype=np.float32))
+
+    def test_largest_finite_accepted(self):
+        # the one float64 sum of the largest set of the largest values is finite
+        n, big = MAX_PROMPTS, np.finfo(np.float32).max
+        rows = np.full((n, 4), big, dtype=np.float32)
+        assert len(PromptSet(tuple(map(str, range(n))), (None,) * n, rows)) == n
 
     def test_prompt_cap(self):
         ids = tuple(str(i) for i in range(MAX_PROMPTS + 1))

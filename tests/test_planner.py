@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import expand_plan_json
+from oracles import path_to_root, select_node
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
 from shdiff.planner import (
@@ -19,9 +20,8 @@ from shdiff.planner import (
     compile_plan,
     phi,
     plan_to_json,
-    select_node,
 )
-from shdiff.tree import build_tree, path_to_root, randomize_encodings, reembed
+from shdiff.tree import build_tree, randomize_encodings, reembed
 
 
 def duplicated_set(n):
