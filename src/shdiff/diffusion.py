@@ -143,12 +143,12 @@ class ToyWorld:
 
     @classmethod
     def create(cls, data_dimension: int, embedding_dimension: int,
-               target_std: float, map_seed: int = 0) -> "ToyWorld":
-        """Identity map when dimensions agree, else the seeded map
-        ``_seeded_map``."""
-        if data_dimension == embedding_dimension:
-            return cls(None, target_std, data_dimension)
-        return cls(_seeded_map(data_dimension, embedding_dimension, map_seed), target_std)
+               target_std: float) -> "ToyWorld":
+        """The identity world; a seeded map comes from a world file."""
+        if data_dimension != embedding_dimension:
+            raise UsageError(f"identity condition map needs data_dimension == d "
+                             f"({data_dimension} != {embedding_dimension})")
+        return cls(None, target_std, data_dimension)
 
 
 def _seeded_map(data_dimension: int, embedding_dimension: int, seed: int) -> np.ndarray:
@@ -161,22 +161,19 @@ def _seeded_map(data_dimension: int, embedding_dimension: int, seed: int) -> np.
 
 class Step(NamedTuple):
     """The scalars of one plan step, each a read-only 0-d float64 array
-    (a view of ``step_table``'s array).
+    (a view of ``step_table``'s array): the step maps x_k to
+    x_scale * x_k + mu_scale * mu, plus sigma * noise when sigma is not None.
 
     A 0-d float64 operand gives the bits of the Python float it holds, and
     numpy 2 runs an op on it faster than on a Python float, which takes the
-    weak-scalar path: an ancestral step on a 64-vector took 6.3 us against
-    8.6 us with Python floats (numpy 2.4.6, best of 7 on a shared core).
+    weak-scalar path: an ancestral step's arithmetic on a 64-vector took
+    2.4-3.4 us against 3.8-4.2 us with Python floats (numpy 2.4.6, best of 9
+    on shared cores).
     """
 
-    root_ab: np.ndarray  # of level t = K - k + 1
-    root_one_minus_ab: np.ndarray
-    gain: np.ndarray  # of level t under the world's target_std
-    a: np.ndarray
-    b: np.ndarray
+    x_scale: np.ndarray
+    mu_scale: np.ndarray
     sigma: np.ndarray | None  # None when the step adds no noise
-    prev_root_ab: np.ndarray  # of level t - 1, for the deterministic update
-    prev_root_one_minus_ab: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, slots=True)  # compared and hashed by identity
@@ -185,58 +182,59 @@ class StepTable:
     step k = 1..K and ``rows[0]`` is None."""
 
     K: int
-    deterministic: bool
     rows: tuple[Step | None, ...] = field(repr=False)
 
 
 def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
-    """Resolve every step's scalars once, as 0-d views of one read-only
-    (K, 8) float64 array whose row k - 1 holds plan step k's.  Each column
-    is computed from the schedule's columns with the expressions a per-step
-    computation would use, and a float64 array op rounds as the Python
-    float op does, so a step reads the same bits."""
+    """Resolve every step's affine update once, as 0-d views of one
+    read-only (K, 3) float64 array whose row k - 1 holds plan step k's.
+    With D = ab s^2 + 1 - ab for the world's target_std s, the noise
+    prediction is eps_hat = c (x_k - sqrt(ab) mu) with c = sqrt(1 - ab) / D
+    and the posterior mean is x0_hat = mu + g (x_k - sqrt(ab) mu) with
+    g = sqrt(ab) s^2 / D, so the DDIM update sqrt(ab') x0_hat +
+    sqrt(1 - ab') eps_hat (ab' of level t - 1) and the ancestral mean
+    a x_k - b eps_hat are affine in x_k and mu."""
     levels = schedule.coefficients[::-1]  # row i is level t = K - i, step k = i + 1's
-    ab, root_ab = levels[:-1, 0], levels[:-1, 1]
+    ab, root_ab, root_one_minus_ab, a, b, sigma = levels[:-1].T
     if not np.all((0.0 < ab) & (ab < 1.0)):
         raise UsageError("alpha_bar must be in (0, 1)")
     s2 = world.target_std ** 2
-    gain = root_ab * s2 / (ab * s2 + 1.0 - ab)  # sqrt(ab) s^2 / (ab s^2 + 1 - ab)
-    table = np.column_stack([levels[:-1, 1:3], gain, levels[:-1, 3:6], levels[1:, 1:3]])
+    denom = ab * s2 + 1.0 - ab
+    c = root_one_minus_ab / denom
+    if schedule.variant == DETERMINISTIC:
+        prev_root_ab, prev_root_one_minus_ab = levels[1:, 1:3].T
+        x_scale = prev_root_ab * (root_ab * s2 / denom) + prev_root_one_minus_ab * c
+        mu_scale = prev_root_ab - root_ab * x_scale
+    else:
+        x_scale = a - b * c
+        mu_scale = b * c * root_ab
+    table = np.column_stack([x_scale, mu_scale, sigma])
     table.flags.writeable = False
     rows: list[Step | None] = [None]
-    for row, noisy in zip(table, (table[:, 5] != 0.0).tolist()):
-        scalars = [row[i, ...] for i in range(8)]
-        if not noisy:
-            scalars[5] = None
-        rows.append(Step(*scalars))
-    return StepTable(schedule.K, schedule.variant == DETERMINISTIC, tuple(rows))
+    for row, noisy in zip(table, (sigma != 0.0).tolist()):
+        rows.append(Step(row[0, ...], row[1, ...], row[2, ...] if noisy else None))
+    return StepTable(schedule.K, tuple(rows))
 
 
 def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray, steps: StepTable,
                  noise: np.ndarray | None = None) -> np.ndarray:
     """One reverse update at plan step k (1..K, noise-to-clean order) toward
     the target mean mu = world.target_mean(condition), with the scalars of
-    row k of ``steps``.  ``noise`` is the step's standard-normal draw, which
-    an ancestral step with sigma > 0 adds scaled by sigma; other steps
-    ignore it."""
+    row k of ``steps``: x_scale * x_k + mu_scale * mu, plus sigma * noise.
+    ``noise`` is the step's standard-normal draw; a step whose sigma is
+    None ignores it."""
     if not 0 < k <= steps.K:
         raise UsageError(f"step {k} outside 1..{steps.K}")
-    root_ab, root_one_minus_ab, gain, a, b, sigma, prev_root_ab, prev_root_one_minus_ab = \
-        steps.rows[k]
+    x_scale, mu_scale, sigma = steps.rows[k]
     # The result is float64 for float32 x_k or mu too: under NEP 50 a 0-d
     # float64 coefficient makes each op a float64 op, where a Python float,
     # a weak scalar, would leave a float32 operand in float32.
-    x0_hat = mu + gain * (x_k - root_ab * mu)  # the posterior mean of the clean sample
-    eps_hat = (x_k - root_ab * x0_hat) / root_one_minus_ab
-    if steps.deterministic:
-        x0_hat = (x_k - root_one_minus_ab * eps_hat) / root_ab
-        return prev_root_ab * x0_hat + prev_root_one_minus_ab * eps_hat
-    mean = a * x_k - b * eps_hat
+    out = x_scale * x_k + mu_scale * mu
     if sigma is None:
-        return mean
+        return out
     if noise is None:
         raise UsageError("ancestral step needs noise")
-    return mean + sigma * noise
+    return out + sigma * noise
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
@@ -381,10 +379,6 @@ def world_from_json(text: str | bytes,
     if variant not in (ANCESTRAL, DETERMINISTIC) or curve not in (CURVE_COSINE, CURVE_LINEAR_BETA):
         raise DataError(f"malformed world JSON: unknown schedule {variant!r}/{curve!r}")
     if cmap == "identity":
-        if m != embedding_dimension:
-            raise UsageError(
-                f"identity condition map needs data_dimension == d ({m} != {embedding_dimension})"
-            )
         world = ToyWorld.create(m, embedding_dimension, std)
     elif isinstance(cmap, dict) and "seed" in cmap:
         map_seed = _world_int(cmap["seed"], "condition_map.seed")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from shdiff.diffusion import world_from_json
 from shdiff.tree import _finalize
 
 
@@ -10,6 +11,14 @@ def manual_tree(leaf_ids, children, scores, means):
     """A tree whose node N+i (N leaves) merges children[i] at score scores[i];
     ``means`` holds every node's row."""
     return _finalize(leaf_ids, children, scores, np.asarray(means, dtype=np.float64))
+
+
+def seeded_world(data_dimension, embedding_dimension, target_std, map_seed):
+    """The world of a world file whose condition map is {"seed": map_seed}."""
+    text = json.dumps({"data_dimension": data_dimension, "target_std": target_std,
+                       "condition_map": {"seed": map_seed}, "master_seed": 0,
+                       "schedule": {"K": 1, "curve": "cosine", "variant": "deterministic"}})
+    return world_from_json(text, embedding_dimension)[0]
 
 
 @pytest.fixture

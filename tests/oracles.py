@@ -8,11 +8,13 @@ under test, and no module of the package imports this one:
   arXiv:1109.2378), which must give the ``same_tree``;
 - ``select_node`` walks one prompt's root path per step, for
   ``planner.compile_plan``;
-- ``analytic_epsilon`` is the closed-form noise prediction, for
-  ``diffusion.denoise_step``, and ``mc_epsilon_regression`` estimates the
-  same quantity by Monte Carlo;
-- ``per_call_step`` is ``denoise_step`` with its scalars derived per call,
-  for ``diffusion.step_table``;
+- ``analytic_epsilon`` is the closed-form noise prediction, and
+  ``mc_epsilon_regression`` estimates the same quantity by Monte Carlo;
+- ``textbook_step`` is one reverse step written as the samplers define it
+  (posterior mean, then eps_hat, then the DDIM or ancestral update), for
+  the affine update of ``diffusion.denoise_step``;
+- ``per_call_step`` is ``denoise_step`` with its three scalars derived per
+  call as Python floats, for ``diffusion.step_table``;
 - ``replay_trace`` reruns one prompt's trace alone, for
   ``diffusion.execute_plan``.
 
@@ -159,10 +161,13 @@ def mc_epsilon_regression(world, x_query, alpha_bar, condition, n=100_000, seed=
     return pred, se
 
 
-def per_call_step(x_k, k, mu, schedule, world, noise):
-    """denoise_step as it was before the step table: every call converts its
-    inputs and derives its scalars as Python floats, in the order
-    ``analytic_epsilon`` gives."""
+def textbook_step(x_k, k, mu, schedule, world, noise):
+    """One reverse step at plan step k as the samplers define it, with the
+    scalars of level t = K - k + 1 as Python floats: the posterior mean
+    x0_hat of ``analytic_epsilon``, then eps_hat, then the DDIM update
+    sqrt(ab') x0_hat + sqrt(1 - ab') eps_hat (Song et al., arXiv:2010.02502)
+    or the ancestral update a x_k - b eps_hat + sigma z (Ho et al.,
+    arXiv:2006.11239)."""
     t = schedule.K - k + 1
     ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t].tolist()
     x_k = np.asarray(x_k, dtype=np.float64)
@@ -179,6 +184,25 @@ def per_call_step(x_k, k, mu, schedule, world, noise):
     if sigma == 0.0:
         return mean
     return mean + sigma * noise
+
+
+def per_call_step(x_k, k, mu, schedule, world, noise):
+    """denoise_step with x_scale, mu_scale and sigma derived in this call as
+    Python floats, by the expressions ``step_table`` applies to whole
+    columns."""
+    t = schedule.K - k + 1
+    ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t].tolist()
+    s2 = world.target_std ** 2
+    denom = ab * s2 + 1.0 - ab
+    c = root_one_minus_ab / denom
+    if schedule.variant == DETERMINISTIC:
+        prev_root_ab, prev_root_one_minus_ab = schedule.coefficients[t - 1, 1:3].tolist()
+        x_scale = prev_root_ab * (root_ab * s2 / denom) + prev_root_one_minus_ab * c
+        mu_scale = prev_root_ab - root_ab * x_scale
+    else:
+        x_scale, mu_scale = a - b * c, b * c * root_ab
+    out = x_scale * np.asarray(x_k, dtype=np.float64) + mu_scale * np.asarray(mu, dtype=np.float64)
+    return out if sigma == 0.0 else out + sigma * noise
 
 
 def replay_trace(output, tree, world, schedule, seed):

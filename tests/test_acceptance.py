@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import manual_tree
+from conftest import manual_tree, seeded_world
 from oracles import (analytic_epsilon, mc_epsilon_regression, path_to_root,
                      reference_build_tree, replay_trace, same_tree, select_node)
 
@@ -136,7 +136,7 @@ def test_04_node_selection_invariants_on_random_trees():
 
 def test_05_analytic_denoiser_matches_monte_carlo_regression():
     start = time.perf_counter()
-    world = ToyWorld.create(2, 3, 0.7, map_seed=2)
+    world = seeded_world(2, 3, 0.7, 2)
     y = np.array([0.3, -1.0, 0.5])
     ok = True
     worst = 0.0

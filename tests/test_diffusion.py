@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import analytic_epsilon, mc_epsilon_regression, per_call_step, replay_trace
+from conftest import seeded_world
+from oracles import (analytic_epsilon, mc_epsilon_regression, per_call_step, replay_trace,
+                     textbook_step)
 from shdiff import diffusion
 from shdiff.diffusion import (
     ANCESTRAL,
@@ -227,7 +229,7 @@ class TestTargetMean:
         scaled = np.eye(d)
         scaled[-1, -1] = 2.0
         maps = [np.eye(d), scaled, np.eye(d, d + 3), np.eye(d + 3, d),
-                ToyWorld.create(d, d + 3, 1.0, map_seed=d).condition_map]
+                seeded_world(d, d + 3, 1.0, d).condition_map]
         if d > 1:
             maps += [np.eye(d)[::-1].copy(), np.eye(d) + np.eye(d, k=1)]
         for A in maps:
@@ -236,6 +238,10 @@ class TestTargetMean:
             for y in conditions(A.shape[1], seed=d):
                 assert world.target_mean(y).tobytes() == (A @ y).tobytes()
 
+    def test_create_makes_only_the_identity(self):
+        with pytest.raises(UsageError, match=r"data_dimension == d \(3 != 4\)"):
+            ToyWorld.create(3, 4, 1.0)
+
     def test_identity_rejects_wrong_length(self):
         world = ToyWorld.create(4, 4, 1.0)
         for y in (np.zeros(5), np.zeros(3), np.zeros((4, 1))):
@@ -243,7 +249,7 @@ class TestTargetMean:
                 world.target_mean(y)
 
     def test_map_is_read_only(self):
-        world = ToyWorld.create(3, 4, 1.0)
+        world = seeded_world(3, 4, 1.0, 0)
         with pytest.raises(ValueError):
             world.condition_map[0, 1] = 1.0
 
@@ -274,7 +280,7 @@ class TestAnalyticEpsilon:
 
     @pytest.mark.parametrize("ab", [0.9, 0.5, 0.1])
     def test_matches_monte_carlo_regression(self, ab):
-        w = ToyWorld.create(2, 3, 0.7, map_seed=2)
+        w = seeded_world(2, 3, 0.7, 2)
         y = np.array([0.3, -1.0, 0.5])
         xq = np.sqrt(ab) * w.target_mean(y) + np.array([0.4, -0.2])
         ana = analytic_epsilon(w, xq, ab, w.target_mean(y))
@@ -341,17 +347,24 @@ class TestDenoiseStep:
 
 
 # sha256 of every denoise_step output over the grid below and of
-# analytic_epsilon at every schedule alpha_bar, computed with the per-call
-# np.sqrt coefficients the executor first shipped with.
-COEFFICIENT_GRID_SHA256 = "2421bf7c910bf0799f8ff9893406fbf66f33f457b158d08190fae7c7e1ef70d5"
+# analytic_epsilon at every schedule alpha_bar.  The textbook step the
+# executor first shipped with gave
+# 2421bf7c910bf0799f8ff9893406fbf66f33f457b158d08190fae7c7e1ef70d5; the
+# affine step differs from it at the rounding level.
+COEFFICIENT_GRID_SHA256 = "c1cb2182972fb74cea981920d62b1507a40ecdef240862ff55d6befe2a671818"
+# sha256 of the analytic_epsilon outputs alone, computed before the step
+# became affine, which leaves them unchanged.
+ANALYTIC_EPSILON_GRID_SHA256 = "50233d3ad03292973ffbcf674e556c6200e90b01158d99a2c39219a9b3f24727"
 
 
-def coefficient_grid_digest():
-    h = hashlib.sha256()
+def coefficient_grid_digests():
+    """The grid's digest and that of its analytic_epsilon outputs."""
+    h, h_eps = hashlib.sha256(), hashlib.sha256()
 
-    def add(out):
-        h.update(out.dtype.str.encode())
-        h.update(out.tobytes())
+    def add(out, *hashes):
+        for each in (h, *hashes):
+            each.update(out.dtype.str.encode())
+            each.update(out.tobytes())
 
     m = 5
     rng = np.random.default_rng(17)
@@ -374,13 +387,14 @@ def coefficient_grid_digest():
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
                 add(analytic_epsilon(world, xs[t - 1].astype(x_type),
                                      column(sch, "alpha_bar")[t].item(),
-                                     mus[t - 1].astype(mu_type)))
-    return h.hexdigest()
+                                     mus[t - 1].astype(mu_type)), h_eps)
+    return h.hexdigest(), h_eps.hexdigest()
 
 
 class TestCoefficientTable:
     def test_outputs_pinned(self):
-        assert coefficient_grid_digest() == COEFFICIENT_GRID_SHA256
+        assert coefficient_grid_digests() == (COEFFICIENT_GRID_SHA256,
+                                              ANALYTIC_EPSILON_GRID_SHA256)
 
 
 def vectors(m, dtype):
@@ -411,6 +425,37 @@ class TestStepTable:
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
 
+    @given(step_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_affine_step_matches_textbook_step(self, case):
+        # the affine rule rounds differently from the textbook's chain of
+        # ops, by a few ulps of the largest vector involved; below the normal
+        # range an ulp no longer scales, so the scale is at least 2**-1022
+        k, schedule, world, x, mu, noise = case
+        got = denoise_step(x, k, mu, step_table(schedule, world), noise)
+        want = textbook_step(x, k, mu, schedule, world, noise)
+        scale = max(float(np.max(np.abs(v))) for v in (x, mu, want, np.finfo(np.float64).tiny))
+        assert np.max(np.abs(got - want)) <= 2e-14 * scale
+
+    @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
+    def test_longest_run_stays_on_the_textbook_run(self, variant):
+        # K = MAX_K: the affine rule's per-step rounding drifts from the
+        # textbook run by about 1e-12 relative over the whole run
+        schedule = make_schedule(MAX_K, variant, CURVE_COSINE)
+        world = ToyWorld(None, 1.0, 4)
+        steps = step_table(schedule, world)
+        assert len(steps.rows) == MAX_K + 1
+        rng = np.random.default_rng(8)
+        x = want = rng.standard_normal(4)
+        mu = rng.standard_normal(4)
+        noise = [None] * (MAX_K + 1)
+        if variant == ANCESTRAL:
+            noise = rng.standard_normal((MAX_K + 1, 4))
+        for k in range(1, MAX_K + 1):
+            x = denoise_step(x, k, mu, steps, noise[k])
+            want = textbook_step(want, k, mu, schedule, world, noise[k])
+        assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("k", [0, 9])
     def test_step_outside_schedule(self, k):
         world = ToyWorld(None, 1.0, 2)
@@ -435,7 +480,9 @@ class TestStepTable:
     def test_scalars_are_read_only(self):
         steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(ValueError):
-            steps.rows[1].gain[()] = 0.0
+            steps.rows[2].x_scale[()] = 0.0
+        for scalar in steps.rows[2]:
+            assert scalar.shape == () and not scalar.flags.writeable
 
 
 def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
@@ -446,7 +493,7 @@ def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
     if map_seed is None:
         world = ToyWorld(np.eye(d), std)
     else:
-        world = ToyWorld.create(5, d, std, map_seed=map_seed)
+        world = seeded_world(5, d, std, map_seed)
     sch = make_schedule(K, variant, CURVE_COSINE)
     plan = compile_plan(tree, ScheduleParams(K=K, tau=tau))
     return ps, tree, world, sch, plan
@@ -675,7 +722,8 @@ class TestWorldJson:
                 '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
                 '"master_seed": 0}')
         w, _, _ = world_from_json(text, 6)
-        assert np.array_equal(w.condition_map, ToyWorld.create(3, 6, 1.0, map_seed=9).condition_map)
+        A = stream(9, TAG_CONDMAP).standard_normal((3, 6))
+        assert np.array_equal(w.condition_map, A / np.linalg.norm(A, axis=1, keepdims=True))
 
     def test_identity_dim_mismatch(self):
         text = ('{"data_dimension": 4, "target_std": 1.0, "condition_map": "identity", '
@@ -691,7 +739,7 @@ class TestWorldJson:
         w, _, _ = world_from_json(text, 4)
         A = stream(7, TAG_CONDMAP).standard_normal((4, 4))
         assert np.array_equal(w.condition_map, A / np.linalg.norm(A, axis=1, keepdims=True))
-        assert ToyWorld.create(4, 4, 1.0, map_seed=7).condition_map is None
+        assert ToyWorld.create(4, 4, 1.0).condition_map is None
 
     def test_data_dimension_cap(self):
         def doc(m):

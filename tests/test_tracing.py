@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from shdiff import cli, diffusion
-from shdiff.embeddings import generate_synthetic, save_prompt_set
+from shdiff.embeddings import PromptSet, generate_synthetic, save_prompt_set
 from shdiff.tree import tree_from_json
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -81,3 +81,22 @@ def test_oracle_reading_path(tmp_path, variant):
     for r in rows:
         assert r["trace"] == [list(t) for t in standard[r["id"]].trace]
         assert np.array_equal(np.array(r["sample"]), standard[r["id"]].sample.astype(np.float32))
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="the tracer's _observe_plan looks up a span for every leaf, "
+                          "and a duplicate row's leaf holds none")
+def test_traced_simulate_on_duplicate_rows(tmp_path):
+    # four 2-d rows, two of them equal: shdiff runs it, the tracer breaks on it
+    prompts = str(tmp_path / "p.jsonl")
+    rows = np.array([[1.0, 0.0], [0.6, 0.8], [0.6, 0.8], [0.0, 1.0]], dtype=np.float32)
+    save_prompt_set(PromptSet(("a", "b", "c", "d"), (None,) * 4, rows), prompts)
+    simulate = ["simulate", "--input", prompts, "--k", "10", "--tau", "1",
+                "--output", str(tmp_path / "s.jsonl")]
+    assert cli.main(simulate) == 0
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(simulate) == 0
+    finally:
+        tracer.uninstall()
