@@ -127,9 +127,15 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _resolve_world(args, prompts):
+def _resolve_world(args, prompts, runs: int = 1):
     """The world, schedule and seed of ``simulate`` and ``sweep``: the world
-    file's values, or the defaults without one, each overridden by its flag."""
+    file's values, or the defaults without one, each overridden by its flag.
+
+    ``runs`` plans of the prompts at the schedule's K may ask for at most
+    ``planner.MAX_EVALUATIONS`` baseline evaluations together, checked
+    before anything K-long is made: above it, a K from the world file is a
+    DataError and any other a UsageError.
+    """
     d = prompts.dimension
     if args.world:
         _require_input(args.world)
@@ -142,8 +148,17 @@ def _resolve_world(args, prompts):
         seed = _seed(args)
     if args.target_std is not None:
         world = replace(world, target_std=args.target_std)
-    schedule = diffusion.make_schedule(k if args.k is None else args.k,
-                                       variant if args.variant is None else args.variant,
+    k_from_file = bool(args.world) and args.k is None
+    if args.k is not None:
+        k = args.k
+    baseline = len(prompts) * k * runs
+    # a K above MAX_K is make_schedule's UsageError, whatever the product
+    if k <= planner.MAX_K and baseline > planner.MAX_EVALUATIONS:
+        error = DataError if k_from_file else UsageError
+        taus = f" x {runs} tau values" if runs > 1 else ""
+        raise error(f"{len(prompts)} prompts x K={k}{taus} is {baseline} baseline "
+                    f"evaluations, above {planner.MAX_EVALUATIONS}")
+    schedule = diffusion.make_schedule(k, variant if args.variant is None else args.variant,
                                        curve if args.schedule is None else args.schedule)
     return world, schedule, seed
 
@@ -177,13 +192,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     prompts = _load_prompts(args)
-    world, schedule, seed = _resolve_world(args, prompts)
     try:
         taus = [float(v) for v in args.sweep.split(",") if v.strip() != ""]
     except ValueError as e:
         raise UsageError(f"bad --sweep list: {e}") from e
     if not taus:
         raise UsageError("--sweep needs at least one tau value")
+    world, schedule, seed = _resolve_world(args, prompts, len(taus))
     tree = _plan_tree(args, prompts, seed)
     rows = metrics.sweep_tau(prompts, tree, world, schedule, taus, seed, phi_variant=args.phi)
     csv_text = metrics.sweep_csv(rows, schedule.K, len(prompts))

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .planner import FRESH, MAX_K, SharePlan
-from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, normal_rows, stream
+from .rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, keyed_generators, normal_rows, stream
 from .tree import EmbeddingTree
 
 ANCESTRAL = "ancestral"
@@ -159,35 +159,33 @@ def _seeded_map(data_dimension: int, embedding_dimension: int, seed: int) -> np.
     return A
 
 
-class Step(NamedTuple):
-    """The scalars of one plan step, each a read-only 0-d float64 array
-    (a view of ``step_table``'s array): the step maps x_k to
-    x_scale * x_k + mu_scale * mu, plus sigma * noise when sigma is not None.
-
-    A 0-d float64 operand gives the bits of the Python float it holds, and
-    numpy 2 runs an op on it faster than on a Python float, which takes the
-    weak-scalar path: an ancestral step's arithmetic on a 64-vector took
-    2.4-3.4 us against 3.8-4.2 us with Python floats (numpy 2.4.6, best of 9
-    on shared cores).
-    """
-
-    x_scale: np.ndarray
-    mu_scale: np.ndarray
-    sigma: np.ndarray | None  # None when the step adds no noise
-
-
 @dataclass(frozen=True, eq=False, slots=True)  # compared and hashed by identity
 class StepTable:
-    """Every step's scalars for one (schedule, world); ``rows[k]`` is plan
-    step k = 1..K and ``rows[0]`` is None."""
+    """Every step's scalars for one (schedule, world).
+
+    ``table`` is one read-only (K, 3) float64 array whose row k - 1 holds
+    plan step k's (x_scale, mu_scale, sigma).  Step k maps x_k to
+    x_scale * x_k + drive, where the drive toward a target mean mu is
+    mu_scale * mu, plus sigma * z_k when the table is ``noisy`` (the
+    ancestral sampler) and z_k is the step's standard-normal row.
+
+    ``x_scale[k]`` is step k's x_scale as a read-only 0-d float64 view of
+    the table, and ``x_scale[0]`` is None.  A 0-d float64 operand gives the
+    bits of the Python float it holds, and numpy 2 runs an op on it faster
+    than on a Python float, which takes the weak-scalar path: an ancestral
+    step's arithmetic on a 64-vector took 2.4-3.4 us against 3.8-4.2 us with
+    Python floats (numpy 2.4.6, best of 9 on shared cores).
+    """
 
     K: int
-    rows: tuple[Step | None, ...] = field(repr=False)
+    noisy: bool
+    table: np.ndarray = field(repr=False)
+    x_scale: tuple[np.ndarray | None, ...] = field(repr=False)
 
 
 def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
-    """Resolve every step's affine update once, as 0-d views of one
-    read-only (K, 3) float64 array whose row k - 1 holds plan step k's.
+    """Resolve every step's affine update once.
+
     With D = ab s^2 + 1 - ab for the world's target_std s, the noise
     prediction is eps_hat = c (x_k - sqrt(ab) mu) with c = sqrt(1 - ab) / D
     and the posterior mean is x0_hat = mu + g (x_k - sqrt(ab) mu) with
@@ -210,31 +208,62 @@ def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
         mu_scale = b * c * root_ab
     table = np.column_stack([x_scale, mu_scale, sigma])
     table.flags.writeable = False
-    rows: list[Step | None] = [None]
-    for row, noisy in zip(table, (sigma != 0.0).tolist()):
-        rows.append(Step(row[0, ...], row[1, ...], row[2, ...] if noisy else None))
-    return StepTable(schedule.K, tuple(rows))
+    return StepTable(schedule.K, schedule.variant == ANCESTRAL, table,
+                     (None, *(row[0, ...] for row in table)))
 
 
-def denoise_step(x_k: np.ndarray, k: int, mu: np.ndarray, steps: StepTable,
-                 noise: np.ndarray | None = None) -> np.ndarray:
-    """One reverse update at plan step k (1..K, noise-to-clean order) toward
-    the target mean mu = world.target_mean(condition), with the scalars of
-    row k of ``steps``: x_scale * x_k + mu_scale * mu, plus sigma * noise.
-    ``noise`` is the step's standard-normal draw; a step whose sigma is
-    None ignores it."""
+# Values in one block of drives.  A run of any length makes its drives, and
+# draws its noise, a block of at most this many float64s at a time (one row
+# at least), so it holds a few 512 KiB arrays at a time, never a K-long one.
+_BLOCK_VALUES = 2**16
+
+
+def step_drives(steps: StepTable, start: int, stop: int, mu: np.ndarray,
+                noise: np.random.Generator | None = None) -> Iterator[np.ndarray]:
+    """Iterate over the drive of each step k = start..stop-1 of one run
+    toward the target mean mu: mu_scale * mu, plus sigma * z_k for a noisy
+    table, where z_start, z_start+1, ... are the run's rows of len(mu)
+    standard normals, drawn from ``noise`` in step order.  A table that is
+    not noisy draws nothing.
+
+    The rows are made a block at a time with whole-block ops on the table's
+    columns; an element has the bits of the per-step scalar expression, and
+    a stream's rows are the same however the blocks split them.
+    """
+    if not 0 < start <= stop <= steps.K + 1:
+        raise UsageError(f"steps {start}..{stop - 1} outside 1..{steps.K}")
+    if steps.noisy and noise is None:
+        raise UsageError("ancestral step needs noise")
+    rows = max(1, _BLOCK_VALUES // mu.shape[0])
+    return chain.from_iterable(_drive_block(steps.table[first - 1:min(first + rows, stop) - 1],
+                                            mu, noise if steps.noisy else None)
+                               for first in range(start, stop, rows))
+
+
+def _drive_block(scalars: np.ndarray, mu: np.ndarray,
+                 noise: np.random.Generator | None) -> np.ndarray:
+    """The drives of the steps whose (x_scale, mu_scale, sigma) rows are
+    ``scalars``, one row each."""
+    block = scalars[:, 1:2] * mu
+    if noise is not None:
+        z = noise.standard_normal(block.shape)
+        z *= scalars[:, 2:3]
+        block += z
+    return block
+
+
+def denoise_step(x_k: np.ndarray, k: int, drive: np.ndarray, steps: StepTable) -> np.ndarray:
+    """One reverse update at plan step k (1..K, noise-to-clean order):
+    x_scale * x_k + drive, with step k's x_scale from ``steps`` and its
+    drive from ``step_drives``."""
     if not 0 < k <= steps.K:
         raise UsageError(f"step {k} outside 1..{steps.K}")
-    x_scale, mu_scale, sigma = steps.rows[k]
-    # The result is float64 for float32 x_k or mu too: under NEP 50 a 0-d
-    # float64 coefficient makes each op a float64 op, where a Python float,
-    # a weak scalar, would leave a float32 operand in float32.
-    out = x_scale * x_k + mu_scale * mu
-    if sigma is None:
-        return out
-    if noise is None:
-        raise UsageError("ancestral step needs noise")
-    return out + sigma * noise
+    # The result is float64 for float32 x_k too: under NEP 50 a 0-d float64
+    # coefficient makes the op a float64 op, where a Python float, a weak
+    # scalar, would leave a float32 operand in float32.
+    out = steps.x_scale[k] * x_k
+    out += drive  # the sum's bits, without a second new array
+    return out
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
@@ -276,11 +305,13 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     Each span is a chain of ``denoise_step`` calls from its source's final
     state, or from a fresh draw, and spans run in descending node id: a
     source is an ancestor, so its id is above the spans continuing it.
-    Fresh states draw initial noise from the stream keyed (seed, node); step
-    noise comes from (seed, node, k).  Keys depend only on canonical node
-    ids, so output does not depend on the order nodes are evaluated in.
-    Both kinds of row come from ``normal_rows`` iterators over the keys in
-    span order, which draw exactly what a fresh ``stream`` per key would.
+    Fresh states draw initial noise from the stream keyed (seed, node), and
+    span (node, start, stop) draws its ancestral step rows, in step order,
+    from the one stream keyed (seed, node, start).  Keys depend only on
+    canonical node ids and the plan, so output does not depend on the order
+    nodes are evaluated in.  The streams come from ``rng`` iterators over
+    the keys in span order, which draw exactly what a fresh ``stream`` per
+    key would.
     """
     _validate(plan, tree, world, schedule)
     steps = step_table(schedule, world)
@@ -290,20 +321,18 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     # before the next row overwrites it: a planned span holds at least one step.
     init_rows = normal_rows(m, master_seed, TAG_INIT,
                             [node for node, span in spans.items() if span.source == FRESH])
-    step_rows = repeat(None)  # deterministic steps take no noise
-    if schedule.variant == ANCESTRAL:  # each (node, k) in span order
-        step_rows = normal_rows(
-            m, master_seed, TAG_STEP,
-            np.repeat(list(spans), [s.stop - s.start for s in spans.values()]),
-            np.concatenate([np.arange(s.start, s.stop) for s in spans.values()]))
+    noise = repeat(None)  # deterministic steps take no noise
+    if steps.noisy:
+        noise = keyed_generators(master_seed, TAG_STEP, list(spans),
+                                 [span.start for span in spans.values()])
     final: dict[int, np.ndarray] = {}
     calls = 0
-    for node, (start, stop, source) in spans.items():
+    # spans come first: zip stops on them without keying a stream past the last
+    for (node, (start, stop, source)), span_noise in zip(spans.items(), noise):
         x = next(init_rows) if source == FRESH else final[source]
         mu = world.target_mean(tree.means[node])
-        # the range comes first: zip stops on it without drawing a row past the span
-        for k, noise in zip(range(start, stop), step_rows):
-            x = denoise_step(x, k, mu, steps, noise)
+        for k, drive in enumerate(step_drives(steps, start, stop, mu, span_noise), start):
+            x = denoise_step(x, k, drive, steps)
         final[node] = x
         calls += stop - start
     outputs = {pid: GenerationOutput(final[path[-1]],
@@ -314,7 +343,9 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
 
 def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
                  master_seed: int, max_steps: int | None = None) -> ExecutionResult:
-    """Independent per-prompt diffusion, keyed by each prompt's leaf node.
+    """Independent per-prompt diffusion, keyed by each prompt's leaf node:
+    its initial row from the stream (seed, leaf) and its ancestral step rows
+    from the stream (seed, leaf, 1), the keys of a tau=0 plan's one span.
 
     With max_steps < K this is truncated standard diffusion: only the first
     max_steps updates of the K-step schedule run and the partially denoised
@@ -329,11 +360,9 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
         leaf = tree.leaf_of[pid]
         x = stream(master_seed, TAG_INIT, leaf).standard_normal(m)
         mu = world.target_mean(tree.means[leaf])
-        for k in range(1, k_stop + 1):
-            noise = None
-            if schedule.variant == ANCESTRAL:
-                noise = stream(master_seed, TAG_STEP, leaf, k).standard_normal(m)
-            x = denoise_step(x, k, mu, steps, noise)
+        noise = stream(master_seed, TAG_STEP, leaf, 1) if steps.noisy else None
+        for k, drive in enumerate(step_drives(steps, 1, k_stop + 1, mu, noise), 1):
+            x = denoise_step(x, k, drive, steps)
             calls += 1
         outputs[pid] = GenerationOutput(x, ((leaf, k_stop),))
     return ExecutionResult(outputs=outputs, denoiser_calls=calls)

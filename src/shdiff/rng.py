@@ -6,9 +6,10 @@ keys are statistically independent and a given key always reproduces the
 same sequence, so results do not depend on the order in which streams are
 consumed -- the property the executor relies on, and that lets
 ``run_standard`` check it with one fresh stream per key.  ``stream`` builds
-a generator per key; ``normal_rows`` draws a row per key of a batch with one
+a generator per key; ``keyed_generators`` walks a batch of keys with one
 Philox generator per iterator, whose state it resets to the start of each
-key's stream before the row, which draws the same numbers.
+key's stream, which draws the same numbers, and ``normal_rows`` draws one
+row from each.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ TAG_CENTER = 0x01  # synthetic cluster centers
 TAG_RECORD = 0x02  # synthetic per-record jitter
 TAG_RANDENC = 0x03  # random-encoding ablation vectors
 TAG_INIT = 0x04  # initial diffusion noise per node
-TAG_STEP = 0x05  # per-(node, step) ancestral noise
+TAG_STEP = 0x05  # ancestral step noise, one stream per (node, first step) span
 TAG_CONDMAP = 0x06  # toy-world condition matrix
 TAG_SAMPLE = 0x07  # diversity metric subsampling
 
@@ -77,6 +78,31 @@ def stream(*parts: int) -> np.random.Generator:
 _CHUNK = 4096  # keys turned into Python ints at a time, never a whole batch
 
 
+def keyed_generators(*parts) -> Iterator[np.random.Generator]:
+    """Yield a generator at the start of each stream ``stream_keys(*parts)``
+    keys, in C order of the broadcast shape; each draws what
+    ``stream(...)`` on that stream's int parts would.
+
+    It is one generator, re-keyed for each stream, so a stream can be drawn
+    from only until the next one is taken.
+    """
+    lo, hi = (np.ravel(words) for words in stream_keys(*parts))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # Philox's whole state is its key and counter.  Assigning this dict,
+    # holding a stream's key, restarts that key's stream: the counter at 0,
+    # no buffered output words and no half-used 64-bit word, whatever the
+    # previous stream drew.  Only the key changes between streams.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    inner = state["state"]
+    for i in range(0, lo.size, _CHUNK):
+        for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
+            inner["key"] = key
+            bitgen.state = state
+            yield gen
+
+
 def normal_rows(m: int, *parts) -> Iterator[np.ndarray]:
     """Yield the first m standard normals of each stream ``stream_keys(*parts)``
     keys, in C order of the broadcast shape; each row has the bits of
@@ -85,19 +111,6 @@ def normal_rows(m: int, *parts) -> Iterator[np.ndarray]:
     Every row is drawn into one float64 buffer of m entries, which is what
     is yielded, so a row is valid only until the next one is drawn.
     """
-    lo, hi = (np.ravel(words) for words in stream_keys(*parts))
-    bitgen = np.random.Philox(0)
-    draw = np.random.Generator(bitgen).standard_normal
-    # Philox's whole state is its key and counter.  Assigning this dict,
-    # holding a row's key, restarts that key's stream: the counter at 0, no
-    # buffered output words and no half-used 64-bit word, whatever the
-    # previous row drew.  Only the key changes between rows.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    inner = state["state"]
     buf = np.empty(m)
-    for i in range(0, lo.size, _CHUNK):
-        for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
-            inner["key"] = key
-            bitgen.state = state
-            yield draw(out=buf)
+    for gen in keyed_generators(*parts):
+        yield gen.standard_normal(out=buf)

@@ -12,9 +12,10 @@ under test, and no module of the package imports this one:
   ``mc_epsilon_regression`` estimates the same quantity by Monte Carlo;
 - ``textbook_step`` is one reverse step written as the samplers define it
   (posterior mean, then eps_hat, then the DDIM or ancestral update), for
-  the affine update of ``diffusion.denoise_step``;
-- ``per_call_step`` is ``denoise_step`` with its three scalars derived per
-  call as Python floats, for ``diffusion.step_table``;
+  the affine update of ``diffusion.step_drives`` and ``denoise_step``;
+- ``per_call_step`` is one step with its three scalars derived per call as
+  Python floats, for ``diffusion.step_table``, ``step_drives`` and
+  ``denoise_step``;
 - ``replay_trace`` reruns one prompt's trace alone, for
   ``diffusion.execute_plan``.
 
@@ -187,9 +188,10 @@ def textbook_step(x_k, k, mu, schedule, world, noise):
 
 
 def per_call_step(x_k, k, mu, schedule, world, noise):
-    """denoise_step with x_scale, mu_scale and sigma derived in this call as
+    """One step with x_scale, mu_scale and sigma derived in this call as
     Python floats, by the expressions ``step_table`` applies to whole
-    columns."""
+    columns: x_scale x_k + drive, with the drive mu_scale mu, plus
+    sigma noise for the ancestral sampler, summed first."""
     t = schedule.K - k + 1
     ab, root_ab, root_one_minus_ab, a, b, sigma = schedule.coefficients[t].tolist()
     s2 = world.target_std ** 2
@@ -201,23 +203,32 @@ def per_call_step(x_k, k, mu, schedule, world, noise):
         mu_scale = prev_root_ab - root_ab * x_scale
     else:
         x_scale, mu_scale = a - b * c, b * c * root_ab
-    out = x_scale * np.asarray(x_k, dtype=np.float64) + mu_scale * np.asarray(mu, dtype=np.float64)
-    return out if sigma == 0.0 else out + sigma * noise
+    drive = mu_scale * np.asarray(mu, dtype=np.float64)
+    if schedule.variant == ANCESTRAL:
+        drive = drive + sigma * np.asarray(noise, dtype=np.float64)
+    return x_scale * np.asarray(x_k, dtype=np.float64) + drive
 
 
 def replay_trace(output, tree, world, schedule, seed):
     """Rerun one prompt's own trace with no sharing.
 
     Starts from the first traced node's initial noise and applies one
-    denoising step per traced (node, k), drawing ancestral noise from the
-    (seed, node, k) stream, exactly as a lone run along that trace would.
+    denoising step per traced (node, k).  A node's ancestral noise is one
+    stream keyed by the first step the node conditions in the trace,
+    (seed, node, start), read one row per step, exactly as a lone run along
+    that trace would draw it.  Each drive is computed here, per step, from
+    row k - 1 of the step table.
     """
     m = world.data_dimension
     steps = step_table(schedule, world)
     x = stream(seed, TAG_INIT, output.trace[0][0]).standard_normal(m)
+    noise = {}
     for node, k in output.trace:
-        noise = None
+        _, mu_scale, sigma = steps.table[k - 1]
+        drive = mu_scale * world.target_mean(tree.means[node])
         if schedule.variant == ANCESTRAL:
-            noise = stream(seed, TAG_STEP, node, k).standard_normal(m)
-        x = denoise_step(x, k, world.target_mean(tree.means[node]), steps, noise)
+            if node not in noise:
+                noise[node] = stream(seed, TAG_STEP, node, k)
+            drive = drive + sigma * noise[node].standard_normal(m)
+        x = denoise_step(x, k, drive, steps)
     return x

@@ -23,6 +23,7 @@ from shdiff.diffusion import (
     execute_plan,
     make_schedule,
     run_standard,
+    step_drives,
     step_table,
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
@@ -165,10 +166,11 @@ def test_06_sampler_calibration_against_gaussian_target():
     runs = 1000
     finals = np.empty((runs, m))
     steps = step_table(sch, world)
+    drives = list(step_drives(steps, 1, sch.K + 1, mu))  # deterministic: the same for every run
     for i in range(runs):
         x = stream(123, TAG_INIT, i).standard_normal(m)
-        for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, mu, steps)
+        for k, drive in enumerate(drives, 1):
+            x = denoise_step(x, k, drive, steps)
         finals[i] = x
     mean_err = np.max(np.abs(finals.mean(axis=0) - mu))
     var_err = np.max(np.abs(finals.var(axis=0) - s**2)) / s**2

@@ -19,7 +19,7 @@ from shdiff.diffusion import ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_pl
 from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, TEXT_BLOCK_VALUES, PromptSet,
                                generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
-from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
+from shdiff.planner import MAX_EVALUATIONS, MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
 
 
@@ -607,10 +607,13 @@ class TestSimulate:
         (["--clusters", "8", "--per-cluster", "8", "--dim", "64", "--jitter", "0.1",
           "--seed", "12"],
          ["--k", "40", "--tau", "1.0", "--variant", "ancestral", "--seed", "6"],
-         "64a3a0f005f63bb69cd231dc41277fc09540526de9c4fe23d42e09c700905dcb",
-         # d59cd186d3d34c039369a170ba442efbb427009684475a2b624307d6918fc21d before
-         # the affine step: both float64 metrics moved in their last digits
-         "404663318238de446ca228543e95e2d26677cab9b929965bbb7b7977612c165b"),
+         # 64a3a0f005f63bb69cd231dc41277fc09540526de9c4fe23d42e09c700905dcb and
+         # 404663318238de446ca228543e95e2d26677cab9b929965bbb7b7977612c165b
+         # (d59cd186d3d34c039369a170ba442efbb427009684475a2b624307d6918fc21d before
+         # the affine step) while each (node, k) drew its own noise row; one
+         # stream per (node, start) span changes every ancestral sample
+         "36863ad596a5c9896be4ae1d594f5c26f0eedbbe93fc3fbdfa2f42e8178a3b54",
+         "2f4b3421e5589ebcfc77fd1f49a9177c4579dce94f703780dbe8115073b579fd"),
     ], ids=["d768-deterministic", "d64-ancestral"])
     def test_outputs_pinned(self, tmp_path, synth, simulate, samples_sha, metrics_sha):
         # Digests written when every target mean was an A @ y mat-vec; the
@@ -727,6 +730,45 @@ def test_k_above_bound_exit_2(prompts_file, tmp_path, capsys, command, k):
         argv += ["--sweep", "1"]
     assert main(argv) == 2
     assert f"K must be in 1..{MAX_K}" in capsys.readouterr().err
+
+
+class ScheduleMade(Exception):
+    """Raised in place of make_schedule, so nothing K-long is made or run."""
+
+
+@pytest.mark.parametrize("k_from", ["flag", "world"])
+@pytest.mark.parametrize("command, n, k, taus", [
+    ("simulate", 1024, 2**16, 1),  # at the bound: N x K = 2**26
+    ("sweep", 512, 2**16, 2),  # N x K x 2 tau values
+    ("simulate", 785, 85_489, 1),  # 2**26 + 1 = (5 x 157) x (53 x 1613)
+    ("sweep", 5, 85_489, 157),
+], ids=["simulate-at-bound", "sweep-at-bound", "simulate-above", "sweep-above"])
+def test_evaluation_bound(tmp_path, monkeypatch, capsys, k_from, command, n, k, taus):
+    assert n * k * taus in (MAX_EVALUATIONS, MAX_EVALUATIONS + 1)
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join('{"id": "p%d", "embedding": [%d.0, 1.0, 0.0]}\n' % (i, i)
+                            for i in range(n)))
+    argv = [command, "--input", str(path), "--output", str(tmp_path / "out")]
+    if k_from == "flag":
+        argv += ["--k", str(k)]
+    else:
+        world = tmp_path / "world.json"
+        world.write_text(WORLD_TEXT.replace('"K": 12', f'"K": {k}'))
+        argv += ["--world", str(world)]
+    if command == "sweep":
+        argv += ["--sweep", ",".join(["1"] * taus)]
+
+    def make_schedule(*args):
+        raise ScheduleMade(args)
+
+    monkeypatch.setattr(diffusion, "make_schedule", make_schedule)
+    if n * k * taus == MAX_EVALUATIONS:
+        with pytest.raises(ScheduleMade):
+            main(argv)
+        return
+    assert main(argv) == (2 if k_from == "flag" else 3)
+    assert f"is {MAX_EVALUATIONS + 1} baseline evaluations, above {MAX_EVALUATIONS}" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

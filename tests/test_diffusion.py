@@ -25,6 +25,7 @@ from shdiff.diffusion import (
     execute_plan,
     make_schedule,
     run_standard,
+    step_drives,
     step_table,
     world_from_json,
 )
@@ -33,6 +34,24 @@ from shdiff.errors import DataError, UsageError
 from shdiff.planner import FRESH, MAX_K, ScheduleParams, Span, compile_plan
 from shdiff.rng import TAG_CONDMAP, TAG_INIT, TAG_STEP, stream
 from shdiff.tree import build_tree
+
+
+class FixedNoise:
+    """A stand-in generator for ``step_drives`` whose standard normals are
+    the given values, in order."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64).ravel()  # a copy: draws are written to
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out, self.values = self.values[:n].reshape(shape), self.values[n:]
+        return out
+
+
+def drive_of(steps, k, mu, noise=None):
+    """Step k's drive toward mu, with the row ``noise`` for a noisy table."""
+    return next(step_drives(steps, k, k + 1, mu, None if noise is None else FixedNoise(noise)))
 
 
 def noise_forward(x0, alpha_bar_k, epsilon):
@@ -303,8 +322,8 @@ class TestDenoiseStep:
         mu = w.target_mean(y)
         start = np.linalg.norm(x - mu)
         steps = step_table(sch, w)
-        for k in range(1, 11):
-            x = denoise_step(x, k, mu, steps)
+        for k, drive in enumerate(step_drives(steps, 1, 11, mu), 1):
+            x = denoise_step(x, k, drive, steps)
         # last step has alpha_bar_prev == 1, so the point mass is hit exactly
         assert np.allclose(x, mu, atol=1e-12)
         assert np.linalg.norm(x - mu) < start
@@ -322,8 +341,9 @@ class TestDenoiseStep:
         table = det.coefficients.copy()
         table[:, Coefficients._fields.index("sigma")] = 0.0
         zero = replace(det, coefficients=table)
-        z = stream(0, 9).standard_normal(2)
-        assert np.allclose(denoise_step(x, 3, w.target_mean(y), step_table(zero, w), z), expected)
+        steps = step_table(zero, w)
+        drive = next(step_drives(steps, 3, 4, w.target_mean(y), stream(0, 9)))
+        assert np.allclose(denoise_step(x, 3, drive, steps), expected)
 
     def test_calibration_against_gaussian_target(self):
         # full deterministic runs from fresh noise land on N(mu, s^2 I)
@@ -335,10 +355,11 @@ class TestDenoiseStep:
         mu = w.target_mean(y)
         finals = np.empty((1000, m))
         steps = step_table(sch, w)
+        drives = list(step_drives(steps, 1, 101, mu))  # deterministic: one run's drives for all
         for i in range(1000):
             x = stream(123, TAG_INIT, i).standard_normal(m)
-            for k in range(1, 101):
-                x = denoise_step(x, k, mu, steps)
+            for k, drive in enumerate(drives, 1):
+                x = denoise_step(x, k, drive, steps)
             finals[i] = x
         mean_err = np.abs(finals.mean(axis=0) - mu)
         assert np.all(mean_err < 3 * s / np.sqrt(1000))
@@ -346,25 +367,33 @@ class TestDenoiseStep:
         assert np.all(np.abs(var - s ** 2) < 0.15 * s ** 2)
 
 
-# sha256 of every denoise_step output over the grid below and of
+# sha256 of every step output over the grid below, per sampler, and of
 # analytic_epsilon at every schedule alpha_bar.  The textbook step the
 # executor first shipped with gave
-# 2421bf7c910bf0799f8ff9893406fbf66f33f457b158d08190fae7c7e1ef70d5; the
-# affine step differs from it at the rounding level.
-COEFFICIENT_GRID_SHA256 = "c1cb2182972fb74cea981920d62b1507a40ecdef240862ff55d6befe2a671818"
+# 2421bf7c910bf0799f8ff9893406fbf66f33f457b158d08190fae7c7e1ef70d5 for the
+# whole grid, and the affine step of (x_scale, mu_scale, sigma) rows gave
+# c1cb2182972fb74cea981920d62b1507a40ecdef240862ff55d6befe2a671818, both
+# samplers together.  The deterministic digest was computed on that affine
+# step, x_scale x + mu_scale mu; a step x_scale x + drive keeps its bits.
+DETERMINISTIC_GRID_SHA256 = "7356fd8a85f267596e32b877f25ba37b9a75cf25bdcb6d330017ba4e69bb3686"
+# The ancestral drive mu_scale mu + sigma z joins the noise to mu's term
+# before x's; (x_scale x + mu_scale mu) + sigma z gave
+# 3a348cc5021edf77333096268965bcd44c3d319f7a8ba135dd17c2254f83cbac.
+ANCESTRAL_GRID_SHA256 = "6f842392e35285093ba78de2001614a33c797e5ea6b22696baccfa5d9810b0fe"
 # sha256 of the analytic_epsilon outputs alone, computed before the step
 # became affine, which leaves them unchanged.
 ANALYTIC_EPSILON_GRID_SHA256 = "50233d3ad03292973ffbcf674e556c6200e90b01158d99a2c39219a9b3f24727"
 
 
 def coefficient_grid_digests():
-    """The grid's digest and that of its analytic_epsilon outputs."""
-    h, h_eps = hashlib.sha256(), hashlib.sha256()
+    """The grid's deterministic and ancestral step digests and that of its
+    analytic_epsilon outputs."""
+    hashes = {DETERMINISTIC: hashlib.sha256(), ANCESTRAL: hashlib.sha256()}
+    h_eps = hashlib.sha256()
 
-    def add(out, *hashes):
-        for each in (h, *hashes):
-            each.update(out.dtype.str.encode())
-            each.update(out.tobytes())
+    def add(out, h):
+        h.update(out.dtype.str.encode())
+        h.update(out.tobytes())
 
     m = 5
     rng = np.random.default_rng(17)
@@ -381,19 +410,19 @@ def coefficient_grid_digests():
                 noise = None
                 if variant == ANCESTRAL:
                     noise = stream(23, TAG_STEP, 0, k).standard_normal(m)
-                add(denoise_step(xs[k - 1].astype(x_type), k, mus[k - 1].astype(mu_type),
-                                 steps, noise))
+                drive = drive_of(steps, k, mus[k - 1].astype(mu_type), noise)
+                add(denoise_step(xs[k - 1].astype(x_type), k, drive, steps), hashes[variant])
         for t in range(1, K + 1):
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
                 add(analytic_epsilon(world, xs[t - 1].astype(x_type),
                                      column(sch, "alpha_bar")[t].item(),
                                      mus[t - 1].astype(mu_type)), h_eps)
-    return h.hexdigest(), h_eps.hexdigest()
+    return hashes[DETERMINISTIC].hexdigest(), hashes[ANCESTRAL].hexdigest(), h_eps.hexdigest()
 
 
 class TestCoefficientTable:
     def test_outputs_pinned(self):
-        assert coefficient_grid_digests() == (COEFFICIENT_GRID_SHA256,
+        assert coefficient_grid_digests() == (DETERMINISTIC_GRID_SHA256, ANCESTRAL_GRID_SHA256,
                                               ANALYTIC_EPSILON_GRID_SHA256)
 
 
@@ -420,7 +449,8 @@ class TestStepTable:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_matches_per_call_scalars(self, case):
         k, schedule, world, x, mu, noise = case
-        got = denoise_step(x, k, mu, step_table(schedule, world), noise)
+        steps = step_table(schedule, world)
+        got = denoise_step(x, k, drive_of(steps, k, mu, noise), steps)
         want = per_call_step(x, k, mu, schedule, world, noise)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
@@ -432,7 +462,8 @@ class TestStepTable:
         # ops, by a few ulps of the largest vector involved; below the normal
         # range an ulp no longer scales, so the scale is at least 2**-1022
         k, schedule, world, x, mu, noise = case
-        got = denoise_step(x, k, mu, step_table(schedule, world), noise)
+        steps = step_table(schedule, world)
+        got = denoise_step(x, k, drive_of(steps, k, mu, noise), steps)
         want = textbook_step(x, k, mu, schedule, world, noise)
         scale = max(float(np.max(np.abs(v))) for v in (x, mu, want, np.finfo(np.float64).tiny))
         assert np.max(np.abs(got - want)) <= 2e-14 * scale
@@ -444,15 +475,14 @@ class TestStepTable:
         schedule = make_schedule(MAX_K, variant, CURVE_COSINE)
         world = ToyWorld(None, 1.0, 4)
         steps = step_table(schedule, world)
-        assert len(steps.rows) == MAX_K + 1
+        assert steps.table.shape == (MAX_K, 3) and len(steps.x_scale) == MAX_K + 1
         rng = np.random.default_rng(8)
         x = want = rng.standard_normal(4)
         mu = rng.standard_normal(4)
-        noise = [None] * (MAX_K + 1)
-        if variant == ANCESTRAL:
-            noise = rng.standard_normal((MAX_K + 1, 4))
-        for k in range(1, MAX_K + 1):
-            x = denoise_step(x, k, mu, steps, noise[k])
+        noise = rng.standard_normal((MAX_K + 1, 4))
+        drives = step_drives(steps, 1, MAX_K + 1, mu, FixedNoise(noise[1:]))
+        for k, drive in enumerate(drives, 1):  # blocks of 2**14 rows
+            x = denoise_step(x, k, drive, steps)
             want = textbook_step(want, k, mu, schedule, world, noise[k])
         assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -463,12 +493,20 @@ class TestStepTable:
         with pytest.raises(UsageError, match=f"step {k} outside 1..8"):
             denoise_step(np.zeros(2), k, np.zeros(2), steps)
 
+    @pytest.mark.parametrize("start, stop", [(0, 3), (2, 10), (5, 4)])
+    def test_drives_outside_schedule(self, start, stop):
+        steps = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), ToyWorld(None, 1.0, 2))
+        with pytest.raises(UsageError, match=f"steps {start}..{stop - 1} outside 1..8"):
+            step_drives(steps, start, stop, np.zeros(2))
+
     def test_ancestral_step_needs_noise(self):
         steps = step_table(make_schedule(8, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(UsageError, match="needs noise"):
-            denoise_step(np.zeros(2), 1, np.zeros(2), steps)
-        assert steps.rows[8].sigma is None  # the last step adds no noise, so it needs none
-        assert np.all(np.isfinite(denoise_step(np.zeros(2), 8, np.zeros(2), steps)))
+            step_drives(steps, 1, 9, np.zeros(2))
+        # a deterministic table draws nothing from a generator it is given
+        det = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), ToyWorld(None, 1.0, 2))
+        noise = FixedNoise([])
+        assert len(list(step_drives(det, 1, 9, np.ones(2), noise))) == 8
 
     def test_alpha_bar_checked_when_built(self):
         sch = make_schedule(8, DETERMINISTIC, CURVE_COSINE)
@@ -480,9 +518,13 @@ class TestStepTable:
     def test_scalars_are_read_only(self):
         steps = step_table(make_schedule(4, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         with pytest.raises(ValueError):
-            steps.rows[2].x_scale[()] = 0.0
-        for scalar in steps.rows[2]:
+            steps.table[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            steps.x_scale[2][()] = 0.0
+        assert steps.x_scale[0] is None
+        for k, scalar in enumerate(steps.x_scale[1:], 1):
             assert scalar.shape == () and not scalar.flags.writeable
+            assert np.shares_memory(scalar, steps.table) and scalar == steps.table[k - 1, 0]
 
 
 def toy_setup(clusters=2, per_cluster=3, d=8, jitter=0.15, seed=0, K=12,
@@ -551,18 +593,24 @@ class TestExecutePlan:
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1e9])
     def test_denoiser_runs_once_per_planned_evaluation(self, monkeypatch, variant, tau):
         # as the benchmark's traced check: count every denoise_step call and
-        # name its node by mu, which is the node's mean under the identity map
+        # name its node by the last target mean taken, which a span takes
+        # once, before its steps
         ps, tree, world, sch, plan = toy_setup(K=15, tau=tau, variant=variant, jitter=0.3)
         node_of = {tree.means[n].tobytes(): n for n in range(len(tree))}
         assert len(node_of) == len(tree)  # every node's mean tells it apart
-        calls = []
-        real_step = diffusion.denoise_step
+        calls, node = [], []
+        real_step, real_mean = diffusion.denoise_step, ToyWorld.target_mean
 
-        def counted(x_k, k, mu, *rest):
-            calls.append((node_of[mu.tobytes()], k))
-            return real_step(x_k, k, mu, *rest)
+        def counted(x_k, k, *rest):
+            calls.append((node[-1], k))
+            return real_step(x_k, k, *rest)
+
+        def target_mean(self, condition):
+            node.append(node_of[condition.tobytes()])
+            return real_mean(self, condition)
 
         monkeypatch.setattr(diffusion, "denoise_step", counted)
+        monkeypatch.setattr(ToyWorld, "target_mean", target_mean)
         res = execute_plan(plan, tree, world, sch, master_seed=5)
         planned = sorted((n, step.k) for step in plan.steps for n in step.active)
         assert sorted(calls) == planned
@@ -596,14 +644,16 @@ class TestExecutePlan:
         monkeypatch.setattr(diffusion, "stream", counting)
         execute_plan(plan, tree, world, sch, master_seed=0)
         assert plan.total_evaluations > len(ps)
-        assert calls == []  # every row comes from rng.normal_rows
+        assert calls == []  # rows come from rng.normal_rows and rng.keyed_generators
 
     @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1e9])
     @pytest.mark.parametrize("rows", ["distinct", "duplicate"])
     def test_noise_rows_drawn_once_per_use(self, monkeypatch, variant, tau, rows):
-        # one initial row per fresh span and, for ancestral steps, one noise
-        # row per evaluation: never a row too many or too few
+        # one initial row per fresh span and, for ancestral steps, one stream
+        # per span, keyed (seed, node, start) just before the span's steps
+        # and read for exactly one row per step: never a row too many or too
+        # few, and no step noise at all in a deterministic run
         if rows == "distinct":
             ps, tree, world, sch, plan = toy_setup(K=15, tau=tau, variant=variant)
         else:  # duplicate rows give zero-score nodes, so a leaf may hold no span
@@ -613,27 +663,48 @@ class TestExecutePlan:
             world = ToyWorld(np.eye(4), 0.5)
             sch = make_schedule(15, variant, CURVE_COSINE)
             plan = compile_plan(tree, ScheduleParams(K=15, tau=tau))
-        drawn = {TAG_INIT: 0, TAG_STEP: 0}
-        calls = []
-        real_rows, real_step = diffusion.normal_rows, diffusion.denoise_step
+        init_rows, keys, drawn, calls = [], [], [], []
+        real_rows, real_keyed = diffusion.normal_rows, diffusion.keyed_generators
+        real_step = diffusion.denoise_step
 
         def counted_rows(m, seed, tag, *parts):
+            assert tag == TAG_INIT
             for row in real_rows(m, seed, tag, *parts):
-                drawn[tag] += 1
+                init_rows.append(row)
                 yield row
 
-        def counted_step(x_k, k, mu, steps, noise=None):
-            calls.append(k)  # each step's row is drawn just before it, never earlier
-            assert drawn[TAG_STEP] == (len(calls) if variant == ANCESTRAL else 0)
-            return real_step(x_k, k, mu, steps, noise)
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, shape):
+                drawn.append(shape[0])  # rows of the span just keyed
+                return self.gen.standard_normal(shape)
+
+        def counted_keyed(seed, tag, nodes, starts):
+            assert (seed, tag) == (3, TAG_STEP)
+            for key, gen in zip(zip(nodes, starts), real_keyed(seed, tag, nodes, starts)):
+                keys.append(key)
+                assert sum(drawn) == len(calls)  # the last span's rows are all used
+                yield Counted(gen)
+
+        def counted_step(x_k, k, drive, steps):
+            calls.append(k)
+            assert sum(drawn) >= len(calls) if variant == ANCESTRAL else drawn == []
+            return real_step(x_k, k, drive, steps)
 
         monkeypatch.setattr(diffusion, "normal_rows", counted_rows)
+        monkeypatch.setattr(diffusion, "keyed_generators", counted_keyed)
         monkeypatch.setattr(diffusion, "denoise_step", counted_step)
         execute_plan(plan, tree, world, sch, master_seed=3)
         fresh = sum(span.source == FRESH for span in plan.spans.values())
         assert len(calls) == plan.total_evaluations
-        assert drawn == {TAG_INIT: fresh,
-                         TAG_STEP: plan.total_evaluations if variant == ANCESTRAL else 0}
+        assert len(init_rows) == fresh
+        if variant == ANCESTRAL:
+            assert keys == [(node, span.start) for node, span in plan.spans.items()]
+            assert sum(drawn) == plan.total_evaluations
+        else:
+            assert keys == [] and drawn == []
 
     def test_target_mean_once_per_active_node(self, monkeypatch):
         ps, tree, world, sch, plan = toy_setup(clusters=3, jitter=0.05, map_seed=3)
@@ -660,14 +731,49 @@ class TestExecutePlan:
         for pid in ps.ids:
             assert np.array_equal(a.outputs[pid].sample, b.outputs[pid].sample)
 
+    @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
+    def test_drive_blocks_do_not_change_samples(self, monkeypatch, variant):
+        # blocks of 1 row, 3 rows and the default give the same bits, in the
+        # executor (spans of 1 to 6 steps) and in run_standard (15 steps)
+        ps, tree, world, sch, plan = toy_setup(K=15, jitter=0.3, variant=variant)
+        assert {s.stop - s.start for s in plan.spans.values()} == set(range(1, 7))
+        assert 15 * world.data_dimension <= diffusion._BLOCK_VALUES
+        samples = []
+        for rows in (1, 3, None):
+            if rows is not None:
+                monkeypatch.setattr(diffusion, "_BLOCK_VALUES", rows * world.data_dimension)
+            runs = (execute_plan(plan, tree, world, sch, master_seed=4),
+                    run_standard(tree, world, sch, master_seed=4))
+            samples.append([run.outputs[pid].sample.tobytes() for run in runs for pid in ps.ids])
+        assert samples[0] == samples[1] == samples[2]
+
+    def test_long_span_memory_bounded(self):
+        # two prompts at tau 0 are two 20,000-step spans of 512-vectors: the
+        # drives and noise are made a block at a time, never a K-long array
+        # (2 x 20,000 x 512 float64s are 78 MiB)
+        ps = generate_synthetic(1, 2, 512, 0.1, seed=0)
+        tree = build_tree(ps)
+        world = ToyWorld.create(512, 512, 1.0)
+        sch = make_schedule(20_000, ANCESTRAL, CURVE_COSINE)
+        plan = compile_plan(tree, ScheduleParams(K=20_000, tau=0.0))
+        tracemalloc.start()
+        try:
+            res = execute_plan(plan, tree, world, sch, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.denoiser_calls == 40_000
+        assert peak < 16 * 2**20
+
     def test_mean_embedding_semantics(self):
         # fully denoising under an internal node lands on A * (node mean)
         ps, tree, world, sch, _ = toy_setup(std=0.0, jitter=0.3)
         internal = tree.root
         x = stream(0, TAG_INIT, internal).standard_normal(world.data_dimension)
         steps = step_table(sch, world)
-        for k in range(1, sch.K + 1):
-            x = denoise_step(x, k, world.target_mean(tree.means[internal]), steps)
+        drives = step_drives(steps, 1, sch.K + 1, world.target_mean(tree.means[internal]))
+        for k, drive in enumerate(drives, 1):
+            x = denoise_step(x, k, drive, steps)
         assert np.allclose(x, world.target_mean(tree.means[internal]), atol=1e-6)
 
     def test_plan_schedule_mismatch(self):

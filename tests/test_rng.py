@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shdiff import rng
-from shdiff.rng import TAG_INIT, TAG_SAMPLE, TAG_STEP, normal_rows, stream, stream_keys
+from shdiff.rng import (TAG_INIT, TAG_SAMPLE, TAG_STEP, keyed_generators, normal_rows, stream,
+                        stream_keys)
 
 # Keys pinned from the pure-Python splitmix64 chain the package first shipped
 # with; every stored seed and sample depends on them.
@@ -92,17 +93,31 @@ def test_normal_rows_empty_batch():
     assert list(normal_rows(8, 3, TAG_INIT, [])) == []
 
 
+def test_keyed_generators_equal_fresh_streams(monkeypatch):
+    # a stream is read in several draws of any shape, then the next key
+    # restarts the one generator; key chunks of 2 make the keys cross two
+    # chunk boundaries
+    monkeypatch.setattr(rng, "_CHUNK", 2)
+    seed, nodes, starts = 2**64 - 7, [3, 2**63 + 1, 0, 7, 3], [1, 5, 5, 200, 2]
+    gens = keyed_generators(seed, TAG_STEP, nodes, starts)
+    for node, start, gen in zip(nodes, starts, gens, strict=True):
+        want = stream(seed, TAG_STEP, node, start).standard_normal(7 * 3)
+        got = np.concatenate([gen.standard_normal(3), gen.standard_normal((2, 3)).ravel(),
+                              gen.standard_normal((4, 3)).ravel()])
+        assert np.array_equal(got, want)
+    assert list(keyed_generators(seed, TAG_STEP, [], [])) == []
+
+
 def test_interleaved_normal_rows_keep_their_own_streams():
     # read as execute_plan reads them: a span's initial row, held while the
-    # span's step rows are drawn, then the next span's
+    # span's step rows are drawn from its stream, then the next span's
     seed, m = 2**63 + 11, 16
-    nodes, ks = np.array([5, 2**63 + 1, 0, 7], dtype=np.uint64), [1, 2, 3]
+    nodes, start = np.array([5, 2**63 + 1, 0, 7], dtype=np.uint64), 2
     init_rows = normal_rows(m, seed, TAG_INIT, nodes)
-    step_rows = normal_rows(m, seed, TAG_STEP, np.repeat(nodes, 3), np.tile(ks, nodes.size))
-    for node in nodes.tolist():
+    step_streams = keyed_generators(seed, TAG_STEP, nodes, start)
+    for node, gen in zip(nodes.tolist(), step_streams):
         x = next(init_rows)
-        for k, noise in zip(ks, step_rows):
-            assert np.array_equal(noise, stream(seed, TAG_STEP, node, k).standard_normal(m))
-            assert not np.shares_memory(noise, x)
+        noise = np.concatenate([gen.standard_normal((1, m)), gen.standard_normal((2, m))])
+        assert np.array_equal(noise, stream(seed, TAG_STEP, node, start).standard_normal((3, m)))
         assert np.array_equal(x, stream(seed, TAG_INIT, node).standard_normal(m))
-    assert next(init_rows, None) is None and next(step_rows, None) is None
+    assert next(init_rows, None) is None and next(step_streams, None) is None
