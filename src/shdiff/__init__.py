@@ -17,7 +17,6 @@ from .diffusion import (
     execute_plan,
     make_schedule,
     run_standard,
-    step_drives,
     step_table,
 )
 from .embeddings import (

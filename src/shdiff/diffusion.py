@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 
@@ -167,7 +166,9 @@ class StepTable:
     plan step k's (x_scale, mu_scale, sigma).  Step k maps x_k to
     x_scale * x_k + drive, where the drive toward a target mean mu is
     mu_scale * mu, plus sigma * z_k when the table is ``noisy`` (the
-    ancestral sampler) and z_k is the step's standard-normal row.
+    ancestral sampler) and z_k is the step's standard-normal row: the
+    executor makes a span's drives from blocks of rows, ``run_standard``
+    each step's from its own row.
 
     ``x_scale[k]`` is step k's x_scale as a read-only 0-d float64 view of
     the table, and ``x_scale[0]`` is None.  A 0-d float64 operand gives the
@@ -218,44 +219,31 @@ def step_table(schedule: NoiseSchedule, world: ToyWorld) -> StepTable:
 _BLOCK_VALUES = 2**16
 
 
-def step_drives(steps: StepTable, start: int, stop: int, mu: np.ndarray,
-                noise: np.random.Generator | None = None) -> Iterator[np.ndarray]:
-    """Iterate over the drive of each step k = start..stop-1 of one run
-    toward the target mean mu: mu_scale * mu, plus sigma * z_k for a noisy
-    table, where z_start, z_start+1, ... are the run's rows of len(mu)
-    standard normals, drawn from ``noise`` in step order.  A table that is
-    not noisy draws nothing.
-
-    The rows are made a block at a time with whole-block ops on the table's
-    columns; an element has the bits of the per-step scalar expression, and
-    a stream's rows are the same however the blocks split them.
-    """
-    if not 0 < start <= stop <= steps.K + 1:
-        raise UsageError(f"steps {start}..{stop - 1} outside 1..{steps.K}")
-    if steps.noisy and noise is None:
-        raise UsageError("ancestral step needs noise")
+def _run_span(x: np.ndarray, start: int, stop: int, mu: np.ndarray, steps: StepTable,
+              noise: np.random.Generator | None) -> np.ndarray:
+    """x after steps k = start..stop-1 of one run toward the target mean mu,
+    one ``denoise_step`` call each.  The drives, mu_scale * mu plus, for a
+    noisy table, sigma * z_k with z_start, ... the run's rows drawn from
+    ``noise`` in step order, are made a block at a time by whole-block ops
+    on the table's columns: each has the bits of the per-step expression,
+    and the rows are the same however the blocks split them."""
     rows = max(1, _BLOCK_VALUES // mu.shape[0])
-    return chain.from_iterable(_drive_block(steps.table[first - 1:min(first + rows, stop) - 1],
-                                            mu, noise if steps.noisy else None)
-                               for first in range(start, stop, rows))
-
-
-def _drive_block(scalars: np.ndarray, mu: np.ndarray,
-                 noise: np.random.Generator | None) -> np.ndarray:
-    """The drives of the steps whose (x_scale, mu_scale, sigma) rows are
-    ``scalars``, one row each."""
-    block = scalars[:, 1:2] * mu
-    if noise is not None:
-        z = noise.standard_normal(block.shape)
-        z *= scalars[:, 2:3]
-        block += z
-    return block
+    for first in range(start, stop, rows):
+        scalars = steps.table[first - 1:min(first + rows, stop) - 1]
+        drives = scalars[:, 1:2] * mu
+        if steps.noisy:
+            z = noise.standard_normal(drives.shape)
+            z *= scalars[:, 2:3]
+            drives += z
+        for k, drive in enumerate(drives, first):
+            x = denoise_step(x, k, drive, steps)
+    return x
 
 
 def denoise_step(x_k: np.ndarray, k: int, drive: np.ndarray, steps: StepTable) -> np.ndarray:
     """One reverse update at plan step k (1..K, noise-to-clean order):
-    x_scale * x_k + drive, with step k's x_scale from ``steps`` and its
-    drive from ``step_drives``."""
+    x_scale * x_k + drive, with step k's x_scale from ``steps`` and the
+    drive mu_scale * mu, plus sigma * z_k for a noisy table."""
     if not 0 < k <= steps.K:
         raise UsageError(f"step {k} outside 1..{steps.K}")
     # The result is float64 for float32 x_k too: under NEP 50 a 0-d float64
@@ -317,8 +305,6 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     steps = step_table(schedule, world)
     m = world.data_dimension
     spans = plan.spans
-    # Each row is read by its span's first step, which returns a new array,
-    # before the next row overwrites it: a planned span holds at least one step.
     init_rows = normal_rows(m, master_seed, TAG_INIT,
                             [node for node, span in spans.items() if span.source == FRESH])
     noise = repeat(None)  # deterministic steps take no noise
@@ -330,10 +316,8 @@ def execute_plan(plan: SharePlan, tree: EmbeddingTree, world: ToyWorld,
     # spans come first: zip stops on them without keying a stream past the last
     for (node, (start, stop, source)), span_noise in zip(spans.items(), noise):
         x = next(init_rows) if source == FRESH else final[source]
-        mu = world.target_mean(tree.means[node])
-        for k, drive in enumerate(step_drives(steps, start, stop, mu, span_noise), start):
-            x = denoise_step(x, k, drive, steps)
-        final[node] = x
+        final[node] = _run_span(x, start, stop, world.target_mean(tree.means[node]), steps,
+                                span_noise)
         calls += stop - start
     outputs = {pid: GenerationOutput(final[path[-1]],
                                      tuple((n, spans[n].stop - spans[n].start) for n in path))
@@ -346,6 +330,8 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
     """Independent per-prompt diffusion, keyed by each prompt's leaf node:
     its initial row from the stream (seed, leaf) and its ancestral step rows
     from the stream (seed, leaf, 1), the keys of a tau=0 plan's one span.
+    Each step forms its own drive and draws its own noise row, so this
+    oracle shares no block code with ``execute_plan``.
 
     With max_steps < K this is truncated standard diffusion: only the first
     max_steps updates of the K-step schedule run and the partially denoised
@@ -355,17 +341,18 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
     m = world.data_dimension
     k_stop = schedule.K if max_steps is None else min(max_steps, schedule.K)
     outputs = {}
-    calls = 0
     for pid in sorted(tree.leaf_of):
         leaf = tree.leaf_of[pid]
         x = stream(master_seed, TAG_INIT, leaf).standard_normal(m)
         mu = world.target_mean(tree.means[leaf])
         noise = stream(master_seed, TAG_STEP, leaf, 1) if steps.noisy else None
-        for k, drive in enumerate(step_drives(steps, 1, k_stop + 1, mu, noise), 1):
+        for k, (mu_scale, sigma) in enumerate(steps.table[:k_stop, 1:].tolist(), 1):
+            drive = mu_scale * mu
+            if noise is not None:
+                drive += sigma * noise.standard_normal(m)
             x = denoise_step(x, k, drive, steps)
-            calls += 1
         outputs[pid] = GenerationOutput(x, ((leaf, k_stop),))
-    return ExecutionResult(outputs=outputs, denoiser_calls=calls)
+    return ExecutionResult(outputs=outputs, denoiser_calls=len(outputs) * k_stop)
 
 
 # Largest data dimension a world file may ask for.  A seeded map holds

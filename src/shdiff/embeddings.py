@@ -30,6 +30,13 @@ BINARY_VERSION = 1
 # machine); 2**16 prompts would need a 32 GiB matrix.
 MAX_PROMPTS = 2**13
 
+# Largest tree work N^2 d, for N prompts of dimension d: a build costs
+# O(N^2 d), and at the bound `shdiff tree` took 19.5 s at N=8,192, d=64 and
+# 15.5 s at N=1,024, d=4,096 (11.1 s with a 220 MB peak RSS re-measured),
+# against 101 s at N=2,048, d=4,096, four times the bound (Python 3.11,
+# numpy 2.4, a shared 2-core machine).
+MAX_TREE_WORK = 2**32
+
 
 def all_finite(values: np.ndarray) -> bool:
     """True if every entry of a float32 array is finite, found by one float64
@@ -337,6 +344,9 @@ def _load_jsonl(path: str) -> PromptSet:
             if len(ids) == MAX_PROMPTS:  # before parsing: the rest of the file is never read
                 raise DataError(
                     f"{path}:{lineno}: prompt set holds more than {MAX_PROMPTS} prompts")
+            if dim is not None and (len(ids) + 1) ** 2 * dim > MAX_TREE_WORK:
+                raise DataError(f"{path}:{lineno}: {len(ids) + 1} prompts of dimension {dim} "
+                                f"are more tree work than N^2 d = {MAX_TREE_WORK}")
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -389,6 +399,9 @@ def _load_binary(path: str, f: BinaryIO) -> PromptSet:
         raise DataError(f"{path}: dimension 0")
     if n > MAX_PROMPTS:  # before the payload is read
         raise DataError(f"{path}: prompt set holds {n} prompts, more than {MAX_PROMPTS}")
+    if n * n * d > MAX_TREE_WORK:
+        raise DataError(f"{path}: {n} prompts of dimension {d} are more tree work than "
+                        f"N^2 d = {MAX_TREE_WORK}")
     payload = f.read()
     expected = n * d * 4
     if len(payload) != expected:

@@ -75,9 +75,6 @@ def stream(*parts: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-_CHUNK = 4096  # keys turned into Python ints at a time, never a whole batch
-
-
 def keyed_generators(*parts) -> Iterator[np.random.Generator]:
     """Yield a generator at the start of each stream ``stream_keys(*parts)``
     keys, in C order of the broadcast shape; each draws what
@@ -86,7 +83,7 @@ def keyed_generators(*parts) -> Iterator[np.random.Generator]:
     It is one generator, re-keyed for each stream, so a stream can be drawn
     from only until the next one is taken.
     """
-    lo, hi = (np.ravel(words) for words in stream_keys(*parts))
+    lo, hi = (np.ravel(words).tolist() for words in stream_keys(*parts))
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # Philox's whole state is its key and counter.  Assigning this dict,
@@ -96,21 +93,16 @@ def keyed_generators(*parts) -> Iterator[np.random.Generator]:
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     inner = state["state"]
-    for i in range(0, lo.size, _CHUNK):
-        for key in zip(lo[i:i + _CHUNK].tolist(), hi[i:i + _CHUNK].tolist()):
-            inner["key"] = key
-            bitgen.state = state
-            yield gen
+    for key in zip(lo, hi):
+        inner["key"] = key
+        bitgen.state = state
+        yield gen
 
 
 def normal_rows(m: int, *parts) -> Iterator[np.ndarray]:
     """Yield the first m standard normals of each stream ``stream_keys(*parts)``
     keys, in C order of the broadcast shape; each row has the bits of
     ``stream(...).standard_normal(m)`` on that stream's int parts.
-
-    Every row is drawn into one float64 buffer of m entries, which is what
-    is yielded, so a row is valid only until the next one is drawn.
     """
-    buf = np.empty(m)
     for gen in keyed_generators(*parts):
-        yield gen.standard_normal(out=buf)
+        yield gen.standard_normal(m)

@@ -12,15 +12,16 @@ under test, and no module of the package imports this one:
   ``mc_epsilon_regression`` estimates the same quantity by Monte Carlo;
 - ``textbook_step`` is one reverse step written as the samplers define it
   (posterior mean, then eps_hat, then the DDIM or ancestral update), for
-  the affine update of ``diffusion.step_drives`` and ``denoise_step``;
+  the affine update of ``diffusion._run_span`` and ``denoise_step``;
 - ``per_call_step`` is one step with its three scalars derived per call as
-  Python floats, for ``diffusion.step_table``, ``step_drives`` and
+  Python floats, for ``diffusion.step_table``, ``_run_span`` and
   ``denoise_step``;
 - ``replay_trace`` reruns one prompt's trace alone, for
   ``diffusion.execute_plan``.
 
 ``diffusion.run_standard`` stays in the package: the benchmark's oracle
-calls it.
+calls it.  It steps each prompt one row at a time and shares no block code
+with ``execute_plan``, which it checks at tau=0.
 """
 
 import math

@@ -14,16 +14,15 @@ from conftest import manual_tree, seeded_world
 from oracles import (analytic_epsilon, mc_epsilon_regression, path_to_root,
                      reference_build_tree, replay_trace, same_tree, select_node)
 
+from shdiff import diffusion
 from shdiff.diffusion import (
     ANCESTRAL,
     CURVE_COSINE,
     DETERMINISTIC,
     ToyWorld,
-    denoise_step,
     execute_plan,
     make_schedule,
     run_standard,
-    step_drives,
     step_table,
 )
 from shdiff.embeddings import PromptSet, generate_synthetic
@@ -166,12 +165,9 @@ def test_06_sampler_calibration_against_gaussian_target():
     runs = 1000
     finals = np.empty((runs, m))
     steps = step_table(sch, world)
-    drives = list(step_drives(steps, 1, sch.K + 1, mu))  # deterministic: the same for every run
     for i in range(runs):
-        x = stream(123, TAG_INIT, i).standard_normal(m)
-        for k, drive in enumerate(drives, 1):
-            x = denoise_step(x, k, drive, steps)
-        finals[i] = x
+        finals[i] = diffusion._run_span(stream(123, TAG_INIT, i).standard_normal(m), 1,
+                                        sch.K + 1, mu, steps, None)
     mean_err = np.max(np.abs(finals.mean(axis=0) - mu))
     var_err = np.max(np.abs(finals.var(axis=0) - s**2)) / s**2
     ok = mean_err < 3 * s / np.sqrt(runs) and var_err < 0.15

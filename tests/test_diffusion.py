@@ -25,7 +25,6 @@ from shdiff.diffusion import (
     execute_plan,
     make_schedule,
     run_standard,
-    step_drives,
     step_table,
     world_from_json,
 )
@@ -37,8 +36,8 @@ from shdiff.tree import build_tree
 
 
 class FixedNoise:
-    """A stand-in generator for ``step_drives`` whose standard normals are
-    the given values, in order."""
+    """A stand-in generator for ``diffusion._run_span`` whose standard
+    normals are the given values, in order."""
 
     def __init__(self, values):
         self.values = np.array(values, dtype=np.float64).ravel()  # a copy: draws are written to
@@ -49,9 +48,11 @@ class FixedNoise:
         return out
 
 
-def drive_of(steps, k, mu, noise=None):
-    """Step k's drive toward mu, with the row ``noise`` for a noisy table."""
-    return next(step_drives(steps, k, k + 1, mu, None if noise is None else FixedNoise(noise)))
+def one_step(x, k, mu, steps, noise=None):
+    """x after step k alone toward mu, with the row ``noise`` for a noisy
+    table."""
+    return diffusion._run_span(x, k, k + 1, mu, steps,
+                               None if noise is None else FixedNoise(noise))
 
 
 def noise_forward(x0, alpha_bar_k, epsilon):
@@ -321,9 +322,7 @@ class TestDenoiseStep:
         x = np.array([8.0, -5.0])
         mu = w.target_mean(y)
         start = np.linalg.norm(x - mu)
-        steps = step_table(sch, w)
-        for k, drive in enumerate(step_drives(steps, 1, 11, mu), 1):
-            x = denoise_step(x, k, drive, steps)
+        x = diffusion._run_span(x, 1, 11, mu, step_table(sch, w), None)
         # last step has alpha_bar_prev == 1, so the point mass is hit exactly
         assert np.allclose(x, mu, atol=1e-12)
         assert np.linalg.norm(x - mu) < start
@@ -342,8 +341,8 @@ class TestDenoiseStep:
         table[:, Coefficients._fields.index("sigma")] = 0.0
         zero = replace(det, coefficients=table)
         steps = step_table(zero, w)
-        drive = next(step_drives(steps, 3, 4, w.target_mean(y), stream(0, 9)))
-        assert np.allclose(denoise_step(x, 3, drive, steps), expected)
+        assert np.allclose(diffusion._run_span(x, 3, 4, w.target_mean(y), steps, stream(0, 9)),
+                           expected)
 
     def test_calibration_against_gaussian_target(self):
         # full deterministic runs from fresh noise land on N(mu, s^2 I)
@@ -355,12 +354,9 @@ class TestDenoiseStep:
         mu = w.target_mean(y)
         finals = np.empty((1000, m))
         steps = step_table(sch, w)
-        drives = list(step_drives(steps, 1, 101, mu))  # deterministic: one run's drives for all
         for i in range(1000):
-            x = stream(123, TAG_INIT, i).standard_normal(m)
-            for k, drive in enumerate(drives, 1):
-                x = denoise_step(x, k, drive, steps)
-            finals[i] = x
+            finals[i] = diffusion._run_span(stream(123, TAG_INIT, i).standard_normal(m), 1, 101,
+                                            mu, steps, None)
         mean_err = np.abs(finals.mean(axis=0) - mu)
         assert np.all(mean_err < 3 * s / np.sqrt(1000))
         var = finals.var(axis=0)
@@ -410,8 +406,8 @@ def coefficient_grid_digests():
                 noise = None
                 if variant == ANCESTRAL:
                     noise = stream(23, TAG_STEP, 0, k).standard_normal(m)
-                drive = drive_of(steps, k, mus[k - 1].astype(mu_type), noise)
-                add(denoise_step(xs[k - 1].astype(x_type), k, drive, steps), hashes[variant])
+                add(one_step(xs[k - 1].astype(x_type), k, mus[k - 1].astype(mu_type), steps,
+                             noise), hashes[variant])
         for t in range(1, K + 1):
             for x_type, mu_type in itertools.product((np.float64, np.float32), repeat=2):
                 add(analytic_epsilon(world, xs[t - 1].astype(x_type),
@@ -450,7 +446,7 @@ class TestStepTable:
     def test_matches_per_call_scalars(self, case):
         k, schedule, world, x, mu, noise = case
         steps = step_table(schedule, world)
-        got = denoise_step(x, k, drive_of(steps, k, mu, noise), steps)
+        got = one_step(x, k, mu, steps, noise)
         want = per_call_step(x, k, mu, schedule, world, noise)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
@@ -463,7 +459,7 @@ class TestStepTable:
         # range an ulp no longer scales, so the scale is at least 2**-1022
         k, schedule, world, x, mu, noise = case
         steps = step_table(schedule, world)
-        got = denoise_step(x, k, drive_of(steps, k, mu, noise), steps)
+        got = one_step(x, k, mu, steps, noise)
         want = textbook_step(x, k, mu, schedule, world, noise)
         scale = max(float(np.max(np.abs(v))) for v in (x, mu, want, np.finfo(np.float64).tiny))
         assert np.max(np.abs(got - want)) <= 2e-14 * scale
@@ -480,9 +476,9 @@ class TestStepTable:
         x = want = rng.standard_normal(4)
         mu = rng.standard_normal(4)
         noise = rng.standard_normal((MAX_K + 1, 4))
-        drives = step_drives(steps, 1, MAX_K + 1, mu, FixedNoise(noise[1:]))
-        for k, drive in enumerate(drives, 1):  # blocks of 2**14 rows
-            x = denoise_step(x, k, drive, steps)
+        # blocks of 2**14 rows
+        x = diffusion._run_span(x, 1, MAX_K + 1, mu, steps, FixedNoise(noise[1:]))
+        for k in range(1, MAX_K + 1):
             want = textbook_step(want, k, mu, schedule, world, noise[k])
         assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -493,20 +489,17 @@ class TestStepTable:
         with pytest.raises(UsageError, match=f"step {k} outside 1..8"):
             denoise_step(np.zeros(2), k, np.zeros(2), steps)
 
-    @pytest.mark.parametrize("start, stop", [(0, 3), (2, 10), (5, 4)])
-    def test_drives_outside_schedule(self, start, stop):
-        steps = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), ToyWorld(None, 1.0, 2))
-        with pytest.raises(UsageError, match=f"steps {start}..{stop - 1} outside 1..8"):
-            step_drives(steps, start, stop, np.zeros(2))
-
     def test_ancestral_step_needs_noise(self):
+        # an ancestral table draws one noise row per step, the sigma = 0
+        # last step included; a deterministic table draws nothing from a
+        # generator it is given
         steps = step_table(make_schedule(8, ANCESTRAL, CURVE_COSINE), ToyWorld(None, 1.0, 2))
-        with pytest.raises(UsageError, match="needs noise"):
-            step_drives(steps, 1, 9, np.zeros(2))
-        # a deterministic table draws nothing from a generator it is given
+        noise = FixedNoise(np.ones(16))
+        diffusion._run_span(np.zeros(2), 1, 9, np.ones(2), steps, noise)
+        assert noise.values.size == 0
         det = step_table(make_schedule(8, DETERMINISTIC, CURVE_COSINE), ToyWorld(None, 1.0, 2))
         noise = FixedNoise([])
-        assert len(list(step_drives(det, 1, 9, np.ones(2), noise))) == 8
+        assert diffusion._run_span(np.zeros(2), 1, 9, np.ones(2), det, noise).shape == (2,)
 
     def test_alpha_bar_checked_when_built(self):
         sch = make_schedule(8, DETERMINISTIC, CURVE_COSINE)
@@ -550,6 +543,23 @@ class TestExecutePlan:
             std = run_standard(tree, world, sch, master_seed=5)
             for pid in ps.ids:
                 assert np.array_equal(hier.outputs[pid].sample, std.outputs[pid].sample)
+
+    @pytest.mark.parametrize("variant", [DETERMINISTIC, ANCESTRAL])
+    def test_tau_zero_oracle_runs_no_span_code(self, monkeypatch, variant):
+        # run_standard steps on its own: with the executor's span loop
+        # broken it still gives the samples the executor gave
+        ps, tree, world, sch, plan = toy_setup(tau=0.0, variant=variant, map_seed=3)
+        hier = execute_plan(plan, tree, world, sch, master_seed=5)
+
+        def broken(*args):
+            raise AssertionError("run_standard called the span loop")
+
+        monkeypatch.setattr(diffusion, "_run_span", broken)
+        with pytest.raises(AssertionError, match="span loop"):
+            execute_plan(plan, tree, world, sch, master_seed=5)
+        std = run_standard(tree, world, sch, master_seed=5)
+        for pid in ps.ids:
+            assert np.array_equal(hier.outputs[pid].sample, std.outputs[pid].sample)
 
     def test_duplicated_prompts_identical_outputs(self):
         n = 6
@@ -770,10 +780,8 @@ class TestExecutePlan:
         ps, tree, world, sch, _ = toy_setup(std=0.0, jitter=0.3)
         internal = tree.root
         x = stream(0, TAG_INIT, internal).standard_normal(world.data_dimension)
-        steps = step_table(sch, world)
-        drives = step_drives(steps, 1, sch.K + 1, world.target_mean(tree.means[internal]))
-        for k, drive in enumerate(drives, 1):
-            x = denoise_step(x, k, drive, steps)
+        x = diffusion._run_span(x, 1, sch.K + 1, world.target_mean(tree.means[internal]),
+                                step_table(sch, world), None)
         assert np.allclose(x, world.target_mean(tree.means[internal]), atol=1e-6)
 
     def test_plan_schedule_mismatch(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shdiff.embeddings import (
     MAX_PROMPTS,
+    MAX_TREE_WORK,
     TEXT_BLOCK_VALUES,
     PromptSet,
     float32_rows_text,
@@ -326,6 +327,36 @@ class TestIO:
             finally:
                 tracemalloc.stop()
             assert peak < 2**22, n
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_tree_work_cap_files(self, tmp_path, fmt):
+        # at d=65 the bound admits at most 8,128 prompts, fewer than
+        # MAX_PROMPTS: one more is rejected, the JSONL file before its last
+        # line is parsed and the SHDF file at its header
+        path, d = tmp_path / "work", 65
+        assert 8128**2 * d <= MAX_TREE_WORK < 8129**2 * d and 8129 < MAX_PROMPTS
+        for n in (8128, 8129):
+            if fmt == "binary":
+                path.write_bytes(b"SHDF\x01\x00" + n.to_bytes(8, "little")
+                                 + d.to_bytes(4, "little") + np.ones(n * d, dtype="<f4").tobytes())
+            else:
+                record = '{"id": %d, "embedding": [' + ",".join("1" * d) + "]}\n"
+                path.write_text("".join(record % i for i in range(n)))
+            tracemalloc.start()
+            try:
+                if n == 8128:
+                    assert load_prompt_set(str(path)).embeddings.shape == (n, d)
+                else:
+                    where = "work" if fmt == "binary" else "work:8129"
+                    with pytest.raises(DataError, match=rf"{where}: 8129 prompts of dimension 65 "
+                                       rf"are more tree work than N\^2 d = {MAX_TREE_WORK}$"):
+                        load_prompt_set(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # far below the 504 MiB of one 8,128 x 8,128 float64 matrix, and
+            # nothing of the rejected SHDF payload is read
+            assert peak < (2**16 if fmt == "binary" and n > 8128 else 2**24), n
 
 
 def _dumps_rows(rows):

@@ -1,6 +1,7 @@
 """The package ships one implementation per job: the oracles live in
-tests/oracles.py, no module of shdiff imports test code, and the names the
-oracles had in shdiff are gone."""
+tests/oracles.py, no module of shdiff imports test code, the names the
+oracles had in shdiff are gone, and no module imports a name it never
+uses."""
 
 import ast
 import importlib
@@ -37,3 +38,18 @@ def test_oracle_names_are_gone():
     for path in PACKAGE.glob("*.py"):
         module = importlib.import_module(f"shdiff.{path.stem}")
         assert not MOVED & set(vars(module)), path.name
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py imports only to re-export
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) > 1
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))

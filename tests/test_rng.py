@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from shdiff import rng
 from shdiff.rng import (TAG_INIT, TAG_SAMPLE, TAG_STEP, keyed_generators, normal_rows, stream,
                         stream_keys)
 
@@ -49,7 +48,7 @@ def test_stream_keys_over_arrays_equal_stream_key():
 def test_list_parts_are_ints(nodes):
     # numpy reads such a list as float64, which loses the low bits
     seed = 2**63 + 11
-    rows = [row.copy() for row in normal_rows(4, seed, TAG_INIT, nodes)]
+    rows = list(normal_rows(4, seed, TAG_INIT, nodes))
     for node, row in zip(nodes, rows, strict=True):
         assert np.array_equal(row, stream(seed, TAG_INIT, node).standard_normal(4))
     lo, hi = stream_keys(seed, TAG_INIT, nodes)
@@ -71,33 +70,33 @@ def test_stream_keys_empty_batch():
 @pytest.mark.parametrize("m", [1, 64])
 @pytest.mark.parametrize("kept", [True, False], ids=["new-rows", "out"])
 def test_normal_rows_equal_fresh_streams(m, kept):
-    # a key chunk and three more keys, so the rows cross a chunk boundary
-    seed, nodes = 2**64 - 7, np.arange(rng._CHUNK + 3, dtype=np.uint64) + np.uint64(2**63 - 2)
+    # 4,099 keys whose words and nodes straddle 2**63, read as a whole batch
+    # or one row at a time
+    seed, nodes = 2**64 - 7, np.arange(4_099, dtype=np.uint64) + np.uint64(2**63 - 2)
     lo, hi = stream_keys(seed, TAG_STEP, nodes, 5)
     assert (lo >= 2**63).any() and (hi >= 2**63).any()
     rows = normal_rows(m, seed, TAG_STEP, nodes, 5)
-    if kept:  # a caller that keeps rows copies each out of the one buffer
-        got = [row.copy() for row in rows]
+    if kept:  # each row is a new array, still valid after every later draw
+        got = list(rows)
         assert len(got) == nodes.size
         for node, row in zip(nodes.tolist(), got, strict=True):
             assert np.array_equal(row, stream(seed, TAG_STEP, node, 5).standard_normal(m))
         return
     first = next(rows)
-    assert np.array_equal(first, stream(seed, TAG_STEP, int(nodes[0]), 5).standard_normal(m))
+    want = stream(seed, TAG_STEP, int(nodes[0]), 5).standard_normal(m)
     for node, row in zip(nodes[1:].tolist(), rows, strict=True):
-        assert row is first  # every row is drawn into one buffer
+        assert not np.shares_memory(row, first)
         assert np.array_equal(row, stream(seed, TAG_STEP, node, 5).standard_normal(m))
+    assert np.array_equal(first, want)  # no later row was drawn into it
 
 
 def test_normal_rows_empty_batch():
     assert list(normal_rows(8, 3, TAG_INIT, [])) == []
 
 
-def test_keyed_generators_equal_fresh_streams(monkeypatch):
+def test_keyed_generators_equal_fresh_streams():
     # a stream is read in several draws of any shape, then the next key
-    # restarts the one generator; key chunks of 2 make the keys cross two
-    # chunk boundaries
-    monkeypatch.setattr(rng, "_CHUNK", 2)
+    # restarts the one generator, whatever the previous stream drew
     seed, nodes, starts = 2**64 - 7, [3, 2**63 + 1, 0, 7, 3], [1, 5, 5, 200, 2]
     gens = keyed_generators(seed, TAG_STEP, nodes, starts)
     for node, start, gen in zip(nodes, starts, gens, strict=True):
