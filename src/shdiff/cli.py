@@ -132,9 +132,10 @@ def _resolve_world(args, prompts, runs: int = 1):
     file's values, or the defaults without one, each overridden by its flag.
 
     ``runs`` plans of the prompts at the schedule's K may ask for at most
-    ``planner.MAX_EVALUATIONS`` baseline evaluations together, checked
-    before anything K-long is made: above it, a K from the world file is a
-    DataError and any other a UsageError.
+    ``diffusion.MAX_EXECUTION_WORK`` values of execution together, each
+    evaluation counting max(m, ``diffusion.MIN_STEP_VALUES``) at data
+    dimension m, checked before anything K-long is made: above it, a K from
+    the world file is a DataError and any other a UsageError.
     """
     d = prompts.dimension
     if args.world:
@@ -151,13 +152,14 @@ def _resolve_world(args, prompts, runs: int = 1):
     k_from_file = bool(args.world) and args.k is None
     if args.k is not None:
         k = args.k
-    baseline = len(prompts) * k * runs
+    values = max(world.data_dimension, diffusion.MIN_STEP_VALUES)
+    work = len(prompts) * k * runs * values
     # a K above MAX_K is make_schedule's UsageError, whatever the product
-    if k <= planner.MAX_K and baseline > planner.MAX_EVALUATIONS:
+    if k <= planner.MAX_K and work > diffusion.MAX_EXECUTION_WORK:
         error = DataError if k_from_file else UsageError
         taus = f" x {runs} tau values" if runs > 1 else ""
-        raise error(f"{len(prompts)} prompts x K={k}{taus} is {baseline} baseline "
-                    f"evaluations, above {planner.MAX_EVALUATIONS}")
+        raise error(f"{len(prompts)} prompts x K={k}{taus} x {values} values is {work} "
+                    f"values of execution, above {diffusion.MAX_EXECUTION_WORK}")
     schedule = diffusion.make_schedule(k, variant if args.variant is None else args.variant,
                                        curve if args.schedule is None else args.schedule)
     return world, schedule, seed

@@ -355,11 +355,27 @@ def run_standard(tree: EmbeddingTree, world: ToyWorld, schedule: NoiseSchedule,
     return ExecutionResult(outputs=outputs, denoiser_calls=len(outputs) * k_stop)
 
 
-# Largest data dimension a world file may ask for.  A seeded map holds
-# data_dimension x d float64s: at 2**14 it is 96 MiB for d=768, made in 0.53 s,
-# and a K=40 simulate of 8 prompts takes 0.32 s at d=8 and 1.0 s at d=768
-# (Python 3.11, numpy 2.4, a shared 2-core machine).
+# Largest data dimension a world file may ask for: a K=40 simulate of 8
+# prompts at 2**14 takes 0.32 s at d=8 and 1.0 s at d=768 (Python 3.11,
+# numpy 2.4, a shared 2-core machine).
 MAX_DATA_DIMENSION = 2**14
+
+# Largest seeded map, data_dimension x d float64s, checked before it is drawn.
+# At 2**24 (2**14 x 1024) the map is 128 MiB, drawn, normalised and checked in
+# 0.49 s at a peak of 261 MiB, since the row norms take a temporary of its size
+# (Python 3.11, numpy 2.4, a shared 2-core machine).
+MAX_MAP_ENTRIES = 2**24
+
+# Largest execution work that simulate and sweep run, checked before the
+# schedule is made: N * K * max(m, MIN_STEP_VALUES) over the data dimension m,
+# times the tau count for sweep.  A tau=0 run, which shares no step, took
+# about 1 us per evaluation plus 17 ns per value (ancestral; 1.3 ns
+# deterministic) and wrote 12 bytes of trace per evaluation, so one of fewer
+# than 64 values costs about what one of 64 does.  At the bound a tau=0
+# ancestral run takes up to 2 min at m <= 64, where it writes 0.8 GB of trace,
+# and 80 s at m = 768 or 2**16 (Python 3.11, numpy 2.4, a shared 2-core machine).
+MAX_EXECUTION_WORK = 2**32
+MIN_STEP_VALUES = 64
 
 
 def _world_int(value, what: str, allowed: range | None = None) -> int:
@@ -374,9 +390,10 @@ def world_from_json(text: str | bytes,
     """Parse a world config into its world, schedule (K, variant, curve) and
     master seed, raising DataError unless every field is valid.
 
-    ``{"seed": s}`` is the seeded map, a square one included.  An identity
-    map whose data dimension is not the embedding dimension is a UsageError:
-    the file is valid, it just does not fit this prompt set.
+    ``{"seed": s}`` is the seeded map, a square one included; one of more
+    than ``MAX_MAP_ENTRIES`` values is a DataError before it is drawn.  An
+    identity map whose data dimension is not the embedding dimension is a
+    UsageError: the file is valid, it just does not fit this prompt set.
     """
     try:
         doc = json.loads(text)
@@ -398,6 +415,10 @@ def world_from_json(text: str | bytes,
         world = ToyWorld.create(m, embedding_dimension, std)
     elif isinstance(cmap, dict) and "seed" in cmap:
         map_seed = _world_int(cmap["seed"], "condition_map.seed")
+        if m * embedding_dimension > MAX_MAP_ENTRIES:
+            raise DataError(f"world JSON: a seeded map of data_dimension {m} x d="
+                            f"{embedding_dimension} is {m * embedding_dimension} values, "
+                            f"above {MAX_MAP_ENTRIES}")
         world = ToyWorld(_seeded_map(m, embedding_dimension, map_seed), std)
     else:
         raise DataError(f"malformed world JSON: condition_map {cmap!r} is neither "

@@ -29,14 +29,14 @@ class RunMetrics:
 
 def quality_mse(result: ExecutionResult, world: ToyWorld, prompts: PromptSet) -> float:
     """Mean over prompts of the squared distance between final sample and
-    target mean A*y."""
-    errors = []
-    for pid, y in zip(prompts.ids, prompts.embeddings):
+    target mean A*y, each a fixed-order ``np.add.reduce`` over its row."""
+    diff = np.empty((len(prompts), world.data_dimension))
+    for row, pid, y in zip(diff, prompts.ids, prompts.embeddings):
         if pid not in result.outputs:
             raise UsageError(f"missing output for prompt {pid!r}")
-        diff = result.outputs[pid].sample - world.target_mean(y.astype(np.float64))
-        errors.append(float(np.dot(diff, diff)))
-    return float(np.mean(errors))
+        np.subtract(result.outputs[pid].sample, world.target_mean(y), out=row)
+    diff *= diff
+    return float(np.mean(np.add.reduce(diff, axis=1)))
 
 
 DIVERSITY_SAMPLE_CAP = 100  # samples the diversity metric compares pairwise, at most
@@ -44,28 +44,28 @@ DIVERSITY_SAMPLE_CAP = 100  # samples the diversity metric compares pairwise, at
 
 def diversity_pairwise_cosine(result: ExecutionResult, seed: int) -> float:
     """Mean cosine similarity over all pairs of up to DIVERSITY_SAMPLE_CAP
-    final samples, a subsample drawn with ``seed`` when there are more."""
+    final samples, a subsample drawn with ``seed`` when there are more.
+
+    Over n unit rows u the mean is (|sum u|^2 - sum |u_i|^2) / (n (n - 1)),
+    every sum a fixed-order ``np.add.reduce``, so no BLAS kernel is called."""
     ids = sorted(result.outputs)
     if len(ids) < 2:
         raise UsageError("diversity needs at least 2 outputs")
     if len(ids) > DIVERSITY_SAMPLE_CAP:
         perm = stream(seed, TAG_SAMPLE).permutation(len(ids))[:DIVERSITY_SAMPLE_CAP]
         ids = [ids[i] for i in sorted(perm)]
-    vecs = []
-    for pid in ids:
-        v = result.outputs[pid].sample
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            warnings.warn(f"excluding zero final sample for {pid!r} from diversity")
-            continue
-        vecs.append(v / norm)
-    if len(vecs) < 2:
+    mat = np.array([result.outputs[pid].sample for pid in ids], dtype=np.float64)
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
+    nonzero = norms != 0.0
+    for i in np.flatnonzero(~nonzero):
+        warnings.warn(f"excluding zero final sample for {ids[i]!r} from diversity")
+    n = int(np.count_nonzero(nonzero))
+    if n < 2:
         raise UsageError("fewer than 2 nonzero samples for diversity")
-    mat = np.array(vecs)
-    gram = mat @ mat.T
-    n = len(vecs)
-    upper = gram[np.triu_indices(n, k=1)]
-    return float(np.mean(upper))
+    unit = mat[nonzero] / norms[nonzero, None]
+    total = np.add.reduce(unit, axis=0)
+    pairs = np.add.reduce(total * total) - np.add.reduce(np.add.reduce(unit * unit, axis=1))
+    return float(pairs / (n * (n - 1)))
 
 
 def run_once(prompts: PromptSet, tree: EmbeddingTree, world: ToyWorld,

@@ -33,14 +33,6 @@ PHI_APPENDIX = "appendix"
 # for make_schedule (numpy 2.4, a shared 2-core machine); both are linear in K.
 MAX_K = 100_000
 
-# Largest baseline evaluation count that simulate (N * K) and sweep
-# (N * K * tau values) run.  A tau=0 simulate, which shares no step, took
-# 2.4 us per evaluation at d=64 (ancestral; 1.1 us deterministic) and 15 us
-# at d=768, and wrote 12 bytes of trace text per evaluation, so one at the
-# bound runs about 3 min at d=64 or 16 min at d=768 and writes 0.8 GB
-# (Python 3.11, numpy 2.4, a shared 2-core machine).
-MAX_EVALUATIONS = 2**26
-
 
 @dataclass(frozen=True)
 class ScheduleParams:

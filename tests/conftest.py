@@ -1,10 +1,29 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shdiff.diffusion import world_from_json
 from shdiff.tree import _finalize
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_sessionstart(session):
+    """Import every shdiff module and every test module, and so whatever
+    they import, before any test runs.  Hypothesis draws a few of its choices
+    from the constants of the local non-test modules loaded when a test
+    starts, so a derandomized test then draws the same examples whichever
+    files run."""
+    for path in sorted((TESTS.parent / "src" / "shdiff").glob("*.py")):
+        importlib.import_module("shdiff" if path.stem == "__init__" else f"shdiff.{path.stem}")
+    for path in sorted(TESTS.glob("test_*.py")):
+        try:
+            importlib.import_module(path.stem)
+        except Exception:  # collection reports it against the file
+            continue
 
 
 def manual_tree(leaf_ids, children, scores, means):

@@ -17,7 +17,9 @@ under test, and no module of the package imports this one:
   Python floats, for ``diffusion.step_table``, ``_run_span`` and
   ``denoise_step``;
 - ``replay_trace`` reruns one prompt's trace alone, for
-  ``diffusion.execute_plan``.
+  ``diffusion.execute_plan``;
+- ``pairwise_mean_cosine`` loops over every pair of rows with exact sums,
+  for ``metrics.diversity_pairwise_cosine``.
 
 ``diffusion.run_standard`` stays in the package: the benchmark's oracle
 calls it.  It steps each prompt one row at a time and shares no block code
@@ -233,3 +235,15 @@ def replay_trace(output, tree, world, schedule, seed):
             drive = drive + sigma * noise[node].standard_normal(m)
         x = denoise_step(x, k, drive, steps)
     return x
+
+
+def pairwise_mean_cosine(rows) -> float:
+    """Mean cosine similarity over every pair i < j of the rows whose
+    squares do not all vanish, each norm, dot product and the mean an exact
+    ``math.fsum``.  Fewer than 2 such rows raise ZeroDivisionError."""
+    rows = [[float(x) for x in row] for row in rows]
+    norms = [math.sqrt(math.fsum(x * x for x in row)) for row in rows]
+    unit = [[x / norm for x in row] for row, norm in zip(rows, norms) if norm != 0.0]
+    cosines = [math.fsum(a * b for a, b in zip(unit[i], unit[j]))
+               for i in range(len(unit)) for j in range(i + 1, len(unit))]
+    return math.fsum(cosines) / len(cosines)

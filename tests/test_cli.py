@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import expand_plan_json
 from shdiff import cli, diffusion
 from shdiff.cli import main
-from shdiff.diffusion import ANCESTRAL, MAX_DATA_DIMENSION, ToyWorld, execute_plan, make_schedule
+from shdiff.diffusion import (ANCESTRAL, MAX_DATA_DIMENSION, MAX_EXECUTION_WORK, MIN_STEP_VALUES,
+                             ToyWorld, execute_plan, make_schedule)
 from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, TEXT_BLOCK_VALUES, PromptSet,
                                generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
-from shdiff.planner import MAX_EVALUATIONS, MAX_K, ScheduleParams, SharePlan, compile_plan
+from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
 
 
@@ -602,8 +603,10 @@ class TestSimulate:
          ["--k", "20", "--tau", "0.5", "--target-std", "0.5", "--seed", "5"],
          "eb96012815d8d95b52383cb567d09365b81cc2722ab9751d19e7323e84c1e078",
          # e543321eacfb60bf81d7e77d2811437149a08607344da2cbd77fd9fa2befce46 before
-         # the affine step: the float64 mean squared error moved in its last digit
-         "5f03f956b1a4c649bc6a9db72c7b689d17663ccd2450d4678601eb0ed5eac218"),
+         # the affine step (the float64 mean squared error moved in its last
+         # digit), then 5f03f956b1a4c649bc6a9db72c7b689d17663ccd2450d4678601eb0ed5eac218
+         # while OpenBLAS summed the metrics, each kernel in its own order
+         "64c84c8b7505dd157880ad6f72c0d4e9ccbf067b2d47683c2ce6edc7f11e9302"),
         (["--clusters", "8", "--per-cluster", "8", "--dim", "64", "--jitter", "0.1",
           "--seed", "12"],
          ["--k", "40", "--tau", "1.0", "--variant", "ancestral", "--seed", "6"],
@@ -613,11 +616,15 @@ class TestSimulate:
          # the affine step) while each (node, k) drew its own noise row; one
          # stream per (node, start) span changes every ancestral sample
          "36863ad596a5c9896be4ae1d594f5c26f0eedbbe93fc3fbdfa2f42e8178a3b54",
-         "2f4b3421e5589ebcfc77fd1f49a9177c4579dce94f703780dbe8115073b579fd"),
+         # 2f4b3421e5589ebcfc77fd1f49a9177c4579dce94f703780dbe8115073b579fd while
+         # the diversity summed its Gram matrix through BLAS
+         "15f55dd4bae2305cf747e9f256b7b7b6fe567924f0ceab49f82612d1dc6e805e"),
     ], ids=["d768-deterministic", "d64-ancestral"])
     def test_outputs_pinned(self, tmp_path, synth, simulate, samples_sha, metrics_sha):
-        # Digests written when every target mean was an A @ y mat-vec; the
-        # tau=0 oracle cannot see a drift there, since run_standard shares it.
+        # Identity worlds: no step, target mean or metric calls BLAS, so these
+        # bytes hold under any BLAS kernel (CI reruns them under three).  The
+        # tau=0 oracle cannot see a drift in a target mean, since
+        # run_standard shares it.
         prompts, out, met = (tmp_path / n for n in ("p.jsonl", "s.jsonl", "m.json"))
         assert main(["synth", *synth, "--output", str(prompts)]) == 0
         assert main(["simulate", "--input", str(prompts), *simulate,
@@ -737,23 +744,34 @@ class ScheduleMade(Exception):
 
 
 @pytest.mark.parametrize("k_from", ["flag", "world"])
-@pytest.mark.parametrize("command, n, k, taus", [
-    ("simulate", 1024, 2**16, 1),  # at the bound: N x K = 2**26
-    ("sweep", 512, 2**16, 2),  # N x K x 2 tau values
-    ("simulate", 785, 85_489, 1),  # 2**26 + 1 = (5 x 157) x (53 x 1613)
-    ("sweep", 5, 85_489, 157),
-], ids=["simulate-at-bound", "sweep-at-bound", "simulate-above", "sweep-above"])
-def test_evaluation_bound(tmp_path, monkeypatch, capsys, k_from, command, n, k, taus):
-    assert n * k * taus in (MAX_EVALUATIONS, MAX_EVALUATIONS + 1)
+@pytest.mark.parametrize("command, n, k, taus, m, seeded", [
+    # below MIN_STEP_VALUES an evaluation counts 64 values: N x K x 64 = 2**32
+    ("simulate", 1024, 2**16, 1, 3, False),
+    ("sweep", 512, 2**16, 2, 3, False),  # N x K x 2 tau values x 64
+    ("simulate", 785, 85_489, 1, 3, False),  # (2**26 + 1) x 64 = (5 x 157) x (53 x 1613) x 64
+    ("sweep", 5, 85_489, 157, 3, False),
+    ("simulate", 512, 2**16, 1, 128, False),  # identity at m = d = 128
+    ("sweep", 11, 12_153, 251, 128, False),  # (2**25 + 1) x 128 = 11 x (3 x 4051) x 251 x 128
+    ("simulate", 4, 2**16, 1, 2**14, True),  # a seeded map's m, not the prompts' d = 3
+    ("simulate", 5, 52_429, 1, 2**14, True),  # (2**18 + 1) x 2**14 = 5 x 52,429 x 2**14
+], ids=["simulate-at-bound", "sweep-at-bound", "simulate-above", "sweep-above",
+        "wide-simulate-at-bound", "wide-sweep-above", "seeded-at-bound", "seeded-above"])
+def test_evaluation_bound(tmp_path, monkeypatch, capsys, k_from, command, n, k, taus, m, seeded):
+    d = 3 if seeded else m
+    work = n * k * taus * max(m, MIN_STEP_VALUES)
+    assert work in (MAX_EXECUTION_WORK, MAX_EXECUTION_WORK + max(m, MIN_STEP_VALUES))
     path = tmp_path / "p.jsonl"
-    path.write_text("".join('{"id": "p%d", "embedding": [%d.0, 1.0, 0.0]}\n' % (i, i)
-                            for i in range(n)))
+    rows = ({"id": f"p{i}", "embedding": [float(i), 1.0] + [0.0] * (d - 2)} for i in range(n))
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     argv = [command, "--input", str(path), "--output", str(tmp_path / "out")]
     if k_from == "flag":
         argv += ["--k", str(k)]
-    else:
+    if k_from == "world" or seeded:
         world = tmp_path / "world.json"
-        world.write_text(WORLD_TEXT.replace('"K": 12', f'"K": {k}'))
+        world.write_text(json.dumps({
+            **json.loads(WORLD_TEXT), "data_dimension": m,
+            "condition_map": {"seed": 1} if seeded else "identity",
+            "schedule": {"K": k, "curve": "cosine", "variant": "deterministic"}}))
         argv += ["--world", str(world)]
     if command == "sweep":
         argv += ["--sweep", ",".join(["1"] * taus)]
@@ -762,12 +780,12 @@ def test_evaluation_bound(tmp_path, monkeypatch, capsys, k_from, command, n, k, 
         raise ScheduleMade(args)
 
     monkeypatch.setattr(diffusion, "make_schedule", make_schedule)
-    if n * k * taus == MAX_EVALUATIONS:
+    if work == MAX_EXECUTION_WORK:
         with pytest.raises(ScheduleMade):
             main(argv)
         return
     assert main(argv) == (2 if k_from == "flag" else 3)
-    assert f"is {MAX_EVALUATIONS + 1} baseline evaluations, above {MAX_EVALUATIONS}" in \
+    assert f"is {work} values of execution, above {MAX_EXECUTION_WORK}" in \
         capsys.readouterr().err
 
 
@@ -1008,6 +1026,26 @@ class TestWorldFile:
         assert main(["simulate", "--input", prompts_file, "--world", str(world_path),
                      "--output", str(out)]) == 0
         assert len(json.loads(out.read_text().splitlines()[0])["sample"]) == MAX_DATA_DIMENSION
+
+    def test_seeded_map_above_entry_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        # 2 prompts at d = 2**11 and a 2**14-row map: 2**25 values, which
+        # would be drawn in full without the cap
+        path = tmp_path / "p.jsonl"
+        save_prompt_set(generate_synthetic(1, 2, 2**11, 0.1, seed=5), str(path))
+        world_path = tmp_path / "world.json"
+        world_path.write_text(json.dumps({**json.loads(WORLD_TEXT), "data_dimension": 2**14,
+                                          "condition_map": {"seed": 1}}))
+
+        def seeded_map(*args):
+            raise AssertionError("the map is drawn")
+
+        monkeypatch.setattr(diffusion, "_seeded_map", seeded_map)
+        out = tmp_path / "samples.jsonl"
+        assert main(["simulate", "--input", str(path), "--world", str(world_path),
+                     "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "a seeded map of data_dimension 16384 x d=2048 is 33554432 values" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_flags_override_file(self, prompts_file, tmp_path, monkeypatch):
         # each flag given replaces the file's value, as if the file held it

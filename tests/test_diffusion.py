@@ -19,6 +19,7 @@ from shdiff.diffusion import (
     CURVE_COSINE,
     CURVE_LINEAR_BETA,
     MAX_DATA_DIMENSION,
+    MAX_MAP_ENTRIES,
     GenerationOutput,
     ToyWorld,
     denoise_step,
@@ -820,6 +821,10 @@ class TestTruncatedStandard:
             assert np.linalg.norm(trunc.outputs[pid].sample - mu) > 1e-3
 
 
+class MapDrawn(Exception):
+    """Raised in place of _seeded_map, so no map is drawn."""
+
+
 class TestWorldJson:
     def test_roundtrip_identity(self):
         text = ('{"data_dimension": 4, "target_std": 0.7, "condition_map": "identity", '
@@ -872,3 +877,21 @@ class TestWorldJson:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # rejected before the 8 MiB map is made
+
+    @pytest.mark.parametrize("m, d", [(2**14, 2**10), (673, 24_929)],  # 2**24 + 1 = 673 x 24,929
+                             ids=["at-cap", "above"])
+    def test_seeded_map_entry_cap(self, monkeypatch, m, d):
+        def seeded_map(*args):
+            raise MapDrawn(args)
+
+        monkeypatch.setattr(diffusion, "_seeded_map", seeded_map)
+        text = ('{"data_dimension": %d, "target_std": 1.0, "condition_map": {"seed": 3}, '
+                '"schedule": {"K": 5, "curve": "cosine", "variant": "deterministic"}, '
+                '"master_seed": 0}' % m)
+        assert m * d in (MAX_MAP_ENTRIES, MAX_MAP_ENTRIES + 1)
+        if m * d == MAX_MAP_ENTRIES:
+            with pytest.raises(MapDrawn):
+                world_from_json(text, d)
+        else:
+            with pytest.raises(DataError, match=f"is {MAX_MAP_ENTRIES + 1} values, above"):
+                world_from_json(text, d)

@@ -1,8 +1,14 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import seeded_world
+from oracles import pairwise_mean_cosine
 from shdiff.diffusion import (
     ANCESTRAL,
     CURVE_COSINE,
@@ -16,6 +22,7 @@ from shdiff.diffusion import (
 from shdiff.embeddings import PromptSet, generate_synthetic
 from shdiff.errors import UsageError
 from shdiff.metrics import (
+    DIVERSITY_SAMPLE_CAP,
     RunMetrics,
     diversity_pairwise_cosine,
     metrics_to_json,
@@ -25,6 +32,7 @@ from shdiff.metrics import (
     sweep_tau,
 )
 from shdiff.planner import ScheduleParams
+from shdiff.rng import TAG_SAMPLE, stream
 from shdiff.tree import build_tree
 
 
@@ -91,6 +99,72 @@ class TestDiversity:
         a = diversity_pairwise_cosine(res, 3)
         b = diversity_pairwise_cosine(res, 3)
         assert a == b
+
+
+@st.composite
+def quality_cases(draw):
+    """Prompts, samples and a world: the identity or a seeded m x d map."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    emb = draw(hnp.arrays(np.float32, (n, d), elements=st.floats(-10, 10, width=32)))
+    emb[~emb.any(axis=1), 0] = 1.0  # a prompt set holds no zero row
+    if draw(st.booleans()):
+        m, world = d, ToyWorld.create(d, d, 1.0)
+    else:
+        m = draw(st.integers(1, 6))
+        world = seeded_world(m, d, 1.0, draw(st.integers(0, 2**32 - 1)))
+    samples = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1e3, 1e3)))
+    ids = tuple(f"p{i}" for i in range(n))
+    return PromptSet(ids, (None,) * n, emb), world, dict(zip(ids, samples))
+
+
+@given(case=quality_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_quality_matches_exact_sums(case):
+    prompts, world, samples = case
+    A = np.eye(world.data_dimension) if world.condition_map is None else world.condition_map
+    errors = []
+    for pid, y in zip(prompts.ids, prompts.embeddings.tolist()):
+        target = [math.fsum(a * b for a, b in zip(row, y)) for row in A.tolist()]
+        errors.append(math.fsum((s - t) ** 2 for s, t in zip(samples[pid].tolist(), target)))
+    expected = math.fsum(errors) / len(errors)
+    assert quality_mse(fake_result(samples), world, prompts) == \
+        pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def diversity_rows(draw):
+    """2 to 20 rows, or more than DIVERSITY_SAMPLE_CAP, each a multiple (0,
+    or +-1 to +-1e3) of one of a few base rows: zero, repeated and antipodal
+    rows."""
+    m = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m),
+                         min_size=1, max_size=6))
+    n = draw(st.integers(2, 20) | st.integers(DIVERSITY_SAMPLE_CAP + 1, 150))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.sampled_from([1.0, -1.0, 0.0, 2.5, -1e3])),
+                          min_size=n, max_size=n))
+    return [[scale * x for x in base[i]] for i, scale in picks]
+
+
+@given(rows=diversity_rows(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_diversity_matches_pairwise_loop(rows, seed):
+    ids = [f"p{i:03d}" for i in range(len(rows))]
+    chosen = range(len(rows))
+    if len(rows) > DIVERSITY_SAMPLE_CAP:
+        chosen = sorted(stream(seed, TAG_SAMPLE).permutation(len(rows))[:DIVERSITY_SAMPLE_CAP])
+    zero = [ids[i] for i in chosen if math.fsum(x * x for x in rows[i]) == 0.0]
+    result = fake_result(dict(zip(ids, rows)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if len(chosen) - len(zero) < 2:
+            with pytest.raises(UsageError, match="fewer than 2 nonzero samples"):
+                diversity_pairwise_cosine(result, seed)
+        else:
+            expected = pairwise_mean_cosine([rows[i] for i in chosen])
+            assert abs(diversity_pairwise_cosine(result, seed) - expected) <= 1e-12
+    assert [str(w.message) for w in caught] == \
+        [f"excluding zero final sample for {pid!r} from diversity" for pid in zero]
 
 
 def setup(N_clusters=4, per=16, d=16, jitter=0.1, std=0.6, K=20, seed=0):
