@@ -89,19 +89,17 @@ class PromptSet:
 
     def normalized(self) -> "PromptSet":
         """Return a copy with every embedding scaled to unit L2 norm."""
-        emb = self.embeddings.astype(np.float64)
-        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        return PromptSet(self.ids, self.prompts, emb.astype(np.float32))
+        return PromptSet(self.ids, self.prompts, unit_rows(self.embeddings).astype(np.float32))
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Float64 copy of a (rows, d) matrix with every row scaled to unit L2 norm.
 
-    Each row's norm is a reduction over that row alone, so a vector gets the
-    same unit form whichever matrix it is normalized in.
+    Each row's norm is a fixed-order ``np.add.reduce`` over that row alone,
+    with no BLAS call, so a vector gets the same unit form in any matrix on any CPU.
     """
     arr = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise DataError("cosine distance undefined for zero-norm vector")
     return arr / norms
@@ -425,9 +423,14 @@ def load_prompt_set(path: str) -> PromptSet:
 
 
 # Largest synthetic set, besides MAX_PROMPTS records: 2**22 float64 entries
-# (4096 x 1024) take 0.10 s with a 113 MiB peak (Python 3.11, numpy 2.4, a
-# shared 2-core machine).
+# (4096 x 1024) take 0.15 s at a traced peak of at most 64.5 MiB, two blocks
+# of them (Python 3.11, numpy 2.4, a shared 2-core machine).
 MAX_SYNTH_ENTRIES = 2**22
+
+# Largest synth jitter.  numpy's ziggurat normals are below 13 in size (a tail
+# draw is 3.65 + x, x^2 < 2 y, y = -log(1 - U) <= 53 ln 2), so the squares of a
+# record's <= 2**22 entries sum below 2**22 (1 + 1.3e150)^2 = 7.1e306 < 1.8e308.
+MAX_SYNTH_JITTER = 1e149
 
 
 def generate_synthetic(
@@ -449,16 +452,15 @@ def generate_synthetic(
     if clusters * per_cluster > min(MAX_PROMPTS, MAX_SYNTH_ENTRIES // dimension):
         raise UsageError(f"a synthetic set holds at most {MAX_PROMPTS} records and "
                          f"{MAX_SYNTH_ENTRIES} entries (records x dimension)")
-    if not 0 <= jitter < float("inf"):  # NaN fails both comparisons
-        raise UsageError("jitter must be finite and >= 0")
-    centers = np.empty((clusters, dimension), dtype=np.float64)
-    for c, v in enumerate(normal_rows(dimension, seed, TAG_CENTER, np.arange(clusters))):
-        centers[c] = v / np.linalg.norm(v)
-    rows = np.repeat(centers, per_cluster, axis=0)  # record i = c * per_cluster + j
-    if jitter != 0.0:
-        for row, z in zip(rows, normal_rows(dimension, seed, TAG_RECORD, np.arange(len(rows)))):
-            v = row + jitter * z
-            row[:] = v / np.linalg.norm(v)
+    if not 0 <= jitter <= MAX_SYNTH_JITTER:  # NaN fails both comparisons
+        raise UsageError(f"jitter must be finite and >= 0, at most {MAX_SYNTH_JITTER:g}")
+    row = np.dtype((np.float64, (dimension,)))  # one stream's draws as one item
+    draws = normal_rows(dimension, seed, TAG_CENTER, np.arange(clusters))
+    rows = np.repeat(unit_rows(np.fromiter(draws, row, clusters)), per_cluster, axis=0)
+    if jitter != 0.0:  # at 0 each record keeps its center's bits
+        draws = normal_rows(dimension, seed, TAG_RECORD, np.arange(len(rows)))
+        rows += np.fromiter((jitter * z for z in draws), row, len(rows))  # rows + jitter * z
+        rows = unit_rows(rows)
     ids = tuple(f"c{c}-{j}" for c in range(clusters) for j in range(per_cluster))
     texts = tuple(f"cluster {i.split('-')[0][1:]}" for i in ids)
     return PromptSet(ids, texts, rows.astype(np.float32))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import ExecutionResult, NoiseSchedule, ToyWorld, execute_plan
-from .embeddings import PromptSet
+from .embeddings import PromptSet, unit_rows
 from .errors import UsageError
 from .planner import ScheduleParams, SharePlan, compile_plan
 from .rng import TAG_SAMPLE, stream
@@ -55,14 +55,13 @@ def diversity_pairwise_cosine(result: ExecutionResult, seed: int) -> float:
         perm = stream(seed, TAG_SAMPLE).permutation(len(ids))[:DIVERSITY_SAMPLE_CAP]
         ids = [ids[i] for i in sorted(perm)]
     mat = np.array([result.outputs[pid].sample for pid in ids], dtype=np.float64)
-    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
-    nonzero = norms != 0.0
+    nonzero = np.add.reduce(mat * mat, axis=1) != 0.0  # as unit_rows finds a zero norm
     for i in np.flatnonzero(~nonzero):
         warnings.warn(f"excluding zero final sample for {ids[i]!r} from diversity")
     n = int(np.count_nonzero(nonzero))
     if n < 2:
         raise UsageError("fewer than 2 nonzero samples for diversity")
-    unit = mat[nonzero] / norms[nonzero, None]
+    unit = unit_rows(mat[nonzero])
     total = np.add.reduce(unit, axis=0)
     pairs = np.add.reduce(total * total) - np.add.reduce(np.add.reduce(unit * unit, axis=1))
     return float(pairs / (n * (n - 1)))

@@ -186,10 +186,9 @@ def randomize_encodings(prompts: PromptSet, seed: int) -> PromptSet:
     Used to build the random-clustering ablation tree; leaf generation keeps
     using the true embeddings via shared membership.
     """
-    d = prompts.dimension
-    rows = np.empty((len(prompts), d), dtype=np.float64)
-    for row, v in zip(rows, normal_rows(d, seed, TAG_RANDENC, np.arange(len(prompts)))):
-        row[:] = v / np.linalg.norm(v)
+    d, n = prompts.dimension, len(prompts)
+    draws = normal_rows(d, seed, TAG_RANDENC, np.arange(n))
+    rows = unit_rows(np.fromiter(draws, np.dtype((np.float64, (d,))), n))
     return PromptSet(prompts.ids, prompts.prompts, rows.astype(np.float32))
 
 

@@ -4,8 +4,10 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ from shdiff import cli, diffusion
 from shdiff.cli import main
 from shdiff.diffusion import (ANCESTRAL, MAX_DATA_DIMENSION, MAX_EXECUTION_WORK, MIN_STEP_VALUES,
                              ToyWorld, execute_plan, make_schedule)
-from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, TEXT_BLOCK_VALUES, PromptSet,
-                               generate_synthetic, load_prompt_set, save_prompt_set)
+from shdiff.embeddings import (MAX_PROMPTS, MAX_SYNTH_ENTRIES, MAX_SYNTH_JITTER, TEXT_BLOCK_VALUES,
+                               PromptSet, generate_synthetic, load_prompt_set, save_prompt_set)
 from shdiff.metrics import run_once, sweep_csv
 from shdiff.planner import MAX_K, ScheduleParams, SharePlan, compile_plan
 from shdiff.tree import build_tree, randomize_encodings, reembed, tree_from_json, tree_to_json
@@ -854,6 +856,29 @@ class TestSynth:
         assert main(["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4",
                      "--jitter", jitter, "--output", str(out)]) == 2
         assert "jitter must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, dim", [
+        ("synth.jsonl", 3), ("synth.bin", MAX_SYNTH_ENTRIES // 2)], ids=["d3", "entries"])
+    def test_jitter_at_bound(self, tmp_path, capsys, name, dim):
+        # The squares of a record's entries sum without overflow, even over
+        # 2**21 entries; a jitter of 1e160 overflowed the norm of a 3-vector.
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", "--clusters", "1", "--per-cluster", "2", "--dim", str(dim),
+                         "--jitter", repr(MAX_SYNTH_JITTER), "--output", str(out)]) == 0
+        assert f"wrote 2 embeddings (d={dim})" in capsys.readouterr().out
+        emb = load_prompt_set(str(out)).embeddings.astype(np.float64)
+        assert np.allclose(np.sqrt(np.add.reduce(emb * emb, axis=1)), 1.0, atol=1e-6)
+
+    def test_jitter_above_bound_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "synth.jsonl"
+        above = math.nextafter(MAX_SYNTH_JITTER, math.inf)
+        assert main(["synth", "--clusters", "1", "--per-cluster", "2", "--dim", "3",
+                     "--jitter", repr(above), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: jitter must be finite and >= 0, at most {MAX_SYNTH_JITTER:g}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("per_cluster, dim", [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shdiff.embeddings import (
     MAX_PROMPTS,
+    MAX_SYNTH_ENTRIES,
     MAX_TREE_WORK,
     TEXT_BLOCK_VALUES,
     PromptSet,
@@ -19,6 +20,7 @@ from shdiff.embeddings import (
     unit_rows,
 )
 from shdiff.errors import DataError, UsageError
+from shdiff.rng import TAG_CENTER, TAG_RECORD, stream
 from shdiff.tree import build_tree
 
 
@@ -432,6 +434,31 @@ class TestSynthetic:
         for c in range(3):
             block = emb[c * 4:(c + 1) * 4]
             assert np.all(block == block[0])
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_each_record_from_its_own_streams(self, jitter):
+        # The block form has the bits of one record at a time: a row's sum of
+        # squares is the same fixed-order add.reduce in a block or alone.
+        ps = generate_synthetic(3, 4, 70, jitter, seed=9)
+        for i in range(12):
+            v = stream(9, TAG_CENTER, i // 4).standard_normal(70)
+            v /= np.sqrt(np.add.reduce(v * v))
+            if jitter:
+                v = v + jitter * stream(9, TAG_RECORD, i).standard_normal(70)
+                v /= np.sqrt(np.add.reduce(v * v))
+            assert ps.embeddings[i].tobytes() == v.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("clusters, per_cluster", [(1, 4096), (4096, 1)])
+    def test_peak_at_entry_cap(self, clusters, per_cluster):
+        # Two float64 blocks of records at most: the records beside their
+        # scaled draws, then beside their squares or their unit rows.
+        tracemalloc.start()
+        try:
+            generate_synthetic(clusters, per_cluster, MAX_SYNTH_ENTRIES // 4096, 0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * MAX_SYNTH_ENTRIES + 2**21
 
     def test_deterministic(self):
         a = generate_synthetic(2, 3, 8, 0.3, seed=5)

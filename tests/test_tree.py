@@ -13,6 +13,7 @@ from shdiff.cli import main
 from shdiff.diffusion import ToyWorld, make_schedule, run_standard
 from shdiff.embeddings import MAX_PROMPTS, PromptSet, generate_synthetic, save_prompt_set
 from shdiff.errors import DataError, UsageError
+from shdiff.rng import TAG_RANDENC, stream
 from shdiff.tree import (
     TREE_FORMAT,
     TreeFormatError,
@@ -300,6 +301,13 @@ class TestRandomizeEncodings:
         b = randomize_encodings(ps, seed=1)
         assert np.array_equal(a.embeddings, b.embeddings)
         assert a.ids == ps.ids
+
+    def test_each_row_from_its_own_stream(self):
+        r = randomize_encodings(random_prompt_set(5, 70, seed=7), seed=4)
+        for i in range(5):
+            v = stream(4, TAG_RANDENC, i).standard_normal(70)
+            v /= np.sqrt(np.add.reduce(v * v))
+            assert r.embeddings[i].tobytes() == v.astype(np.float32).tobytes()
 
     def test_near_orthogonal_in_high_dim(self):
         ps = random_prompt_set(100, 256, seed=0)
